@@ -12,7 +12,7 @@ from .trial import (
     CorrelationStructure,
     WeightingScheme,
     VarianceComponents,
-    ClusterData,
+    CellStats,
     ObservedTrial,
 )
 from .estimators import (
@@ -67,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TrialValidationError", "CorrelationStructure", "WeightingScheme",
-    "VarianceComponents", "ClusterData", "ObservedTrial",
+    "VarianceComponents", "CellStats", "ObservedTrial",
     "EstimatorKind", "EstimationError", "UnsupportedWeightingError",
     "FitOptions", "FitResult", "fit", "gls_point_estimate",
     "estimate_variance_components",

@@ -6,7 +6,8 @@ the nested-exchangeable structure adds tau_gamma2 for pairs in the same
 period.  Because entries only depend on cell membership, each block is a
 rank-2 update of sigma_w2 * I and its inverse, determinant, and every
 quadratic form the estimators need reduce to a 2x2 computation per
-cluster.
+cluster.  `normal_equations` sums those per-cluster terms into the 3x3
+GLS system shared by REML and the independence and mixed-model fits.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trial import CorrelationStructure, VarianceComponents, WeightingScheme
+from .trial import CellStats, CorrelationStructure, VarianceComponents, WeightingScheme
 
 __all__ = [
     "BlockTerms",
@@ -26,6 +27,7 @@ __all__ = [
     "block_logdet",
     "structure_taus",
     "inverse_cell_terms",
+    "normal_equations",
 ]
 
 
@@ -85,12 +87,12 @@ def neme_block_terms(k: int, vc: VarianceComponents,
     if k < 1:
         raise ValueError(f"cell size must be >= 1, got {k}")
     s = vc.sigma_w2
-    ta = vc.tau_alpha2
-    t = vc.tau_alpha2 + vc.tau_gamma2
-    denom = (s + k * t) ** 2 - (k * ta) ** 2
-    # Positive whenever s > 0 and t >= ta >= 0; a violation means bad input.
-    assert denom > 0.0, "degenerate nested-exchangeable block"
-    e = t - k * ta * ta / (s + k * t)
+    ta, tg = vc.tau_alpha2, vc.tau_gamma2
+    t = ta + tg
+    # (s + k t)^2 - (k ta)^2 and t - k ta^2 / (s + k t), factored so that
+    # no difference of large nearly equal terms is formed.
+    denom = (s + k * tg) * (s + k * tg + 2 * k * ta)
+    e = (s * t + k * tg * (t + ta)) / (s + k * t)
     d = (1.0 / s) * (s + (k - 1) * e) / (s + k * e)
     f = -(1.0 / s) * e / (s + k * e)
     g = -ta / denom
@@ -151,3 +153,33 @@ def inverse_cell_terms(k0, k1, sigma_w2: float, tau_within: float, tau_between: 
     c01 = s * tb / det
     logdet = (k0 + k1 - 2.0) * math.log(s) + np.log(det)
     return c00, c01, c11, logdet
+
+
+def normal_equations(cells: CellStats, tau_within: float, tau_between: float,
+                     weight=None):
+    """GLS normal equations of the (mu, delta, phi1) design at unit residual scale.
+
+    The block of each cluster is I + U M U' with M = [[tw, tb], [tb, tw]]
+    in residual-variance units.  With a weight (one value per cluster),
+    each cluster's terms are divided by it.  Returns (M, v, y'W y, sum of
+    block log-determinants), where W is the weighted inverse covariance;
+    the log-determinants ignore the weight.
+    """
+    k0, k1, t0, t1, s = cells.k0, cells.k1, cells.sum0, cells.sum1, cells.sequence
+    c00, c01, c11, logdet = inverse_cell_terms(k0, k1, 1.0, tau_within, tau_between)
+    w0 = k0 - k0 * k0 * c00
+    w1 = k1 - k1 * k1 * c11
+    wx = -k0 * k1 * c01
+    q0 = t0 - k0 * (c00 * t0 + c01 * t1)
+    q1 = t1 - k1 * (c01 * t0 + c11 * t1)
+    r = cells.ss0 + cells.ss1 - (c00 * t0 * t0 + 2.0 * c01 * t0 * t1 + c11 * t1 * t1)
+    if weight is not None:
+        w0, w1, wx, q0, q1, r = (x / weight for x in (w0, w1, wx, q0, q1, r))
+    m = np.empty((3, 3))
+    m[0, 0] = np.sum(w0 + w1 + 2.0 * wx)
+    m[0, 1] = m[1, 0] = np.sum(s * (w1 + wx))
+    m[0, 2] = m[2, 0] = np.sum(w1 + wx)
+    m[1, 1] = m[1, 2] = m[2, 1] = np.sum(s * w1)
+    m[2, 2] = np.sum(w1)
+    v = np.array([np.sum(q0 + q1), np.sum(s * q1), np.sum(q1)])
+    return m, v, float(np.sum(r)), float(np.sum(logdet))

@@ -2,8 +2,16 @@
 
 Four model families (independence, two-way fixed effects, exchangeable
 mixed, nested-exchangeable mixed), each unweighted or with inverse
-cluster-period size weights.  All fits reduce to cell-level sufficient
-statistics; no individual-level design matrix is ever materialized.
+cluster-period size weights.  Every fit reads only the trial's
+`CellStats`:
+
+- the independence and mixed fits solve the 3x3 normal equations from
+  `blocks.normal_equations` (the independence fit at zero random effects);
+- the fixed-effects fit is the closed form of the Frisch-Waugh-Lovell
+  theorem, a weighted difference of within-cluster period differences;
+- the weighted independence and fixed-effects fits are the unweighted
+  fits on the cell means, and the weighted mixed fits divide each
+  cluster's terms by its cell size.
 """
 from __future__ import annotations
 
@@ -12,9 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import inverse_cell_terms, structure_taus
+from .blocks import normal_equations, structure_taus
 from .reml import estimate_variance_components
 from .trial import (
+    CellStats,
     CorrelationStructure,
     ObservedTrial,
     VarianceComponents,
@@ -28,8 +37,6 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "fit",
-    "fit_independence",
-    "fit_fixed_effects",
     "gls_point_estimate",
     "estimate_variance_components",
 ]
@@ -61,7 +68,7 @@ class EstimatorKind(Enum):
 
     @property
     def weighted(self) -> bool:
-        return self.value.endswith("w") and self is not EstimatorKind.FE
+        return self.value.endswith("w")
 
     @property
     def structure(self) -> CorrelationStructure:
@@ -90,14 +97,12 @@ class FitOptions:
     """
 
     vc: VarianceComponents | None = None
-    reml_max_iter: int = 500
 
 
 @dataclass
 class FitResult:
     kind: EstimatorKind
     delta_hat: float
-    theta_hat: np.ndarray
     n_clusters: int
     model_based_var: float
     vc_hat: VarianceComponents | None = None
@@ -109,24 +114,15 @@ class FitResult:
 def fit(trial: ObservedTrial, kind: EstimatorKind,
         options: FitOptions = FitOptions()) -> FitResult:
     """Fit one estimator on a trial, returning the point estimate and model variance."""
-    if kind in (EstimatorKind.IEE, EstimatorKind.IEEW):
-        return fit_independence(trial, weighted=kind.weighted)
-    if kind in (EstimatorKind.FE, EstimatorKind.FEW):
-        return fit_fixed_effects(trial, weighted=kind.weighted)
-    return _fit_mixed(trial, kind, options)
-
-
-# ---------------------------------------------------------------------------
-# independence fits
-
-def _cell_table(trial: ObservedTrial):
-    """One row per cluster-period cell: (sequence, period, size, sum, sumsq)."""
-    rows = []
-    for c in trial.clusters:
-        rows.append((c.sequence, 0, c.k0, c.sum0, c.sumsq0))
-        rows.append((c.sequence, 1, c.k1, c.sum1, c.sumsq1))
-    seq, per, k, t, ss = map(np.asarray, zip(*rows))
-    return seq.astype(float), per.astype(float), k.astype(float), t.astype(float), ss.astype(float)
+    if kind.mixed:
+        return _fit_mixed(trial, kind, options)
+    cells = trial.cells.means() if kind.weighted else trial.cells
+    fe = kind in (EstimatorKind.FE, EstimatorKind.FEW)
+    delta, var, sigma2 = (_fixed_effects if fe else _independence)(cells)
+    return FitResult(kind=kind, delta_hat=delta, n_clusters=cells.n_clusters,
+                     model_based_var=var,
+                     vc_hat=None if kind.weighted
+                     else VarianceComponents(max(sigma2, 1e-10)))
 
 
 def _solve_normal(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -134,9 +130,7 @@ def _solve_normal(m: np.ndarray, v: np.ndarray) -> np.ndarray:
         c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise EstimationError("singular normal equations") from exc
-    z = np.linalg.solve(c, v if v.ndim == 2 else v[:, None])
-    out = np.linalg.solve(c.T, z)
-    return out if v.ndim == 2 else out[:, 0]
+    return np.linalg.solve(c.T, np.linalg.solve(c, v))
 
 
 def _entry_inverse(m: np.ndarray, idx: int) -> float:
@@ -145,147 +139,98 @@ def _entry_inverse(m: np.ndarray, idx: int) -> float:
     return float(_solve_normal(m, e)[idx])
 
 
-def fit_independence(trial: ObservedTrial, weighted: bool) -> FitResult:
-    """OLS with treatment and period effects; weighted variant on cell means."""
-    seq, per, k, t, ss = _cell_table(trial)
-    x = seq * per  # treatment indicator of each cell
-    z = np.column_stack([np.ones_like(per), x, per])
-    if weighted:
-        ybar = t / k
-        m = z.T @ z
-        v = z.T @ ybar
-        theta = _solve_normal(m, v)
-        resid = ybar - z @ theta
-        dof = z.shape[0] - 3
-        if dof <= 0:
-            raise EstimationError("too few cells for a residual variance")
-        sigma2 = float(resid @ resid) / dof
-        var = sigma2 * _entry_inverse(m, 1)
-        return FitResult(kind=EstimatorKind.IEEW, delta_hat=float(theta[1]),
-                         theta_hat=theta, n_clusters=trial.n_clusters,
-                         model_based_var=var)
-    m = (z * k[:, None]).T @ z
-    v = z.T @ t
+# ---------------------------------------------------------------------------
+# independence-structure fits: (delta_hat, model variance, residual variance)
+
+def _independence(cells: CellStats) -> tuple[float, float, float]:
+    """OLS with treatment and period effects, residual variance RSS / (n - 3).
+
+    A valid trial has at least two clusters with both cells filled, so
+    n - 3 >= 1.
+    """
+    m, v, yy, _ = normal_equations(cells, 0.0, 0.0)
     theta = _solve_normal(m, v)
-    fitted = z @ theta
-    rss = float(np.sum(ss - 2.0 * fitted * t + k * fitted**2))
-    dof = trial.n_obs - 3
-    sigma2 = rss / dof
-    var = sigma2 * _entry_inverse(m, 1)
-    return FitResult(kind=EstimatorKind.IEE, delta_hat=float(theta[1]),
-                     theta_hat=theta, n_clusters=trial.n_clusters,
-                     model_based_var=var,
-                     vc_hat=VarianceComponents(max(sigma2, 1e-10)))
+    sigma2 = max(yy - float(theta @ v), 0.0) / (cells.n_obs - 3)
+    return float(theta[1]), sigma2 * _entry_inverse(m, 1), sigma2
 
 
-def fit_fixed_effects(trial: ObservedTrial, weighted: bool) -> FitResult:
+def _fixed_effects(cells: CellStats) -> tuple[float, float, float]:
     """Two-way fixed effects (cluster + period dummies + treatment).
 
-    The weighted variant runs OLS on cluster-period cell means, which is
-    the difference-in-differences of the cell means.
+    By the Frisch-Waugh-Lovell theorem, profiling out the cluster effects
+    leaves a weighted regression of each cluster's period difference
+    d = ybar1 - ybar0 on its sequence with weights h = k0 k1 / (k0 + k1):
+    delta_hat is the difference of the arms' h-weighted means of d, with
+    variance sigma2 (1/H0 + 1/H1) for arm weight totals H, and the
+    residual sum of squares adds the within-cell sums of squares.
     """
-    n_c = trial.n_clusters
-    if n_c < 2:
-        raise EstimationError("fixed-effects fit needs at least 2 clusters")
-    seq, per, k, t, ss = _cell_table(trial)
-    x = seq * per
-    p = n_c + 2  # intercept, treatment, period, I-1 cluster deviations
-    zc = np.zeros((2 * n_c, p))
-    zc[:, 0] = 1.0
-    zc[:, 1] = x
-    zc[:, 2] = per
-    for i in range(1, n_c):  # first cluster pinned at zero for identifiability
-        zc[2 * i, 2 + i] = 1.0
-        zc[2 * i + 1, 2 + i] = 1.0
-    if weighted:
-        ybar = t / k
-        m = zc.T @ zc
-        v = zc.T @ ybar
-        theta = _solve_normal(m, v)
-        resid = ybar - zc @ theta
-        dof = 2 * n_c - p
-        if dof <= 0:
-            raise EstimationError("saturated design: no residual degrees of freedom")
-        sigma2 = float(resid @ resid) / dof
-        var = sigma2 * _entry_inverse(m, 1)
-        return FitResult(kind=EstimatorKind.FEW, delta_hat=float(theta[1]),
-                         theta_hat=theta, n_clusters=n_c, model_based_var=var)
-    m = (zc * k[:, None]).T @ zc
-    v = zc.T @ t
-    theta = _solve_normal(m, v)
-    fitted = zc @ theta
-    rss = float(np.sum(ss - 2.0 * fitted * t + k * fitted**2))
-    dof = trial.n_obs - p
+    dof = cells.n_obs - cells.n_clusters - 2
     if dof <= 0:
         raise EstimationError("saturated design: no residual degrees of freedom")
-    sigma2 = rss / dof
-    var = sigma2 * _entry_inverse(m, 1)
-    return FitResult(kind=EstimatorKind.FE, delta_hat=float(theta[1]),
-                     theta_hat=theta, n_clusters=n_c, model_based_var=var,
-                     vc_hat=VarianceComponents(max(sigma2, 1e-10)))
+    k0, k1, t0, t1 = cells.k0, cells.k1, cells.sum0, cells.sum1
+    seq = cells.sequence.astype(np.intp)
+    d = t1 / k1 - t0 / k0
+    h = k0 * k1 / (k0 + k1)
+    h_arm = np.bincount(seq, weights=h, minlength=2)
+    d_arm = np.bincount(seq, weights=h * d, minlength=2) / h_arm
+    within = np.sum(cells.ss0 - t0 * t0 / k0 + cells.ss1 - t1 * t1 / k1)
+    sigma2 = float(within + np.sum(h * (d - d_arm[seq]) ** 2)) / dof
+    return (float(d_arm[1] - d_arm[0]),
+            sigma2 * float(1.0 / h_arm[0] + 1.0 / h_arm[1]), sigma2)
 
 
 # ---------------------------------------------------------------------------
 # GLS fits with block covariance
 
-def _gls_system(trial: ObservedTrial, structure: CorrelationStructure,
-                vc: VarianceComponents, weighting: WeightingScheme):
-    """Normal equations (M, v) and weighted quadratic Y' W^-1 Y for the 3-column design."""
-    if (weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE
-            and not trial.equal_period_sizes):
+def _cluster_weight(cells: CellStats, weighting: WeightingScheme):
+    """Divisor of each cluster's GLS terms: none, or its cell size K."""
+    if weighting is WeightingScheme.UNWEIGHTED:
+        return None
+    if not cells.equal_period_sizes:
         raise UnsupportedWeightingError(
-            "inverse cluster-period size weights with a correlated structure "
-            "require equal period sizes within every cluster")
-    s_arr, k0, k1, t0, t1, ssq = trial.cluster_arrays()
+            "inverse cluster-period size weights with a correlated "
+            "structure require equal period sizes within every cluster")
+    return cells.k0
+
+
+def _mixed_system(cells: CellStats, structure: CorrelationStructure,
+                  vc: VarianceComponents, weight):
+    """Unit-scale normal equations (M, v, y'Wy) of the GLS fit at components vc."""
     tw, tb = structure_taus(structure, vc)
-    a = 1.0 / vc.sigma_w2
-    c00, c01, c11, _ = inverse_cell_terms(k0, k1, vc.sigma_w2, tw, tb)
-    w0 = a * (k0 - k0 * k0 * c00)
-    w1 = a * (k1 - k1 * k1 * c11)
-    wx = -a * k0 * k1 * c01
-    q0 = a * (t0 - k0 * (c00 * t0 + c01 * t1))
-    q1 = a * (t1 - k1 * (c01 * t0 + c11 * t1))
-    yqy = a * (ssq - (c00 * t0 * t0 + 2.0 * c01 * t0 * t1 + c11 * t1 * t1))
-    if weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE:
-        w = k0  # equals k1 here
-        w0, w1, wx = w0 / w, w1 / w, wx / w
-        q0, q1, yqy = q0 / w, q1 / w, yqy / w
-    m = np.empty((3, 3))
-    m[0, 0] = np.sum(w0 + w1 + 2.0 * wx)
-    m[0, 1] = m[1, 0] = np.sum(s_arr * (w1 + wx))
-    m[0, 2] = m[2, 0] = np.sum(w1 + wx)
-    m[1, 1] = m[1, 2] = m[2, 1] = np.sum(s_arr * w1)
-    m[2, 2] = np.sum(w1)
-    v = np.array([np.sum(q0 + q1), np.sum(s_arr * q1), np.sum(q1)])
-    return m, v, float(np.sum(yqy))
+    m, v, yqy, _ = normal_equations(cells, tw / vc.sigma_w2, tb / vc.sigma_w2,
+                                    weight)
+    return m, v, yqy
 
 
 def gls_point_estimate(trial: ObservedTrial, structure: CorrelationStructure,
                        vc: VarianceComponents,
                        weighting: WeightingScheme = WeightingScheme.UNWEIGHTED) -> np.ndarray:
     """Solve the (weighted) GLS normal equations for (mu, delta, phi1)."""
-    m, v, _ = _gls_system(trial, structure, vc, weighting)
+    cells = trial.cells
+    m, v, _ = _mixed_system(cells, structure, vc,
+                            _cluster_weight(cells, weighting))
     return _solve_normal(m, v)
 
 
 def _fit_mixed(trial: ObservedTrial, kind: EstimatorKind,
                options: FitOptions) -> FitResult:
+    cells = trial.cells
+    weight = _cluster_weight(cells, kind.weighting)
     converged = True
     vc = options.vc
     if vc is None:
         vc, converged = estimate_variance_components(
-            trial, kind.structure, max_iter=options.reml_max_iter,
-            return_converged=True)
-    m, v, yqy = _gls_system(trial, kind.structure, vc, kind.weighting)
+            trial, kind.structure, return_converged=True)
+    m, v, yqy = _mixed_system(cells, kind.structure, vc, weight)
     theta = _solve_normal(m, v)
-    var = _entry_inverse(m, 1)
     if kind.weighted:
         # Weighted estimating equations are defined up to the weight scale;
         # a residual dispersion factor restores the variance to the scale of
         # the data, as in survey-weighted pseudo-likelihood software.
-        dof = trial.n_obs - 3
-        phi = max((yqy - 2.0 * theta @ v + theta @ m @ theta) / dof, 0.0)
-        var *= phi
-    return FitResult(kind=kind, delta_hat=float(theta[1]), theta_hat=theta,
-                     n_clusters=trial.n_clusters, model_based_var=var,
+        scale = max(yqy - float(theta @ v), 0.0) / (cells.n_obs - 3)
+    else:
+        scale = vc.sigma_w2
+    return FitResult(kind=kind, delta_hat=float(theta[1]),
+                     n_clusters=cells.n_clusters,
+                     model_based_var=scale * _entry_inverse(m, 1),
                      vc_hat=vc, converged=converged)

@@ -64,12 +64,12 @@ def jackknife_variance(trial: ObservedTrial, kind: EstimatorKind,
     if n < 3:
         raise EstimationError("jackknife needs at least 3 clusters")
     reps = np.empty(n)
-    for i, cluster in enumerate(trial.clusters):
+    for i, cluster_id in enumerate(trial.cells.ids):
         try:
-            sub = trial.drop_cluster(cluster.cluster_id)
+            sub = trial.drop_cluster(cluster_id)
         except TrialValidationError as exc:
             raise EstimationError(
-                f"dropping cluster {cluster.cluster_id!r} leaves a "
+                f"dropping cluster {cluster_id!r} leaves a "
                 f"single-arm trial") from exc
         reps[i] = fit(sub, kind, options).delta_hat
     center = reps.mean()

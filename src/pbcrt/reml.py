@@ -13,8 +13,8 @@ import math
 import numpy as np
 from scipy import optimize
 
-from .blocks import inverse_cell_terms
-from .trial import CorrelationStructure, ObservedTrial, VarianceComponents
+from .blocks import normal_equations
+from .trial import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents
 
 __all__ = ["estimate_variance_components"]
 
@@ -28,6 +28,7 @@ _CAC_MAX = 1.0 - 1e-12
 _SNAP = 1e-10
 
 _N_PARAMS = 3  # mu, delta, phi1
+_MAX_ITER = 500  # optimizer iterations; Nelder-Mead may use 4x as many evaluations
 
 
 def _logit(p: float) -> float:
@@ -38,51 +39,26 @@ def _expit(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-class _Profile:
+def _deviance(cells: CellStats, tw0: float, tb0: float) -> float:
     """Profiled -2 restricted log-likelihood over variance ratios.
 
     Ratios are in residual-variance units: the covariance block is
     sigma_w2 * (I + U M0 U') with M0 = [[tw0, tb0], [tb0, tw0]].
     """
+    m, v, yqy, logdet_blocks = normal_equations(cells, tw0, tb0)
+    sign, logdet_m = np.linalg.slogdet(m)
+    if sign <= 0:
+        return float("inf")
+    quad = max(yqy - float(v @ np.linalg.solve(m, v)), 1e-300)
+    dof = cells.n_obs - _N_PARAMS
+    return logdet_blocks + float(logdet_m) + dof * math.log(quad)
 
-    def __init__(self, trial: ObservedTrial):
-        (self.s, self.k0, self.k1,
-         self.t0, self.t1, self.ssq) = trial.cluster_arrays()
-        self.n = trial.n_obs
 
-    def _assemble(self, tw0: float, tb0: float):
-        """Normal equations, residual quadratic, and block log-determinants."""
-        c00, c01, c11, logdet = inverse_cell_terms(self.k0, self.k1, 1.0, tw0, tb0)
-        k0, k1, t0, t1, s = self.k0, self.k1, self.t0, self.t1, self.s
-        w0 = k0 - k0 * k0 * c00
-        w1 = k1 - k1 * k1 * c11
-        wx = -k0 * k1 * c01
-        q0 = t0 - k0 * (c00 * t0 + c01 * t1)
-        q1 = t1 - k1 * (c01 * t0 + c11 * t1)
-        m = np.empty((3, 3))
-        m[0, 0] = np.sum(w0 + w1 + 2.0 * wx)
-        m[0, 1] = m[1, 0] = np.sum(s * (w1 + wx))
-        m[0, 2] = m[2, 0] = np.sum(w1 + wx)
-        m[1, 1] = m[1, 2] = m[2, 1] = np.sum(s * w1)
-        m[2, 2] = np.sum(w1)
-        v = np.array([np.sum(q0 + q1), np.sum(s * q1), np.sum(q1)])
-        yqy = float(np.sum(self.ssq
-                           - (c00 * t0 * t0 + 2.0 * c01 * t0 * t1 + c11 * t1 * t1)))
-        return m, v, yqy, float(np.sum(logdet))
-
-    def value(self, tw0: float, tb0: float) -> float:
-        m, v, yqy, logdet_blocks = self._assemble(tw0, tb0)
-        sign, logdet_m = np.linalg.slogdet(m)
-        if sign <= 0:
-            return float("inf")
-        quad = max(yqy - float(v @ np.linalg.solve(m, v)), 1e-300)
-        dof = self.n - _N_PARAMS
-        return logdet_blocks + float(logdet_m) + dof * math.log(quad)
-
-    def sigma2_at(self, tw0: float, tb0: float) -> float:
-        m, v, yqy, _ = self._assemble(tw0, tb0)
-        quad = max(yqy - float(v @ np.linalg.solve(m, v)), 0.0)
-        return quad / (self.n - _N_PARAMS)
+def _sigma2(cells: CellStats, tw0: float, tb0: float) -> float:
+    """Profiled residual variance at the given ratios."""
+    m, v, yqy, _ = normal_equations(cells, tw0, tb0)
+    quad = max(yqy - float(v @ np.linalg.solve(m, v)), 0.0)
+    return quad / (cells.n_obs - _N_PARAMS)
 
 
 def _snap_rho(rho: float) -> float:
@@ -91,7 +67,6 @@ def _snap_rho(rho: float) -> float:
 
 def estimate_variance_components(trial: ObservedTrial,
                                  structure: CorrelationStructure,
-                                 max_iter: int = 500,
                                  return_converged: bool = False):
     """REML variance components of the unweighted model for one structure.
 
@@ -100,12 +75,10 @@ def estimate_variance_components(trial: ObservedTrial,
     ICC kept strictly below 1; non-convergence returns the best values
     found with converged=False.
     """
-    if trial.n_clusters < 2:
-        raise ValueError("variance-component estimation needs at least 2 clusters")
-    profile = _Profile(trial)
+    cells = trial.cells
 
     if structure is CorrelationStructure.INDEPENDENCE:
-        vc = VarianceComponents(max(profile.sigma2_at(0.0, 0.0), 1e-10))
+        vc = VarianceComponents(max(_sigma2(cells, 0.0, 0.0), 1e-10))
         return (vc, True) if return_converged else vc
 
     lo, hi = _logit(_RHO_MIN), _logit(_RHO_MAX)
@@ -113,14 +86,14 @@ def estimate_variance_components(trial: ObservedTrial,
         def objective(x: float) -> float:
             rho = _expit(min(max(x, lo), hi))
             r = rho / (1.0 - rho)
-            return profile.value(r, r)
+            return _deviance(cells, r, r)
 
         res = optimize.minimize_scalar(
             objective, bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-8, "maxiter": max_iter})
+            options={"xatol": 1e-8, "maxiter": _MAX_ITER})
         rho = _snap_rho(_expit(float(res.x)))
         r = rho / (1.0 - rho)
-        sigma2 = max(profile.sigma2_at(r, r), 1e-10)
+        sigma2 = max(_sigma2(cells, r, r), 1e-10)
         vc = VarianceComponents(sigma2, tau_alpha2=sigma2 * r)
         return (vc, bool(res.success)) if return_converged else vc
 
@@ -130,13 +103,13 @@ def estimate_variance_components(trial: ObservedTrial,
         rho_wp = _expit(min(max(x[0], lo), hi))
         cac = _expit(min(max(x[1], clo), chi))
         q = rho_wp / (1.0 - rho_wp)
-        return profile.value(q, cac * q)
+        return _deviance(cells, q, cac * q)
 
     x0 = np.array([_logit(0.05), _logit(0.5)])
     res = optimize.minimize(
         objective2, x0, method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter,
-                 "maxfev": 4 * max_iter})
+        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": _MAX_ITER,
+                 "maxfev": 4 * _MAX_ITER})
     rho_wp = _snap_rho(_expit(min(max(float(res.x[0]), lo), hi)))
     cac = _expit(min(max(float(res.x[1]), clo), chi))
     if cac <= _SNAP:
@@ -144,7 +117,7 @@ def estimate_variance_components(trial: ObservedTrial,
     elif cac >= 1.0 - _SNAP:
         cac = 1.0
     q = rho_wp / (1.0 - rho_wp)
-    sigma2 = max(profile.sigma2_at(q, cac * q), 1e-10)
+    sigma2 = max(_sigma2(cells, q, cac * q), 1e-10)
     total = sigma2 * q
     vc = VarianceComponents(sigma2, tau_alpha2=cac * total,
                             tau_gamma2=(1.0 - cac) * total)

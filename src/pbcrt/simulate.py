@@ -242,6 +242,11 @@ class SimReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
+def _rel_bias_pct(mean: float, target: float) -> float:
+    """Relative bias in percent; undefined (NaN) for a null target."""
+    return 100.0 * (mean - target) / target if target else float("nan")
+
+
 def _covers(delta: float, var: float, target: float, n_clusters: int,
             level: float) -> bool:
     ci = confidence_interval(delta, var, n_clusters, level)
@@ -272,13 +277,12 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
             return options
         if kind.structure not in cache:
             cache[kind.structure] = estimate_variance_components(
-                trial, kind.structure, max_iter=options.reml_max_iter)
-        return FitOptions(vc=cache[kind.structure],
-                          reml_max_iter=options.reml_max_iter)
+                trial, kind.structure)
+        return FitOptions(vc=cache[kind.structure])
 
     for r in range(r_tot):
         trial = generate_trial(scenario, r)
-        subtrials = ([trial.drop_cluster(c.cluster_id) for c in trial.clusters]
+        subtrials = ([trial.drop_cluster(c) for c in trial.cells.ids]
                      if scenario.jackknife else [])
         cache: dict[CorrelationStructure, VarianceComponents] = {}
         sub_caches: list[dict] = [{} for _ in subtrials]
@@ -326,8 +330,8 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
         s = EstimatorSummary(
             estimator=k, n_ok=n_ok, n_failures=failures[k],
             mean_estimate=mean, mc_variance=mc_var,
-            rel_bias_pate_pct=100.0 * (mean - pate) / pate,
-            rel_bias_cate_pct=100.0 * (mean - cate) / cate,
+            rel_bias_pate_pct=_rel_bias_pct(mean, pate),
+            rel_bias_cate_pct=_rel_bias_pct(mean, cate),
             rmse_pate=float(np.sqrt(np.mean((d - pate) ** 2))),
             rmse_cate=float(np.sqrt(np.mean((d - cate) ** 2))),
             mean_model_variance=float(mv.mean()),

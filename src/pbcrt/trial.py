@@ -4,12 +4,18 @@ A trial consists of I clusters observed in a baseline period (0) and a
 post period (1).  Clusters randomized to sequence 1 receive treatment in
 period 1 only, so the treatment indicator is fully determined by
 (sequence, period).
+
+Individual records exist only at the boundary: `ObservedTrial` validates
+them and reduces them once to `CellStats`, the per-cluster cell sizes,
+sums and sums of squares that every fit reads.  Deleting a cluster for the
+jackknife deletes one row of those arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +25,7 @@ __all__ = [
     "CorrelationStructure",
     "WeightingScheme",
     "VarianceComponents",
-    "ClusterData",
+    "CellStats",
     "ObservedTrial",
 ]
 
@@ -103,45 +109,83 @@ class VarianceComponents:
         return cls(sigma_w2=sigma_w2, tau_alpha2=cac * total, tau_gamma2=(1.0 - cac) * total)
 
 
-@dataclass(frozen=True)
-class ClusterData:
-    """Per-cluster cell statistics; sufficient for every fit in this package.
+@dataclass(frozen=True, eq=False)
+class CellStats:
+    """Per-cluster cell statistics: parallel float64 arrays, one entry per cluster.
 
-    All models here have design rows constant within a cluster-period cell
-    and block covariance constant over cell pairs, so (size, sum, sum of
-    squares) per cell carries all information the estimators need.
+    Every model here has design rows constant within a cluster-period cell
+    and a covariance block constant over cell pairs, so the two cell sizes,
+    the two cell sums and the sums of squares carry all the information
+    any fit needs.  Clusters are in first-appearance order.
     """
 
-    cluster_id: str
-    sequence: int
-    k0: int
-    k1: int
-    sum0: float
-    sum1: float
-    sumsq0: float
-    sumsq1: float
+    ids: np.ndarray       # cluster labels (str objects)
+    sequence: np.ndarray  # 0 control arm, 1 treated in period 1
+    k0: np.ndarray        # cell sizes
+    k1: np.ndarray
+    sum0: np.ndarray      # cell sums of the outcomes
+    sum1: np.ndarray
+    ss0: np.ndarray       # cell sums of squared outcomes
+    ss1: np.ndarray
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CellStats)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self._arrays(), other._arrays())))
 
     @property
-    def mean0(self) -> float:
-        return self.sum0 / self.k0
+    def n_clusters(self) -> int:
+        return int(self.ids.size)
+
+    @cached_property
+    def n_obs(self) -> int:
+        return int(self.k0.sum() + self.k1.sum())
 
     @property
-    def mean1(self) -> float:
-        return self.sum1 / self.k1
+    def equal_period_sizes(self) -> bool:
+        return bool(np.array_equal(self.k0, self.k1))
+
+    def drop(self, i: int) -> "CellStats":
+        """The statistics without row i."""
+        return CellStats(*(np.delete(a, i) for a in self._arrays()))
+
+    def means(self) -> "CellStats":
+        """Cell-means statistics: each cell is one observation, its mean."""
+        m0, m1 = self.sum0 / self.k0, self.sum1 / self.k1
+        one = np.ones_like(self.k0)
+        return CellStats(self.ids, self.sequence, one, one, m0, m1, m0**2, m1**2)
+
+
+def _check_arms(cells: CellStats) -> None:
+    if cells.sequence.min() == cells.sequence.max():
+        raise TrialValidationError(
+            "trial needs at least one cluster in each sequence arm")
 
 
 class ObservedTrial:
-    """Long-form individual records of one PB-CRT, validated and indexed by cluster."""
+    """Long-form individual records of one PB-CRT and their cell statistics.
+
+    The record columns are kept for emission and inspection; `cells` is
+    built once and is what every fit reads.
+    """
 
     def __init__(self, cluster_ids: Sequence, periods: Sequence[int],
                  sequences: Sequence[int], outcomes: Sequence[float]):
-        cid = np.asarray([str(c) for c in cluster_ids], dtype=object)
+        # Integer cluster codes in first-appearance order.
+        index: dict[str, int] = {}
+        code = np.fromiter((index.setdefault(str(c), len(index))
+                            for c in cluster_ids), dtype=np.int64)
+        ids = np.empty(len(index), dtype=object)
+        ids[:] = list(index)
         per = np.asarray(periods, dtype=np.int64)
         seq = np.asarray(sequences, dtype=np.int64)
         y = np.asarray(outcomes, dtype=np.float64)
-        if not (cid.shape == per.shape == seq.shape == y.shape):
+        if not (code.shape == per.shape == seq.shape == y.shape):
             raise TrialValidationError("record columns differ in length")
-        if cid.size == 0:
+        if code.size == 0:
             raise TrialValidationError("trial has no records")
         if not np.isin(per, (0, 1)).all():
             raise TrialValidationError("period must be 0 or 1")
@@ -150,60 +194,37 @@ class ObservedTrial:
         if not np.isfinite(y).all():
             raise TrialValidationError("outcomes must be finite")
 
-        self.cluster_ids = cid
+        n = ids.size
+        n_treated = np.bincount(code, weights=seq, minlength=n)
+        mixed = np.nonzero((n_treated > 0)
+                           & (n_treated < np.bincount(code, minlength=n)))[0]
+        if mixed.size:
+            raise TrialValidationError(
+                f"cluster {ids[mixed[0]]!r} appears with more than one "
+                "sequence value")
+        cell = 2 * code + per
+        k = np.bincount(cell, minlength=2 * n).astype(np.float64)
+        s = np.bincount(cell, weights=y, minlength=2 * n)
+        ss = np.bincount(cell, weights=y**2, minlength=2 * n)
+        empty = np.nonzero(k == 0)[0]
+        if empty.size:
+            raise TrialValidationError(
+                f"cluster {ids[empty[0] // 2]!r} lacks records in period "
+                f"{empty[0] % 2}")
+        cells = CellStats(ids, (n_treated > 0).astype(np.float64),
+                          k[0::2], k[1::2], s[0::2], s[1::2], ss[0::2], ss[1::2])
+        _check_arms(cells)
+
+        self.cluster_ids = ids[code]
         self.periods = per
         self.sequences = seq
         self.outcomes = y
-        self._clusters = self._index_clusters()
-        self._validate()
-
-    def _index_clusters(self) -> list[ClusterData]:
-        # Deterministic order: first appearance in the record stream.
-        uniq, first, inv = np.unique(self.cluster_ids.astype(str),
-                                     return_index=True, return_inverse=True)
-        rank = np.empty(uniq.size, dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(uniq.size)
-        code = rank[inv]
-        n = uniq.size
-        ordered_ids = uniq[np.argsort(first)]
-        cell = 2 * code + self.periods
-        k = np.bincount(cell, minlength=2 * n)
-        s = np.bincount(cell, weights=self.outcomes, minlength=2 * n)
-        ss = np.bincount(cell, weights=self.outcomes**2, minlength=2 * n)
-        seq_min = np.full(n, 2, dtype=np.int64)
-        seq_max = np.full(n, -1, dtype=np.int64)
-        np.minimum.at(seq_min, code, self.sequences)
-        np.maximum.at(seq_max, code, self.sequences)
-        bad = np.nonzero(seq_min != seq_max)[0]
-        if bad.size:
-            raise TrialValidationError(
-                f"cluster {ordered_ids[bad[0]]!r} appears with more than one "
-                "sequence value")
-        return [ClusterData(
-            cluster_id=str(ordered_ids[i]), sequence=int(seq_min[i]),
-            k0=int(k[2 * i]), k1=int(k[2 * i + 1]),
-            sum0=float(s[2 * i]), sum1=float(s[2 * i + 1]),
-            sumsq0=float(ss[2 * i]), sumsq1=float(ss[2 * i + 1]))
-            for i in range(n)]
-
-    def _validate(self):
-        for c in self._clusters:
-            if c.k0 < 1 or c.k1 < 1:
-                raise TrialValidationError(
-                    f"cluster {c.cluster_id!r} lacks records in period "
-                    f"{0 if c.k0 < 1 else 1}")
-        seqs = {c.sequence for c in self._clusters}
-        if seqs != {0, 1}:
-            raise TrialValidationError(
-                "trial needs at least one cluster in each sequence arm")
-
-    @property
-    def clusters(self) -> list[ClusterData]:
-        return self._clusters
+        self.cells = cells
+        self._code = code
 
     @property
     def n_clusters(self) -> int:
-        return len(self._clusters)
+        return self.cells.n_clusters
 
     @property
     def n_obs(self) -> int:
@@ -211,25 +232,26 @@ class ObservedTrial:
 
     @property
     def equal_period_sizes(self) -> bool:
-        return all(c.k0 == c.k1 for c in self._clusters)
-
-    def cluster_arrays(self):
-        """Vectorized per-cluster stats (sequence, k0, k1, sum0, sum1, sumsq)."""
-        cs = self._clusters
-        return (np.array([c.sequence for c in cs], dtype=np.float64),
-                np.array([c.k0 for c in cs], dtype=np.float64),
-                np.array([c.k1 for c in cs], dtype=np.float64),
-                np.array([c.sum0 for c in cs]),
-                np.array([c.sum1 for c in cs]),
-                np.array([c.sumsq0 + c.sumsq1 for c in cs]))
+        return self.cells.equal_period_sizes
 
     def drop_cluster(self, cluster_id: str) -> "ObservedTrial":
         """Return the subtrial omitting one full cluster (for jackknife refits)."""
-        keep = self.cluster_ids != str(cluster_id)
-        if keep.all():
+        hit = np.nonzero(self.cells.ids == str(cluster_id))[0]
+        if not hit.size:
             raise KeyError(f"no cluster {cluster_id!r} in trial")
-        return ObservedTrial(self.cluster_ids[keep], self.periods[keep],
-                             self.sequences[keep], self.outcomes[keep])
+        i = int(hit[0])
+        cells = self.cells.drop(i)
+        _check_arms(cells)
+        keep = self._code != i
+        sub = object.__new__(ObservedTrial)
+        sub.cluster_ids = self.cluster_ids[keep]
+        sub.periods = self.periods[keep]
+        sub.sequences = self.sequences[keep]
+        sub.outcomes = self.outcomes[keep]
+        sub.cells = cells
+        code = self._code[keep]
+        sub._code = code - (code > i)
+        return sub
 
     @classmethod
     def from_records(cls, records: Iterable[tuple]) -> "ObservedTrial":

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,39 @@ class TestClosedFormsAgainstDense:
                 if k > 1:
                     assert t.f == pytest.approx(f, abs=1e-9)
                 assert t.g == pytest.approx(g, abs=1e-9)
+
+    def test_neme_grid_unchanged_by_factored_form(self):
+        # The factored denominators reproduce the direct formulas,
+        # (s + K t)^2 - (K ta)^2 and t - K ta^2 / (s + K t), on the grid
+        # of the dense check.
+        rng = np.random.default_rng(12)
+        for k in range(1, 9):
+            for _ in range(100):
+                vc = random_vc(rng)
+                s, ta = vc.sigma_w2, vc.tau_alpha2
+                t = ta + vc.tau_gamma2
+                denom = (s + k * t) ** 2 - (k * ta) ** 2
+                e = t - k * ta * ta / (s + k * t)
+                want = dict(d=(s + (k - 1) * e) / (s + k * e) / s,
+                            f=-e / (s + k * e) / s, g=-ta / denom,
+                            a=k * (s + k * t) / denom, b=-k * k * ta / denom)
+                got = neme_block_terms(k, vc)
+                for name, value in want.items():
+                    assert getattr(got, name) == pytest.approx(value, abs=1e-12)
+
+    def test_neme_extreme_components(self):
+        # A residual variance tiny against the cluster variance makes the
+        # direct denominator cancel to zero; the factored one stays exact.
+        k, s, ta = 50, Fraction(1e-10), Fraction(1e6)
+        got = neme_block_terms(k, VarianceComponents(1e-10, 1e6, 0.0))
+        denom = (s + k * ta) ** 2 - (k * ta) ** 2
+        e = ta - k * ta * ta / (s + k * ta)
+        want = dict(d=(s + (k - 1) * e) / (s + k * e) / s,
+                    f=-e / (s + k * e) / s, g=-ta / denom,
+                    a=k * (s + k * ta) / denom, b=-k * k * ta / denom)
+        for name, value in want.items():
+            assert math.isfinite(getattr(got, name))
+            assert getattr(got, name) == pytest.approx(float(value), rel=1e-12)
 
     def test_weighted_terms_scale_by_size(self):
         vc = VarianceComponents(1.3, 0.2, 0.05)

@@ -16,7 +16,7 @@ from pbcrt import (
     gls_point_estimate,
 )
 from pbcrt.blocks import dense_block
-from pbcrt.estimators import _gls_system
+from pbcrt.io import load_size_table
 
 MU, PHI = 1.0, 0.2
 
@@ -44,7 +44,7 @@ def random_trial(seed, n_clusters=8, sizes=(3, 9), deltas=(0.4, 1.0),
         return t
     # Drop the first post-period record of the first cluster to force
     # within-cluster size imbalance.
-    first = t.clusters[0].cluster_id
+    first = t.cells.ids[0]
     idx = np.nonzero((t.cluster_ids == first) & (t.periods == 1))[0]
     keep = np.ones(t.n_obs, dtype=bool)
     keep[idx[0]] = False
@@ -71,17 +71,18 @@ class TestIndependenceFits:
 
     def test_iee_is_post_period_means_difference(self):
         t = random_trial(101)
-        treated = [c for c in t.clusters if c.sequence == 1]
-        control = [c for c in t.clusters if c.sequence == 0]
-        expect = (sum(c.sum1 for c in treated) / sum(c.k1 for c in treated)
-                  - sum(c.sum1 for c in control) / sum(c.k1 for c in control))
+        c = t.cells
+        treated, control = c.sequence == 1, c.sequence == 0
+        expect = (c.sum1[treated].sum() / c.k1[treated].sum()
+                  - c.sum1[control].sum() / c.k1[control].sum())
         r = fit(t, EstimatorKind.IEE)
         assert r.delta_hat == pytest.approx(expect, abs=1e-10)
 
     def test_ieew_is_mean_of_cluster_means_difference(self):
         t = random_trial(102)
-        treated = [c.mean1 for c in t.clusters if c.sequence == 1]
-        control = [c.mean1 for c in t.clusters if c.sequence == 0]
+        c = t.cells
+        mean1 = c.sum1 / c.k1
+        treated, control = mean1[c.sequence == 1], mean1[c.sequence == 0]
         r = fit(t, EstimatorKind.IEEW)
         assert r.delta_hat == pytest.approx(
             np.mean(treated) - np.mean(control), abs=1e-10)
@@ -100,9 +101,9 @@ class TestFixedEffects:
 
     def test_few_is_did_of_cell_means(self):
         t = random_trial(103)
-        cs = t.clusters
-        did = [c.mean1 - c.mean0 for c in cs]
-        seq = np.array([c.sequence for c in cs])
+        c = t.cells
+        did = c.sum1 / c.k1 - c.sum0 / c.k0
+        seq = c.sequence
         expect = (np.mean([d for d, s in zip(did, seq) if s == 1])
                   - np.mean([d for d, s in zip(did, seq) if s == 0]))
         r = fit(t, EstimatorKind.FEW)
@@ -116,28 +117,80 @@ class TestFixedEffects:
         assert r.model_based_var > 0
 
 
+def jiah_trial(seed):
+    """Random outcomes on the bundled unequal cluster-period sizes."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for cid, seq, k0, k1 in load_size_table():
+        alpha = 0.3 * rng.standard_normal()
+        records += [(cid, 0, seq, MU + alpha + y) for y in rng.standard_normal(k0)]
+        records += [(cid, 1, seq, MU + PHI + 0.35 * seq + alpha + y)
+                    for y in rng.standard_normal(k1)]
+    return ObservedTrial.from_records(records)
+
+
+def dense_fixed_effects(trial, weighted):
+    """(delta_hat, model variance) of the two-way fixed-effects fit by OLS
+    on the dense (I+2)-column cell design; weighted fits use cell means."""
+    c = trial.cells
+    n_c = c.n_clusters
+    k = np.column_stack([c.k0, c.k1]).ravel()
+    t = np.column_stack([c.sum0, c.sum1]).ravel()
+    ss = np.column_stack([c.ss0, c.ss1]).ravel()
+    if weighted:
+        t = t / k
+        ss = t * t
+        k = np.ones_like(k)
+    per = np.tile([0.0, 1.0], n_c)
+    z = np.zeros((2 * n_c, n_c + 2))
+    z[:, 0] = 1.0
+    z[:, 1] = np.repeat(c.sequence, 2) * per
+    z[:, 2] = per
+    for i in range(1, n_c):  # first cluster pinned at zero for identifiability
+        z[2 * i: 2 * i + 2, 2 + i] = 1.0
+    m = (z * k[:, None]).T @ z
+    theta = np.linalg.solve(m, z.T @ t)
+    fitted = z @ theta
+    rss = float(np.sum(ss - 2.0 * fitted * t + k * fitted**2))
+    sigma2 = rss / (k.sum() - n_c - 2)
+    return theta[1], sigma2 * np.linalg.inv(m)[1, 1]
+
+
+class TestFixedEffectsAgainstDense:
+    @pytest.mark.parametrize("trial", [
+        pytest.param(lambda: equalize_sizes(120), id="equal"),
+        pytest.param(lambda: random_trial(121, n_clusters=40), id="poisson"),
+        pytest.param(lambda: jiah_trial(122), id="jiah-unequal"),
+    ])
+    def test_fwl_matches_dense_design(self, trial):
+        t = trial()
+        for kind in (EstimatorKind.FE, EstimatorKind.FEW):
+            delta, var = dense_fixed_effects(t, kind.weighted)
+            r = fit(t, kind)
+            assert r.delta_hat == pytest.approx(delta, abs=1e-10), kind
+            assert r.model_based_var == pytest.approx(var, abs=1e-10), kind
+
+
 class TestGlsAgainstDense:
     def _dense_gls(self, trial, structure, vc, weighting):
         rows = []
-        blocks = []
+        winv_blocks = []
         y = []
-        for c in trial.clusters:
+        c = trial.cells
+        for cid, seq, k0, k1 in zip(c.ids, c.sequence, c.k0, c.k1):
+            k0, k1 = int(k0), int(k1)
             z0 = [1.0, 0.0, 0.0]
-            z1 = [1.0, float(c.sequence), 1.0]
-            rows.extend([z0] * c.k0 + [z1] * c.k1)
-            blocks.append(dense_block(structure, c.k0, c.k1, vc))
-            mask = trial.cluster_ids == c.cluster_id
+            z1 = [1.0, float(seq), 1.0]
+            rows.extend([z0] * k0 + [z1] * k1)
+            binv = np.linalg.inv(dense_block(structure, k0, k1, vc))
+            if weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE:
+                binv = binv / k0
+            winv_blocks.append(binv)
+            mask = trial.cluster_ids == cid
             y.extend(trial.outcomes[mask & (trial.periods == 0)])
             y.extend(trial.outcomes[mask & (trial.periods == 1)])
         z = np.asarray(rows)
         y = np.asarray(y)
-        winv_blocks = []
-        i = 0
-        for c, b in zip(trial.clusters, blocks):
-            binv = np.linalg.inv(b)
-            if weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE:
-                binv = binv / c.k0
-            winv_blocks.append(binv)
         from scipy.linalg import block_diag
         winv = block_diag(*winv_blocks)
         m = z.T @ winv @ z
@@ -154,8 +207,11 @@ class TestGlsAgainstDense:
         expect, var = self._dense_gls(t, structure, vc,
                                       WeightingScheme.UNWEIGHTED)
         assert theta == pytest.approx(expect, abs=1e-9)
-        m, _, _ = _gls_system(t, structure, vc, WeightingScheme.UNWEIGHTED)
-        assert np.linalg.inv(m)[1, 1] == pytest.approx(var, abs=1e-12)
+        kind = (EstimatorKind.EME if structure is CorrelationStructure.EXCHANGEABLE
+                else EstimatorKind.NEME)
+        r = fit(t, kind, FitOptions(vc=vc))
+        assert r.delta_hat == pytest.approx(expect[1], abs=1e-9)
+        assert r.model_based_var == pytest.approx(var, abs=1e-12)
 
     def test_weighted_gls_matches_dense(self):
         t = equalize_sizes(106)

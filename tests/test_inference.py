@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from pbcrt import (
     EstimationError,
     EstimatorKind,
+    FitOptions,
     ObservedTrial,
+    VarianceComponents,
     VarianceSource,
     confidence_interval,
     fit,
@@ -71,6 +75,33 @@ class TestJackknife:
         t = four_cluster_trial()
         assert model_based_variance(t, EstimatorKind.IEE) == pytest.approx(
             fit(t, EstimatorKind.IEE).model_based_var)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_clusters=st.integers(4, 7),
+       equal_sizes=st.booleans())
+def test_jackknife_equals_brute_force_refits(seed, n_clusters, equal_sizes):
+    # Replicates from row deletion equal refits on re-indexed records.
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n_clusters):
+        k0 = int(rng.integers(1, 6))
+        k1 = k0 if equal_sizes else int(rng.integers(1, 6))
+        alpha = 0.5 * rng.standard_normal()
+        records += [(f"c{i}", 0, i % 2, alpha + y) for y in rng.standard_normal(k0)]
+        records += [(f"c{i}", 1, i % 2, alpha + 0.3 * (i % 2) + y)
+                    for y in rng.standard_normal(k1)]
+    records = [records[j] for j in rng.permutation(len(records))]
+    t = ObservedTrial.from_records(records)
+    opts = FitOptions(vc=VarianceComponents(1.0, 0.1, 0.05))
+    for kind in EstimatorKind:
+        if kind.weighted and kind.mixed and not t.equal_period_sizes:
+            continue
+        _, reps = jackknife_variance(t, kind, opts)
+        brute = [fit(ObservedTrial.from_records(
+                     [r for r in records if r[0] != cid]), kind, opts).delta_hat
+                 for cid in t.cells.ids]
+        assert reps == pytest.approx(brute, abs=1e-10), kind
 
 
 class TestConfidenceInterval:

@@ -42,10 +42,10 @@ class TestTrialCsv:
         t2 = parse_trial_csv(path)
         assert t2.n_clusters == t.n_clusters
         assert np.allclose(t2.outcomes, t.outcomes)
-        for a, b in zip(t.clusters, t2.clusters):
-            assert (a.cluster_id, a.sequence, a.k0, a.k1) == \
-                (b.cluster_id, b.sequence, b.k0, b.k1)
-            assert a.sum1 == pytest.approx(b.sum1, abs=1e-12)
+        a, b = t.cells, t2.cells
+        for name in ("ids", "sequence", "k0", "k1"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert b.sum1 == pytest.approx(a.sum1, abs=1e-12)
 
     def test_minimal_four_row_file(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -98,8 +98,9 @@ class TestSizeTable:
         t = size_table_skeleton_trial()
         assert t.n_clusters == 28
         table = {cid: (k0, k1) for cid, _, k0, k1 in load_size_table()}
-        for c in t.clusters:
-            assert (c.k0, c.k1) == table[c.cluster_id]
+        c = t.cells
+        for cid, k0, k1 in zip(c.ids, c.k0, c.k1):
+            assert (k0, k1) == table[cid]
         assert not t.equal_period_sizes
 
 

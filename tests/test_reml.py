@@ -107,26 +107,27 @@ class TestProfiledLikelihood:
     def test_matches_dense_reml_objective(self):
         # Profiled -2 restricted log-likelihood agrees (up to a constant in
         # the data) with the direct dense evaluation at the profiled sigma2.
-        from pbcrt.reml import _Profile
+        from pbcrt.reml import _deviance, _sigma2
         from pbcrt.blocks import dense_block
         from scipy.linalg import block_diag
 
         vc = VarianceComponents(1.0, 0.12, 0.04)
         t = simulate(vc, 9, n_clusters=6, k=4)
-        profile = _Profile(t)
         tw0 = (vc.tau_alpha2 + vc.tau_gamma2) / vc.sigma_w2
         tb0 = vc.tau_alpha2 / vc.sigma_w2
-        s2 = profile.sigma2_at(tw0, tb0)
+        s2 = _sigma2(t.cells, tw0, tb0)
 
         # Dense restricted likelihood at (s2, s2*tw0, s2*tb0)
         vc_hat = VarianceComponents(s2, s2 * tb0, s2 * (tw0 - tb0))
         z_rows, blocks, y = [], [], []
-        for c in t.clusters:
-            z_rows.extend([[1.0, 0.0, 0.0]] * c.k0)
-            z_rows.extend([[1.0, float(c.sequence), 1.0]] * c.k1)
+        c = t.cells
+        for cid, seq, k0, k1 in zip(c.ids, c.sequence, c.k0, c.k1):
+            k0, k1 = int(k0), int(k1)
+            z_rows.extend([[1.0, 0.0, 0.0]] * k0)
+            z_rows.extend([[1.0, float(seq), 1.0]] * k1)
             blocks.append(dense_block(
-                CorrelationStructure.NESTED_EXCHANGEABLE, c.k0, c.k1, vc_hat))
-            mask = t.cluster_ids == c.cluster_id
+                CorrelationStructure.NESTED_EXCHANGEABLE, k0, k1, vc_hat))
+            mask = t.cluster_ids == cid
             y.extend(t.outcomes[mask & (t.periods == 0)])
             y.extend(t.outcomes[mask & (t.periods == 1)])
         z = np.asarray(z_rows)
@@ -141,7 +142,7 @@ class TestProfiledLikelihood:
         dense_val = ld_w + ld_m + float(resid @ winv @ resid)
 
         n = t.n_obs
-        prof_val = profile.value(tw0, tb0)
+        prof_val = _deviance(t.cells, tw0, tb0)
         # value() is expressed in ratio units: translate to the dense scale.
         expect = prof_val + (n - 3) + (n - 3) * np.log(1.0 / (n - 3))
         assert dense_val == pytest.approx(expect, abs=1e-6)

@@ -69,7 +69,7 @@ class TestGeneration:
         sc = scenario(n_clusters=16)
         for r in range(5):
             t = generate_trial(sc, r)
-            assert sum(c.sequence for c in t.clusters) == 8
+            assert t.cells.sequence.sum() == 8
 
     def test_equal_period_sizes_within_cluster(self):
         t = generate_trial(scenario(), 0)
@@ -80,16 +80,17 @@ class TestGeneration:
         sc = scenario(vc=vc0, fixed_sizes=True, fixed_split=True,
                       mu=1.0, phi1=0.2)
         t = generate_trial(sc, 0)
-        for c in t.clusters:
-            assert c.mean0 == pytest.approx(1.0, abs=1e-4)
-            delta = 0.2 if c.k0 == 20 else 0.5
-            expect = 1.2 + (delta if c.sequence else 0.0)
-            assert c.mean1 == pytest.approx(expect, abs=1e-4)
+        c = t.cells.means()
+        for k0, seq, mean0, mean1 in zip(t.cells.k0, c.sequence, c.sum0, c.sum1):
+            assert mean0 == pytest.approx(1.0, abs=1e-4)
+            delta = 0.2 if k0 == 20 else 0.5
+            expect = 1.2 + (delta if seq else 0.0)
+            assert mean1 == pytest.approx(expect, abs=1e-4)
 
     def test_fixed_split_counts(self):
         sc = scenario(fixed_split=True)
         t = generate_trial(sc, 0)
-        small = sum(1 for c in t.clusters if c.k0 < 60)
+        small = int(np.sum(t.cells.k0 < 60))
         assert small == 5  # half from each subpopulation
 
     def test_noiseless_ieew_mean_hits_cate(self):
@@ -140,6 +141,22 @@ class TestStudy:
             assert s.rmse_cate < 1e-5
             assert s.coverage_model_cate == 1.0
             assert s.power_model == 1.0
+
+    def test_null_effect_study(self):
+        # A type-I error study: both targets are 0, so relative bias is
+        # undefined, while the estimates and RMSE are still reported.
+        mix = PopulationMixture.two_point(0.5, 20, 100, 0.0, 0.0)
+        rep = run_study(scenario(mixture=mix, n_clusters=4, reps=2))
+        assert rep.pate == rep.cate == 0.0
+        assert len(rep.summaries) == len(EstimatorKind)
+        for s in rep.summaries:
+            assert np.isnan(s.rel_bias_pate_pct)
+            assert np.isnan(s.rel_bias_cate_pct)
+            d = np.asarray(rep.estimates[s.estimator.value])
+            assert s.n_ok == 2
+            assert s.mean_estimate == pytest.approx(d.mean())
+            assert s.rmse_pate == pytest.approx(np.sqrt(np.mean(d**2)))
+            assert s.rmse_cate == s.rmse_pate
 
     def test_jackknife_summaries_present(self):
         sc = scenario(reps=2, jackknife=True,

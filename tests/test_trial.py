@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,18 +65,19 @@ class TestIndexing:
         t = make_trial(BASIC)
         assert t.n_clusters == 2
         assert t.n_obs == 5
-        a, b = t.clusters
-        assert (a.cluster_id, a.sequence, a.k0, a.k1) == ("a", 0, 1, 1)
-        assert (b.k0, b.k1) == (1, 2)
-        assert b.sum1 == pytest.approx(10.0)
-        assert b.sumsq1 == pytest.approx(52.0)
-        assert b.mean1 == pytest.approx(5.0)
+        c = t.cells
+        assert list(c.ids) == ["a", "b"]
+        assert list(c.sequence) == [0, 1]
+        assert list(c.k0) == [1, 1] and list(c.k1) == [1, 2]
+        assert c.sum1[1] == pytest.approx(10.0)
+        assert c.ss1[1] == pytest.approx(52.0)
+        assert c.means().sum1[1] == pytest.approx(5.0)
 
     def test_first_appearance_order(self):
         rows = [("z", 0, 1, 1.0), ("z", 1, 1, 1.0),
                 ("a", 0, 0, 1.0), ("a", 1, 0, 1.0)]
         t = make_trial(rows)
-        assert [c.cluster_id for c in t.clusters] == ["z", "a"]
+        assert list(t.cells.ids) == ["z", "a"]
 
     def test_equal_period_sizes_flag(self):
         assert not make_trial(BASIC).equal_period_sizes
@@ -87,7 +89,7 @@ class TestIndexing:
         rows = BASIC + [("c", 0, 0, 5.0), ("c", 1, 0, 6.0)]
         t = make_trial(rows)
         sub = t.drop_cluster("a")
-        assert [c.cluster_id for c in sub.clusters] == ["b", "c"]
+        assert list(sub.cells.ids) == ["b", "c"]
         assert sub.n_obs == 5
         with pytest.raises(KeyError):
             t.drop_cluster("nope")
@@ -95,10 +97,10 @@ class TestIndexing:
     def test_from_cell_means(self):
         t = ObservedTrial.from_cell_means([
             ("a", 0, 2, 3, 1.5, 2.5), ("b", 1, 1, 1, 0.0, 4.0)])
-        a = t.clusters[0]
-        assert (a.k0, a.k1) == (2, 3)
-        assert a.mean0 == pytest.approx(1.5)
-        assert a.sumsq1 == pytest.approx(3 * 2.5**2)
+        c = t.cells
+        assert (c.k0[0], c.k1[0]) == (2, 3)
+        assert c.means().sum0[0] == pytest.approx(1.5)
+        assert c.ss1[0] == pytest.approx(3 * 2.5**2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(
@@ -118,11 +120,42 @@ class TestIndexing:
             t = ObservedTrial.from_records(recs)
         except TrialValidationError:
             return
-        for c in t.clusters:
-            d = naive[c.cluster_id]
-            assert (c.k0, c.k1) == (d[0], d[1])
-            assert c.sum0 == pytest.approx(d[2], abs=1e-9)
-            assert c.sumsq1 == pytest.approx(d[5], abs=1e-9)
+        c = t.cells
+        for i, cid in enumerate(c.ids):
+            d = naive[cid]
+            assert (c.k0[i], c.k1[i]) == (d[0], d[1])
+            assert c.sum0[i] == pytest.approx(d[2], abs=1e-9)
+            assert c.ss1[i] == pytest.approx(d[5], abs=1e-9)
+
+
+class TestDropCluster:
+    def check_drops(self, t, recs, depth):
+        for cid in t.cells.ids:
+            kept = [r for r in recs if r[0] != cid]
+            try:
+                want = ObservedTrial.from_records(kept)
+            except TrialValidationError:
+                with pytest.raises(TrialValidationError, match="arm"):
+                    t.drop_cluster(cid)
+                continue
+            sub = t.drop_cluster(cid)
+            assert sub.cells == want.cells
+            assert np.array_equal(sub.cluster_ids, want.cluster_ids)
+            assert np.array_equal(sub.outcomes, want.outcomes)
+            if depth > 1:
+                self.check_drops(sub, kept, depth - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                    min_size=2, max_size=7),
+           st.randoms(use_true_random=False))
+    def test_equals_reindexed_subset(self, sizes, rnd):
+        # Deleting a cells row gives exactly the statistics and records of
+        # re-indexing the remaining records, also after a second deletion.
+        recs = [(f"c{i}", j, i % 2, rnd.uniform(-10, 10))
+                for i, k in enumerate(sizes) for j in (0, 1) for _ in range(k[j])]
+        rnd.shuffle(recs)
+        self.check_drops(ObservedTrial.from_records(recs), recs, depth=2)
 
 
 class TestVarianceComponents:

@@ -12,40 +12,16 @@ GLS system shared by REML and the independence and mixed-model fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .trial import CellStats, CorrelationStructure, VarianceComponents, WeightingScheme
+from .trial import CellStats, CorrelationStructure, VarianceComponents
 
 __all__ = [
-    "BlockTerms",
-    "eme_block_terms",
-    "neme_block_terms",
-    "dense_block",
-    "block_logdet",
     "structure_taus",
     "inverse_cell_terms",
     "normal_equations",
 ]
-
-
-@dataclass(frozen=True)
-class BlockTerms:
-    """Entries of the inverse block and their aggregates for one cell size K.
-
-    d: diagonal entry, f: off-diagonal entry within a period cell,
-    g: entry across periods (equals f for the exchangeable structure),
-    a: K*(d + (K-1) f), the within-cell aggregate,
-    b: K^2 * g, the cross-period aggregate.
-    """
-
-    d: float
-    f: float
-    g: float
-    a: float
-    b: float
 
 
 def structure_taus(structure: CorrelationStructure, vc: VarianceComponents) -> tuple[float, float]:
@@ -55,81 +31,6 @@ def structure_taus(structure: CorrelationStructure, vc: VarianceComponents) -> t
     if structure is CorrelationStructure.EXCHANGEABLE:
         return vc.tau_alpha2, vc.tau_alpha2
     return vc.tau_alpha2 + vc.tau_gamma2, vc.tau_alpha2
-
-
-@lru_cache(maxsize=4096)
-def eme_block_terms(k: int, vc: VarianceComponents,
-                    weighting: WeightingScheme = WeightingScheme.UNWEIGHTED) -> BlockTerms:
-    """Inverse-block terms of the exchangeable structure with equal cell sizes K.
-
-    The inverse of sigma_w2*I + tau_alpha2*J over the 2K observations has a
-    single diagonal value D and a single off-diagonal value F; the
-    inverse-cluster-period-size weighted variant divides every term by K.
-    """
-    if k < 1:
-        raise ValueError(f"cell size must be >= 1, got {k}")
-    s, t = vc.sigma_w2, vc.tau_alpha2
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise ValueError("non-finite variance components")
-    d = (1.0 / s) * (s + (2 * k - 1) * t) / (s + 2 * k * t)
-    f = -(1.0 / s) * t / (s + 2 * k * t)
-    a = k * (d + (k - 1) * f)
-    b = k * k * f
-    if weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE:
-        d, f, a, b = d / k, f / k, a / k, b / k
-    return BlockTerms(d=d, f=f, g=f, a=a, b=b)
-
-
-@lru_cache(maxsize=4096)
-def neme_block_terms(k: int, vc: VarianceComponents,
-                     weighting: WeightingScheme = WeightingScheme.UNWEIGHTED) -> BlockTerms:
-    """Inverse-block terms of the nested-exchangeable structure, equal cell sizes K."""
-    if k < 1:
-        raise ValueError(f"cell size must be >= 1, got {k}")
-    s = vc.sigma_w2
-    ta, tg = vc.tau_alpha2, vc.tau_gamma2
-    t = ta + tg
-    # (s + k t)^2 - (k ta)^2 and t - k ta^2 / (s + k t), factored so that
-    # no difference of large nearly equal terms is formed.
-    denom = (s + k * tg) * (s + k * tg + 2 * k * ta)
-    e = (s * t + k * tg * (t + ta)) / (s + k * t)
-    d = (1.0 / s) * (s + (k - 1) * e) / (s + k * e)
-    f = -(1.0 / s) * e / (s + k * e)
-    g = -ta / denom
-    a = k * (s + k * t) / denom
-    b = k * k * g
-    if weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE:
-        d, f, g, a, b = d / k, f / k, g / k, a / k, b / k
-    return BlockTerms(d=d, f=f, g=g, a=a, b=b)
-
-
-def dense_block(structure: CorrelationStructure, k0: int, k1: int,
-                vc: VarianceComponents) -> np.ndarray:
-    """Assemble the full (k0+k1) x (k0+k1) covariance block (test oracle)."""
-    if k0 < 1 or k1 < 1:
-        raise ValueError("cell sizes must be >= 1")
-    tw, tb = structure_taus(structure, vc)
-    m = k0 + k1
-    r = np.full((m, m), tb)
-    r[:k0, :k0] = tw
-    r[k0:, k0:] = tw
-    np.fill_diagonal(r, r.diagonal() + vc.sigma_w2)
-    return r
-
-
-def block_logdet(structure: CorrelationStructure, k: int, vc: VarianceComponents) -> float:
-    """log det of the covariance block with equal cell sizes K, via its eigenvalues."""
-    if k < 1:
-        raise ValueError("cell size must be >= 1")
-    s = vc.sigma_w2
-    if structure is CorrelationStructure.INDEPENDENCE:
-        return 2 * k * math.log(s)
-    if structure is CorrelationStructure.EXCHANGEABLE:
-        return (2 * k - 1) * math.log(s) + math.log(s + 2 * k * vc.tau_alpha2)
-    tg, ta = vc.tau_gamma2, vc.tau_alpha2
-    return (2 * (k - 1) * math.log(s)
-            + math.log(s + k * tg)
-            + math.log(s + k * tg + 2 * k * ta))
 
 
 def inverse_cell_terms(k0, k1, sigma_w2: float, tau_within: float, tau_between: float):

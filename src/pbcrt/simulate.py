@@ -16,7 +16,7 @@ from scipy import stats as sps
 
 from .estimands import PopulationMixture, true_cate, true_pate
 from .estimators import EstimationError, EstimatorKind, FitOptions, fit
-from .inference import confidence_interval, wald_test
+from .inference import _df
 from .reml import estimate_variance_components
 from .trial import CorrelationStructure, ObservedTrial, VarianceComponents
 
@@ -108,26 +108,26 @@ def generate_trial(scenario: SimScenario, replicate_index: int) -> ObservedTrial
     seq = np.zeros(n, dtype=int)
     seq[rng.permutation(n)[: n // 2]] = 1
 
+    # One batch of normals, consumed in the order of per-cluster draws:
+    # alpha, g0, g1, then k period-0 and k period-1 residuals.
+    draws = 3 + 2 * sizes
+    z = rng.standard_normal(int(draws.sum()))
+    start = np.cumsum(draws) - draws
+    e = np.delete(z, np.concatenate((start, start + 1, start + 2)))
     vc = scenario.vc
-    sd_a = np.sqrt(vc.tau_alpha2)
-    sd_g = np.sqrt(vc.tau_gamma2)
     sd_e = np.sqrt(vc.sigma_w2)
-    cids, pers, seqs, ys = [], [], [], []
-    for i in range(n):
-        k = int(sizes[i])
-        delta = scenario.mixture.subpops[subpop[i]].delta
-        alpha = sd_a * rng.standard_normal()
-        g0, g1 = sd_g * rng.standard_normal(2)
-        base = scenario.mu + alpha
-        y0 = base + g0 + sd_e * rng.standard_normal(k)
-        y1 = base + scenario.phi1 + seq[i] * delta + g1 + sd_e * rng.standard_normal(k)
-        cid = f"c{i:04d}"
-        cids.extend([cid] * (2 * k))
-        pers.extend([0] * k + [1] * k)
-        seqs.extend([int(seq[i])] * (2 * k))
-        ys.extend(y0)
-        ys.extend(y1)
-    return ObservedTrial(cids, pers, seqs, ys)
+    sd_g = np.sqrt(vc.tau_gamma2)
+    base = scenario.mu + np.sqrt(vc.tau_alpha2) * z[start]
+    delta = np.array([s.delta for s in scenario.mixture.subpops])[subpop]
+    cell_mean = np.column_stack((
+        base + sd_g * z[start + 1],
+        base + scenario.phi1 + seq * delta + sd_g * z[start + 2])).ravel()
+    cell_size = np.repeat(sizes, 2)
+    labels = np.array([f"c{i:04d}" for i in range(n)])
+    return ObservedTrial(np.repeat(labels, 2 * sizes),
+                         np.repeat(np.tile([0, 1], n), cell_size),
+                         np.repeat(seq, 2 * sizes),
+                         np.repeat(cell_mean, cell_size) + sd_e * e)
 
 
 def expand_truncated_poisson(mix: PopulationMixture, tail: float = 1e-12) -> PopulationMixture:
@@ -158,6 +158,7 @@ class EstimatorSummary:
     estimator: EstimatorKind
     n_ok: int
     n_failures: int
+    n_reml_nonconverged: int  # fits (jackknife refits included) on non-converged REML
     mean_estimate: float
     mc_variance: float
     rel_bias_pate_pct: float
@@ -247,10 +248,19 @@ def _rel_bias_pct(mean: float, target: float) -> float:
     return 100.0 * (mean - target) / target if target else float("nan")
 
 
-def _covers(delta: float, var: float, target: float, n_clusters: int,
-            level: float) -> bool:
-    ci = confidence_interval(delta, var, n_clusters, level)
-    return ci.lower <= target <= ci.upper
+def _rates(d: np.ndarray, var: np.ndarray, targets, crit: float, df: int,
+           level: float) -> list[float]:
+    """Coverage of each target and power, the shares of replicates whose
+    `confidence_interval` holds the target and whose `wald_test` p-value
+    falls below 1 - level; `crit` is the interval's t quantile.
+    """
+    half = crit * np.sqrt(var)
+    # At zero variance t is inf (p = 0) for a nonzero estimate and NaN,
+    # never significant, for a zero one: wald_test's rule.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 2.0 * sps.t.sf(np.abs(d) / np.sqrt(var), df)
+    return ([float(np.mean((d - half <= t) & (t <= d + half))) for t in targets]
+            + [float(np.mean(p < 1.0 - level))])
 
 
 def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimReport:
@@ -266,6 +276,7 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
     mvars = {k: np.full(r_tot, np.nan) for k in kinds}
     jvars = {k: np.full(r_tot, np.nan) for k in kinds} if scenario.jackknife else None
     failures = {k: 0 for k in kinds}
+    nonconverged = {k: 0 for k in kinds}
 
     # Variance components depend only on (trial, structure), so fits and
     # jackknife refits that share a structure reuse one REML per trial.
@@ -277,14 +288,16 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
             return options
         if kind.structure not in cache:
             cache[kind.structure] = estimate_variance_components(
-                trial, kind.structure)
-        return FitOptions(vc=cache[kind.structure])
+                trial, kind.structure, return_converged=True)
+        vc, converged = cache[kind.structure]
+        nonconverged[kind] += not converged
+        return FitOptions(vc=vc)
 
     for r in range(r_tot):
         trial = generate_trial(scenario, r)
         subtrials = ([trial.drop_cluster(c) for c in trial.cells.ids]
                      if scenario.jackknife else [])
-        cache: dict[CorrelationStructure, VarianceComponents] = {}
+        cache: dict[CorrelationStructure, tuple[VarianceComponents, bool]] = {}
         sub_caches: list[dict] = [{} for _ in subtrials]
         for k in kinds:
             try:
@@ -311,7 +324,8 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
     pate = true_pate(scenario.mixture)
     cate = true_cate(scenario.mixture)
     level = scenario.ci_level
-    n_c = scenario.n_clusters
+    df = _df(scenario.n_clusters)
+    crit = float(sps.t.ppf(0.5 + level / 2.0, df))
     summaries = []
     estimates = {}
     for k in kinds:
@@ -321,14 +335,10 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
         n_ok = int(ok.sum())
         mean = float(d.mean())
         mc_var = float(d.var(ddof=1)) if n_ok > 1 else 0.0
-        cov_m_p = float(np.mean([_covers(x, v, pate, n_c, level)
-                                 for x, v in zip(d, mv)]))
-        cov_m_c = float(np.mean([_covers(x, v, cate, n_c, level)
-                                 for x, v in zip(d, mv)]))
-        pow_m = float(np.mean([wald_test(x, v, n_c) < 1.0 - level
-                               for x, v in zip(d, mv)]))
+        cov_m_p, cov_m_c, pow_m = _rates(d, mv, (pate, cate), crit, df, level)
         s = EstimatorSummary(
             estimator=k, n_ok=n_ok, n_failures=failures[k],
+            n_reml_nonconverged=nonconverged[k],
             mean_estimate=mean, mc_variance=mc_var,
             rel_bias_pate_pct=_rel_bias_pct(mean, pate),
             rel_bias_cate_pct=_rel_bias_pct(mean, cate),
@@ -340,12 +350,8 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
         if scenario.jackknife:
             jv = jvars[k][ok]
             s.mean_jackknife_variance = float(jv.mean())
-            s.coverage_jackknife_pate = float(np.mean(
-                [_covers(x, v, pate, n_c, level) for x, v in zip(d, jv)]))
-            s.coverage_jackknife_cate = float(np.mean(
-                [_covers(x, v, cate, n_c, level) for x, v in zip(d, jv)]))
-            s.power_jackknife = float(np.mean(
-                [wald_test(x, v, n_c) < 1.0 - level for x, v in zip(d, jv)]))
+            (s.coverage_jackknife_pate, s.coverage_jackknife_cate,
+             s.power_jackknife) = _rates(d, jv, (pate, cate), crit, df, level)
         summaries.append(s)
         estimates[k.value] = d.tolist()
     return SimReport(scenario=scenario, pate=pate, cate=cate,

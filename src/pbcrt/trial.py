@@ -159,6 +159,29 @@ class CellStats:
         return CellStats(self.ids, self.sequence, one, one, m0, m1, m0**2, m1**2)
 
 
+def _cluster_codes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes of the labels' str() forms in first-appearance order, and the ids.
+
+    Records of one cluster usually come in runs, so str() and the lookup
+    run on the first label of each run only.  A run continues while the
+    label equals the one before, for fixed-width strings and integers,
+    and otherwise while it is the same object: equal labels such as 1 and
+    1.0, or 0.0 and -0.0, differ in str().
+    """
+    key = labels
+    if labels.dtype.kind not in "USbiu":
+        key = np.fromiter(map(id, np.asarray(labels, dtype=object)),
+                          dtype=np.intp, count=labels.size)
+    heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    index: dict[str, int] = {}
+    run_code = np.fromiter((index.setdefault(str(c), len(index))
+                            for c in labels[heads]), dtype=np.int64,
+                           count=heads.size)
+    ids = np.empty(len(index), dtype=object)
+    ids[:] = list(index)
+    return np.repeat(run_code, np.diff(heads, append=labels.size)), ids
+
+
 def _check_arms(cells: CellStats) -> None:
     if cells.sequence.min() == cells.sequence.max():
         raise TrialValidationError(
@@ -174,25 +197,23 @@ class ObservedTrial:
 
     def __init__(self, cluster_ids: Sequence, periods: Sequence[int],
                  sequences: Sequence[int], outcomes: Sequence[float]):
-        # Integer cluster codes in first-appearance order.
-        index: dict[str, int] = {}
-        code = np.fromiter((index.setdefault(str(c), len(index))
-                            for c in cluster_ids), dtype=np.int64)
-        ids = np.empty(len(index), dtype=object)
-        ids[:] = list(index)
+        labels = (cluster_ids if isinstance(cluster_ids, np.ndarray)
+                  else np.fromiter(cluster_ids, dtype=object))
         per = np.asarray(periods, dtype=np.int64)
         seq = np.asarray(sequences, dtype=np.int64)
         y = np.asarray(outcomes, dtype=np.float64)
-        if not (code.shape == per.shape == seq.shape == y.shape):
+        if not (labels.ndim == 1
+                and labels.shape == per.shape == seq.shape == y.shape):
             raise TrialValidationError("record columns differ in length")
-        if code.size == 0:
+        if labels.size == 0:
             raise TrialValidationError("trial has no records")
-        if not np.isin(per, (0, 1)).all():
+        if not ((per == 0) | (per == 1)).all():
             raise TrialValidationError("period must be 0 or 1")
-        if not np.isin(seq, (0, 1)).all():
+        if not ((seq == 0) | (seq == 1)).all():
             raise TrialValidationError("sequence must be 0 or 1")
         if not np.isfinite(y).all():
             raise TrialValidationError("outcomes must be finite")
+        code, ids = _cluster_codes(labels)
 
         n = ids.size
         n_treated = np.bincount(code, weights=seq, minlength=n)
@@ -269,8 +290,15 @@ class ObservedTrial:
         Every individual in a cell is assigned the cell mean; useful for
         noiseless fixtures and size-table skeletons.
         """
-        records = []
-        for cid, seq, k0, k1, m0, m1 in cells:
-            records.extend((cid, 0, seq, m0) for _ in range(k0))
-            records.extend((cid, 1, seq, m1) for _ in range(k1))
-        return cls.from_records(records)
+        rows = list(cells)
+        if not rows:
+            raise TrialValidationError("no records")
+        cids, seqs, k0, k1, m0, m1 = zip(*rows)
+        size = np.column_stack((k0, k1))
+        if (size < 0).any():
+            raise TrialValidationError("cell sizes must be nonnegative")
+        per_cluster = size.sum(axis=1)
+        return cls(np.repeat(np.fromiter(cids, dtype=object), per_cluster),
+                   np.repeat(np.tile([0, 1], len(rows)), size.ravel()),
+                   np.repeat(seqs, per_cluster),
+                   np.repeat(np.column_stack((m0, m1)).ravel(), size.ravel()))

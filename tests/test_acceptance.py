@@ -27,8 +27,9 @@ from pbcrt import (
     plim,
     run_study,
 )
-from pbcrt.blocks import dense_block, eme_block_terms, neme_block_terms
 from pbcrt.estimands import eme_weight
+
+from oracles import dense_block, eme_block_terms, neme_block_terms
 
 SEED = 20260823
 MIX_INFORMATIVE = PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5)

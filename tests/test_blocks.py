@@ -7,14 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbcrt import CorrelationStructure, VarianceComponents, WeightingScheme
-from pbcrt.blocks import (
-    block_logdet,
-    dense_block,
-    eme_block_terms,
-    inverse_cell_terms,
-    neme_block_terms,
-    structure_taus,
-)
+from pbcrt.blocks import inverse_cell_terms, structure_taus
+
+from oracles import block_logdet, dense_block, eme_block_terms, neme_block_terms
 
 STRUCTS = [CorrelationStructure.EXCHANGEABLE,
            CorrelationStructure.NESTED_EXCHANGEABLE]

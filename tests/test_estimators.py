@@ -15,8 +15,9 @@ from pbcrt import (
     generate_trial,
     gls_point_estimate,
 )
-from pbcrt.blocks import dense_block
 from pbcrt.io import load_size_table
+
+from oracles import dense_block
 
 MU, PHI = 1.0, 0.2
 

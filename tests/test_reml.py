@@ -108,7 +108,7 @@ class TestProfiledLikelihood:
         # Profiled -2 restricted log-likelihood agrees (up to a constant in
         # the data) with the direct dense evaluation at the profiled sigma2.
         from pbcrt.reml import _deviance, _sigma2
-        from pbcrt.blocks import dense_block
+        from oracles import dense_block
         from scipy.linalg import block_diag
 
         vc = VarianceComponents(1.0, 0.12, 0.04)

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbcrt import (
+    CorrelationStructure,
     EstimatorKind,
+    FitOptions,
     PopulationMixture,
     SimScenario,
     StudyError,
@@ -17,6 +21,10 @@ from pbcrt import (
     true_cate,
     true_pate,
 )
+from pbcrt.inference import confidence_interval, jackknife_variance, wald_test
+from pbcrt.simulate import _rates
+
+from oracles import generate_trial_records
 
 MIX = PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5)
 VC = VarianceComponents(1.0, 0.053, 0.013)
@@ -103,6 +111,29 @@ class TestGeneration:
         assert np.mean(vals) == pytest.approx(0.35, abs=0.02)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(half=st.sampled_from([2, 3, 5, 20, 200]),
+           seed=st.integers(0, 2**32 - 1), rep=st.integers(0, 50),
+           means=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+           prob=st.floats(0.05, 0.95),
+           taus=st.tuples(st.sampled_from([0.0, 0.053]),
+                          st.sampled_from([0.0, 0.013])),
+           fixed_sizes=st.booleans(), fixed_split=st.booleans())
+    def test_matches_record_oracle(self, half, seed, rep, means, prob, taus,
+                                   fixed_sizes, fixed_split):
+        # Whole-array draws reproduce the per-cluster stream bit for bit,
+        # zero-size redraws of small Poisson means included.
+        mix = PopulationMixture.two_point(prob, means[0], means[1], 0.2, -0.5)
+        sc = scenario(n_clusters=2 * half, mixture=mix, master_seed=seed,
+                      vc=VarianceComponents(1.0, *taus), mu=-0.3, phi1=0.7,
+                      fixed_sizes=fixed_sizes, fixed_split=fixed_split)
+        got, want = generate_trial(sc, rep), generate_trial_records(sc, rep)
+        assert got.cells == want.cells
+        for col in ("cluster_ids", "periods", "sequences", "outcomes"):
+            a, b = getattr(got, col), getattr(want, col)
+            assert a.dtype == b.dtype and np.array_equal(a, b), col
+
+
 class TestTruncatedPoissonExpansion:
     def test_probabilities_and_mean(self):
         ex = expand_truncated_poisson(MIX)
@@ -176,6 +207,60 @@ class TestStudy:
                 fit(t, EstimatorKind.EME).delta_hat, abs=1e-12)
             assert rep.estimates["nemew"][r] == pytest.approx(
                 fit(t, EstimatorKind.NEMEW).delta_hat, abs=1e-12)
+
+    def test_rates_equal_per_replicate_helpers(self):
+        # The vectorised coverage and power of a jackknife study equal the
+        # shares computed replicate by replicate with confidence_interval
+        # and wald_test.
+        vc = VarianceComponents(1.0, 0.053, 0.013)
+        options = FitOptions(vc=vc)
+        sc = scenario(n_clusters=6, reps=40, jackknife=True, vc=vc)
+        rep = run_study(sc, options)
+        for s in rep.summaries:
+            sources = {"model": [], "jackknife": []}
+            for r in range(sc.reps):
+                t = generate_trial(sc, r)
+                res = fit(t, s.estimator, options)
+                assert res.delta_hat == rep.estimates[s.estimator.value][r]
+                sources["model"].append((res.delta_hat, res.model_based_var))
+                sources["jackknife"].append(
+                    (res.delta_hat,
+                     jackknife_variance(t, s.estimator, options)[0]))
+            for source, pairs in sources.items():
+                got = [getattr(s, f"coverage_{source}_pate"),
+                       getattr(s, f"coverage_{source}_cate"),
+                       getattr(s, f"power_{source}")]
+                cis = [confidence_interval(d, v, sc.n_clusters, sc.ci_level)
+                       for d, v in pairs]
+                want = [np.mean([ci.lower <= target <= ci.upper for ci in cis])
+                        for target in (rep.pate, rep.cate)]
+                want.append(np.mean([wald_test(d, v, sc.n_clusters)
+                                     < 1.0 - sc.ci_level for d, v in pairs]))
+                assert got == want, (s.estimator, source)
+
+    def test_rates_keep_zero_variance_rule(self):
+        d = np.array([0.0, 0.3, -0.2, 0.0, 1.5, -2.0])
+        v = np.array([0.0, 0.0, 0.04, 0.5, 0.01, 3.0])
+        want = [np.mean([wald_test(x, y, 10) < 0.05 for x, y in zip(d, v)])]
+        assert _rates(d, v, (), 0.0, 8, 0.95) == want
+        assert want == [2 / 6]
+
+    def test_reml_nonconvergence_counted(self, monkeypatch):
+        import pbcrt.simulate as sim
+
+        def reml(trial, structure, return_converged=False):
+            assert return_converged
+            nested = structure is CorrelationStructure.NESTED_EXCHANGEABLE
+            return VC, not nested
+
+        monkeypatch.setattr(sim, "estimate_variance_components", reml)
+        sc = scenario(n_clusters=6, reps=3, jackknife=True)
+        doc = run_study(sc).to_json_dict()
+        counts = {s["estimator"]: s["n_reml_nonconverged"]
+                  for s in doc["summaries"]}
+        fits = sc.reps * (1 + sc.n_clusters)  # replicate fits and refits
+        assert counts == {"iee": 0, "ieew": 0, "fe": 0, "few": 0, "eme": 0,
+                          "emew": 0, "neme": fits, "nemew": fits}
 
     def test_failure_policy(self, monkeypatch):
         import pbcrt.simulate as sim

@@ -10,6 +10,9 @@ from pbcrt import (
     TrialValidationError,
     VarianceComponents,
 )
+from pbcrt.trial import _cluster_codes
+
+from oracles import str_codes
 
 
 def make_trial(records):
@@ -101,6 +104,62 @@ class TestIndexing:
         assert (c.k0[0], c.k1[0]) == (2, 3)
         assert c.means().sum0[0] == pytest.approx(1.5)
         assert c.ss1[0] == pytest.approx(3 * 2.5**2)
+
+    def test_from_cell_means_equals_records(self):
+        cells = [("a", 0, 2, 3, 1.5, 2.5), (7, 1, 1, 4, 0, -1.0),
+                 (7.0, 1, 3, 1, 2.0, 4), ("b", 0, 1, 1, 0.25, 0.5)]
+        records = [(cid, j, seq, m)
+                   for cid, seq, k0, k1, m0, m1 in cells
+                   for j, k, m in ((0, k0, m0), (1, k1, m1))
+                   for _ in range(k)]
+        got = ObservedTrial.from_cell_means(cells)
+        want = ObservedTrial.from_records(records)
+        assert got.cells == want.cells
+        for col in ("cluster_ids", "periods", "sequences", "outcomes"):
+            a, b = getattr(got, col), getattr(want, col)
+            assert a.dtype == b.dtype and np.array_equal(a, b), col
+        with pytest.raises(TrialValidationError, match="nonnegative"):
+            ObservedTrial.from_cell_means([("a", 0, -1, 2, 0.0, 0.0)])
+
+    def test_labels_coded_by_str(self):
+        # 1 and 1.0 are equal but print differently: two clusters.  1 and
+        # "1" print alike: one cluster.
+        t = make_trial([(1, 0, 0, 1.0), (1.0, 0, 1, 2.0), (1, 1, 0, 3.0),
+                        ("1", 1, 0, 4.0), (1.0, 1, 1, 5.0)])
+        assert list(t.cells.ids) == ["1", "1.0"]
+        assert list(t.cells.k1) == [2, 1]
+        assert list(t.cluster_ids) == ["1", "1.0", "1", "1", "1.0"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_run_length_codes_match_per_record_str(self, data):
+        # Run-length coding gives the codes and ids of per-record str()
+        # coding, on runs, shuffled and interleaved records, and labels
+        # that compare equal but print differently (1, 1.0, True, -0.0).
+        kind = data.draw(st.sampled_from(["object", "U", "i8", "f8", "f4"]))
+        label = {
+            "object": st.one_of(
+                st.text(max_size=2), st.integers(-2, 2), st.booleans(),
+                st.floats(), st.sampled_from([1, 1.0, "1", True, 0.0, -0.0,
+                                              np.float64(1.0), np.int64(1)])),
+            "U": st.text(max_size=3),
+            "i8": st.integers(-3, 3),
+            "f8": st.floats(),
+            "f4": st.floats(width=32),
+        }[kind]
+        runs = data.draw(st.lists(st.tuples(label, st.integers(1, 4)),
+                                  min_size=1, max_size=10))
+        labels = [lab for lab, k in runs for _ in range(k)]
+        if data.draw(st.booleans()):
+            data.draw(st.randoms()).shuffle(labels)
+        arr = np.empty(len(labels), dtype=object)
+        arr[:] = labels
+        if kind != "object":
+            arr = arr.astype(kind)
+        code, ids = _cluster_codes(arr)
+        want_code, want_ids = str_codes(arr)
+        assert code.tolist() == want_code
+        assert ids.tolist() == want_ids
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats
@@ -46,6 +47,10 @@ def _df(n_clusters: int) -> int:
     return n_clusters - 2
 
 
+# A study asks for the same quantile once per estimator and variance source.
+_t_quantile = lru_cache(maxsize=64)(stats.t.ppf)
+
+
 def model_based_variance(trial: ObservedTrial, kind: EstimatorKind,
                          options: FitOptions = FitOptions()) -> float:
     """The (delta, delta) entry of the inverse normal equations for this fit."""
@@ -80,25 +85,33 @@ def jackknife_variance(trial: ObservedTrial, kind: EstimatorKind,
 def confidence_interval(delta_hat: float, variance: float, n_clusters: int,
                         level: float = 0.95,
                         source: VarianceSource = VarianceSource.MODEL_BASED) -> IntervalEstimate:
-    """t interval delta_hat +/- t_{df, 1-(1-level)/2} * sqrt(variance), df = I - 2."""
-    if variance < 0:
+    """t interval delta_hat +/- t_{df, 1-(1-level)/2} * sqrt(variance), df = I - 2.
+
+    Elementwise for arrays of estimates and variances.
+    """
+    if np.any(np.asarray(variance) < 0):
         raise ValueError("variance must be nonnegative")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     df = _df(n_clusters)
-    half = stats.t.ppf(0.5 + level / 2.0, df) * np.sqrt(variance)
+    half = _t_quantile(0.5 + level / 2.0, df) * np.sqrt(variance)
     return IntervalEstimate(lower=delta_hat - half, upper=delta_hat + half,
                             level=level, df=df, variance_source=source)
 
 
 def wald_test(delta_hat: float, variance: float, n_clusters: int) -> float:
-    """Two-sided t test p-value of delta = 0 with df = I - 2."""
-    if variance < 0:
+    """Two-sided t test p-value of delta = 0 with df = I - 2.
+
+    Elementwise for arrays.  At zero variance p is 1 for a zero estimate
+    and 0 otherwise.
+    """
+    d, v = np.abs(delta_hat), np.asarray(variance, dtype=np.float64)
+    if np.any(v < 0):
         raise ValueError("variance must be nonnegative")
-    if variance == 0.0:
-        return 1.0 if delta_hat == 0.0 else 0.0
-    t = abs(delta_hat) / np.sqrt(variance)
-    return float(2.0 * stats.t.sf(t, _df(n_clusters)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(v == 0.0, d == 0.0,
+                     2.0 * stats.t.sf(d / np.sqrt(v), _df(n_clusters)))
+    return float(p) if p.ndim == 0 else p
 
 
 def fit_with_inference(trial: ObservedTrial, kind: EstimatorKind,

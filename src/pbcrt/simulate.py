@@ -16,7 +16,7 @@ from scipy import stats as sps
 
 from .estimands import PopulationMixture, true_cate, true_pate
 from .estimators import EstimationError, EstimatorKind, FitOptions, fit
-from .inference import _df
+from .inference import confidence_interval, wald_test
 from .reml import estimate_variance_components
 from .trial import CorrelationStructure, ObservedTrial, VarianceComponents
 
@@ -158,7 +158,7 @@ class EstimatorSummary:
     estimator: EstimatorKind
     n_ok: int
     n_failures: int
-    n_reml_nonconverged: int  # fits (jackknife refits included) on non-converged REML
+    n_reml_nonconverged: int  # replicates with a non-converged REML in any of their fits
     mean_estimate: float
     mc_variance: float
     rel_bias_pate_pct: float
@@ -248,18 +248,13 @@ def _rel_bias_pct(mean: float, target: float) -> float:
     return 100.0 * (mean - target) / target if target else float("nan")
 
 
-def _rates(d: np.ndarray, var: np.ndarray, targets, crit: float, df: int,
-           level: float) -> list[float]:
-    """Coverage of each target and power, the shares of replicates whose
-    `confidence_interval` holds the target and whose `wald_test` p-value
-    falls below 1 - level; `crit` is the interval's t quantile.
-    """
-    half = crit * np.sqrt(var)
-    # At zero variance t is inf (p = 0) for a nonzero estimate and NaN,
-    # never significant, for a zero one: wald_test's rule.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = 2.0 * sps.t.sf(np.abs(d) / np.sqrt(var), df)
-    return ([float(np.mean((d - half <= t) & (t <= d + half))) for t in targets]
+def _coverage_and_power(d: np.ndarray, var: np.ndarray, targets,
+                        n_clusters: int, level: float) -> list[float]:
+    """Shares of replicates whose interval holds each target, then whose
+    Wald p-value falls below 1 - level."""
+    ci = confidence_interval(d, var, n_clusters, level)
+    p = wald_test(d, var, n_clusters)
+    return ([float(np.mean((ci.lower <= t) & (t <= ci.upper))) for t in targets]
             + [float(np.mean(p < 1.0 - level))])
 
 
@@ -276,7 +271,7 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
     mvars = {k: np.full(r_tot, np.nan) for k in kinds}
     jvars = {k: np.full(r_tot, np.nan) for k in kinds} if scenario.jackknife else None
     failures = {k: 0 for k in kinds}
-    nonconverged = {k: 0 for k in kinds}
+    nonconverged = {k: set() for k in kinds}  # replicates, per estimator
 
     # Variance components depend only on (trial, structure), so fits and
     # jackknife refits that share a structure reuse one REML per trial.
@@ -290,7 +285,8 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
             cache[kind.structure] = estimate_variance_components(
                 trial, kind.structure, return_converged=True)
         vc, converged = cache[kind.structure]
-        nonconverged[kind] += not converged
+        if not converged:
+            nonconverged[kind].add(r)
         return FitOptions(vc=vc)
 
     for r in range(r_tot):
@@ -324,8 +320,6 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
     pate = true_pate(scenario.mixture)
     cate = true_cate(scenario.mixture)
     level = scenario.ci_level
-    df = _df(scenario.n_clusters)
-    crit = float(sps.t.ppf(0.5 + level / 2.0, df))
     summaries = []
     estimates = {}
     for k in kinds:
@@ -335,10 +329,11 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
         n_ok = int(ok.sum())
         mean = float(d.mean())
         mc_var = float(d.var(ddof=1)) if n_ok > 1 else 0.0
-        cov_m_p, cov_m_c, pow_m = _rates(d, mv, (pate, cate), crit, df, level)
+        cov_m_p, cov_m_c, pow_m = _coverage_and_power(
+            d, mv, (pate, cate), scenario.n_clusters, level)
         s = EstimatorSummary(
             estimator=k, n_ok=n_ok, n_failures=failures[k],
-            n_reml_nonconverged=nonconverged[k],
+            n_reml_nonconverged=len(nonconverged[k]),
             mean_estimate=mean, mc_variance=mc_var,
             rel_bias_pate_pct=_rel_bias_pct(mean, pate),
             rel_bias_cate_pct=_rel_bias_pct(mean, cate),
@@ -351,7 +346,8 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
             jv = jvars[k][ok]
             s.mean_jackknife_variance = float(jv.mean())
             (s.coverage_jackknife_pate, s.coverage_jackknife_cate,
-             s.power_jackknife) = _rates(d, jv, (pate, cate), crit, df, level)
+             s.power_jackknife) = _coverage_and_power(
+                d, jv, (pate, cate), scenario.n_clusters, level)
         summaries.append(s)
         estimates[k.value] = d.tolist()
     return SimReport(scenario=scenario, pate=pate, cate=cate,

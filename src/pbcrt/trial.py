@@ -162,17 +162,11 @@ class CellStats:
 def _cluster_codes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer codes of the labels' str() forms in first-appearance order, and the ids.
 
-    Records of one cluster usually come in runs, so str() and the lookup
-    run on the first label of each run only.  A run continues while the
-    label equals the one before, for fixed-width strings and integers,
-    and otherwise while it is the same object: equal labels such as 1 and
-    1.0, or 0.0 and -0.0, differ in str().
+    str() and the lookup run once per run of equal fixed-width string or
+    integer labels, and once per label otherwise: 1 and 1.0 differ in str().
     """
-    key = labels
-    if labels.dtype.kind not in "USbiu":
-        key = np.fromiter(map(id, np.asarray(labels, dtype=object)),
-                          dtype=np.intp, count=labels.size)
-    heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    heads = (np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
+             if labels.dtype.kind in "USbiu" else np.arange(labels.size))
     index: dict[str, int] = {}
     run_code = np.fromiter((index.setdefault(str(c), len(index))
                             for c in labels[heads]), dtype=np.int64,
@@ -294,11 +288,10 @@ class ObservedTrial:
         if not rows:
             raise TrialValidationError("no records")
         cids, seqs, k0, k1, m0, m1 = zip(*rows)
-        size = np.column_stack((k0, k1))
+        size = np.column_stack((k0, k1)).ravel()
         if (size < 0).any():
             raise TrialValidationError("cell sizes must be nonnegative")
-        per_cluster = size.sum(axis=1)
-        return cls(np.repeat(np.fromiter(cids, dtype=object), per_cluster),
-                   np.repeat(np.tile([0, 1], len(rows)), size.ravel()),
-                   np.repeat(seqs, per_cluster),
-                   np.repeat(np.column_stack((m0, m1)).ravel(), size.ravel()))
+        cell = np.repeat(np.arange(size.size), size)
+        return cls(np.fromiter(cids, dtype=object)[cell // 2], cell % 2,
+                   np.asarray(seqs)[cell // 2],
+                   np.column_stack((m0, m1)).ravel()[cell])

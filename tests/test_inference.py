@@ -128,6 +128,16 @@ class TestConfidenceInterval:
             confidence_interval(0.0, -1.0, 10)
         with pytest.raises(ValueError):
             confidence_interval(0.0, 1.0, 10, level=1.0)
+        with pytest.raises(ValueError):
+            confidence_interval(np.zeros(3), np.array([1.0, -1.0, 0.0]), 10)
+
+    def test_arrays_match_scalars(self):
+        d = np.array([0.0, 0.3, -0.2, 0.0, 1.5, -2.0])
+        v = np.array([0.0, 0.0, 0.04, 0.5, 0.01, 3.0])
+        ci = confidence_interval(d, v, 10, 0.9)
+        scalar = [confidence_interval(x, y, 10, 0.9) for x, y in zip(d, v)]
+        assert ci.lower.tolist() == [c.lower for c in scalar]
+        assert ci.upper.tolist() == [c.upper for c in scalar]
 
 
 class TestWaldTest:
@@ -142,6 +152,15 @@ class TestWaldTest:
     def test_zero_variance(self):
         assert wald_test(0.5, 0.0, 10) == 0.0
         assert wald_test(0.0, 0.0, 10) == 1.0
+
+    def test_arrays_match_scalars(self):
+        d = np.array([0.0, 0.3, -0.2, 0.0, 1.5, -2.0])
+        v = np.array([0.0, 0.0, 0.04, 0.5, 0.01, 3.0])
+        p = wald_test(d, v, 10)
+        assert p.tolist() == [wald_test(x, y, 10) for x, y in zip(d, v)]
+        assert p[:2].tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError):
+            wald_test(d, -v, 10)
 
     def test_symmetry(self):
         assert wald_test(0.4, 0.01, 8) == pytest.approx(

@@ -22,7 +22,6 @@ from pbcrt import (
     true_pate,
 )
 from pbcrt.inference import confidence_interval, jackknife_variance, wald_test
-from pbcrt.simulate import _rates
 
 from oracles import generate_trial_records
 
@@ -238,29 +237,37 @@ class TestStudy:
                                      < 1.0 - sc.ci_level for d, v in pairs]))
                 assert got == want, (s.estimator, source)
 
-    def test_rates_keep_zero_variance_rule(self):
-        d = np.array([0.0, 0.3, -0.2, 0.0, 1.5, -2.0])
-        v = np.array([0.0, 0.0, 0.04, 0.5, 0.01, 3.0])
-        want = [np.mean([wald_test(x, y, 10) < 0.05 for x, y in zip(d, v)])]
-        assert _rates(d, v, (), 0.0, 8, 0.95) == want
-        assert want == [2 / 6]
-
     def test_reml_nonconvergence_counted(self, monkeypatch):
+        # The count is of replicates, like n_ok and n_failures: a replicate
+        # counts once however many of its fits and refits used a
+        # non-converged REML.
         import pbcrt.simulate as sim
 
-        def reml(trial, structure, return_converged=False):
-            assert return_converged
-            nested = structure is CorrelationStructure.NESTED_EXCHANGEABLE
-            return VC, not nested
+        def study(fails):
+            def reml(trial, structure, return_converged=False):
+                assert return_converged
+                nested = structure is CorrelationStructure.NESTED_EXCHANGEABLE
+                return VC, not (nested and fails(trial))
 
-        monkeypatch.setattr(sim, "estimate_variance_components", reml)
+            monkeypatch.setattr(sim, "estimate_variance_components", reml)
+            doc = run_study(sc).to_json_dict()
+            return {s["estimator"]: s["n_reml_nonconverged"]
+                    for s in doc["summaries"]}
+
         sc = scenario(n_clusters=6, reps=3, jackknife=True)
-        doc = run_study(sc).to_json_dict()
-        counts = {s["estimator"]: s["n_reml_nonconverged"]
-                  for s in doc["summaries"]}
-        fits = sc.reps * (1 + sc.n_clusters)  # replicate fits and refits
-        assert counts == {"iee": 0, "ieew": 0, "fe": 0, "few": 0, "eme": 0,
-                          "emew": 0, "neme": fits, "nemew": fits}
+        first = generate_trial(sc, 0).cells
+        # Every nested fit and refit of every replicate fails to converge.
+        assert study(lambda t: True) == {
+            "iee": 0, "ieew": 0, "fe": 0, "few": 0, "eme": 0, "emew": 0,
+            "neme": sc.reps, "nemew": sc.reps}
+        # Only one jackknife refit of replicate 0 fails to converge.
+        def first_refit(t):
+            return (t.n_clusters == 5
+                    and np.array_equal(t.cells.ids, first.ids[1:])
+                    and np.array_equal(t.cells.sum0, first.sum0[1:]))
+        assert study(first_refit) == {
+            "iee": 0, "ieew": 0, "fe": 0, "few": 0, "eme": 0, "emew": 0,
+            "neme": 1, "nemew": 1}
 
     def test_failure_policy(self, monkeypatch):
         import pbcrt.simulate as sim

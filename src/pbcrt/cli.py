@@ -19,8 +19,8 @@ from .estimands import (
     true_cate,
     true_pate,
 )
-from .estimators import EstimationError, EstimatorKind, FitOptions, fit
-from .inference import confidence_interval, jackknife_variance, wald_test
+from .estimators import EstimationError, EstimatorKind
+from .inference import confidence_interval, fit_with_inference, wald_test
 from .io import load_scenario_json, parse_trial_csv
 from .simulate import StudyError, run_study
 from .trial import TrialValidationError, VarianceComponents
@@ -78,18 +78,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     trial = parse_trial_csv(args.trial)
     kind = EstimatorKind(args.estimator)
-    result = fit(trial, kind, FitOptions())
+    result = fit_with_inference(trial, kind,
+                                jackknife=args.variance != "model")
+    if not result.converged:
+        print("warning: REML did not converge in the fit or a jackknife "
+              "refit", file=sys.stderr)
     out = {"estimator": kind.value, "delta_hat": result.delta_hat,
-           "n_clusters": trial.n_clusters, "level": args.level}
+           "n_clusters": trial.n_clusters, "level": args.level,
+           "converged": result.converged}
     print(f"estimator {kind.value}  clusters {trial.n_clusters}")
     print(f"delta_hat {_fmt(result.delta_hat)}")
-    sources = []
-    if args.variance in ("model", "both"):
-        sources.append(("model", result.model_based_var))
-    if args.variance in ("jackknife", "both"):
-        jk_var, _ = jackknife_variance(trial, kind)
-        sources.append(("jackknife", jk_var))
-    for name, var in sources:
+    variances = {"model": result.model_based_var,
+                 "jackknife": result.jackknife_var}
+    for name in variances if args.variance == "both" else [args.variance]:
+        var = variances[name]
         ci = confidence_interval(result.delta_hat, var, trial.n_clusters,
                                  args.level)
         p = wald_test(result.delta_hat, var, trial.n_clusters)

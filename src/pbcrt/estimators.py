@@ -25,6 +25,7 @@ from .reml import estimate_variance_components
 from .trial import (
     CellStats,
     CorrelationStructure,
+    EstimationError,
     ObservedTrial,
     VarianceComponents,
     WeightingScheme,
@@ -40,10 +41,6 @@ __all__ = [
     "gls_point_estimate",
     "estimate_variance_components",
 ]
-
-
-class EstimationError(RuntimeError):
-    """A fit could not be computed (singular design, degenerate arms, ...)."""
 
 
 class UnsupportedWeightingError(EstimationError):
@@ -111,9 +108,9 @@ class FitResult:
     jackknife_replicates: np.ndarray | None = None
 
 
-def fit(trial: ObservedTrial, kind: EstimatorKind,
+def fit(trial: ObservedTrial | CellStats, kind: EstimatorKind,
         options: FitOptions = FitOptions()) -> FitResult:
-    """Fit one estimator on a trial, returning the point estimate and model variance."""
+    """Fit one estimator on a trial or its cell table: estimate and model variance."""
     if kind.mixed:
         return _fit_mixed(trial, kind, options)
     cells = trial.cells.means() if kind.weighted else trial.cells
@@ -125,18 +122,15 @@ def fit(trial: ObservedTrial, kind: EstimatorKind,
                      else VarianceComponents(max(sigma2, 1e-10)))
 
 
-def _solve_normal(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _solve_normal(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """M^-1 v and the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for
+    the Cholesky factor L of M."""
     try:
         c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise EstimationError("singular normal equations") from exc
-    return np.linalg.solve(c.T, np.linalg.solve(c, v))
-
-
-def _entry_inverse(m: np.ndarray, idx: int) -> float:
-    e = np.zeros(m.shape[0])
-    e[idx] = 1.0
-    return float(_solve_normal(m, e)[idx])
+    z = np.linalg.solve(c, [0.0, 1.0, 0.0])
+    return np.linalg.solve(c.T, np.linalg.solve(c, v)), float(z @ z)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +143,9 @@ def _independence(cells: CellStats) -> tuple[float, float, float]:
     n - 3 >= 1.
     """
     m, v, yy, _ = normal_equations(cells, 0.0, 0.0)
-    theta = _solve_normal(m, v)
+    theta, inv_dd = _solve_normal(m, v)
     sigma2 = max(yy - float(theta @ v), 0.0) / (cells.n_obs - 3)
-    return float(theta[1]), sigma2 * _entry_inverse(m, 1), sigma2
+    return float(theta[1]), sigma2 * inv_dd, sigma2
 
 
 def _fixed_effects(cells: CellStats) -> tuple[float, float, float]:
@@ -209,10 +203,10 @@ def gls_point_estimate(trial: ObservedTrial, structure: CorrelationStructure,
     cells = trial.cells
     m, v, _ = _mixed_system(cells, structure, vc,
                             _cluster_weight(cells, weighting))
-    return _solve_normal(m, v)
+    return _solve_normal(m, v)[0]
 
 
-def _fit_mixed(trial: ObservedTrial, kind: EstimatorKind,
+def _fit_mixed(trial: ObservedTrial | CellStats, kind: EstimatorKind,
                options: FitOptions) -> FitResult:
     cells = trial.cells
     weight = _cluster_weight(cells, kind.weighting)
@@ -222,7 +216,7 @@ def _fit_mixed(trial: ObservedTrial, kind: EstimatorKind,
         vc, converged = estimate_variance_components(
             trial, kind.structure, return_converged=True)
     m, v, yqy = _mixed_system(cells, kind.structure, vc, weight)
-    theta = _solve_normal(m, v)
+    theta, inv_dd = _solve_normal(m, v)
     if kind.weighted:
         # Weighted estimating equations are defined up to the weight scale;
         # a residual dispersion factor restores the variance to the scale of
@@ -232,5 +226,5 @@ def _fit_mixed(trial: ObservedTrial, kind: EstimatorKind,
         scale = vc.sigma_w2
     return FitResult(kind=kind, delta_hat=float(theta[1]),
                      n_clusters=cells.n_clusters,
-                     model_based_var=scale * _entry_inverse(m, 1),
+                     model_based_var=scale * inv_dd,
                      vc_hat=vc, converged=converged)

@@ -2,7 +2,7 @@
 
 Two variance routes: the model-based GLS variance produced by each fit,
 and the leave-one-cluster-out jackknife, which refits the whole estimator
-(including variance components) on every delete-one subtrial.
+(including variance components) on the cell table without each row.
 All t-based inference uses I - 2 degrees of freedom.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from .estimators import EstimationError, EstimatorKind, FitOptions, FitResult, fit
-from .trial import ObservedTrial, TrialValidationError
+from .trial import CellStats, ObservedTrial
 
 __all__ = [
     "VarianceSource",
@@ -57,28 +57,31 @@ def model_based_variance(trial: ObservedTrial, kind: EstimatorKind,
     return fit(trial, kind, options).model_based_var
 
 
-def jackknife_variance(trial: ObservedTrial, kind: EstimatorKind,
+def _jackknife(cells: CellStats, kind: EstimatorKind,
+               options: FitOptions) -> tuple[float, np.ndarray, bool]:
+    """Jackknife variance, replicates, and whether every refit converged."""
+    n = cells.n_clusters
+    if n < 3:
+        raise EstimationError("jackknife needs at least 3 clusters")
+    for cluster_id, sub in zip(cells.ids, cells.deletions):
+        if sub.sequence.min() == sub.sequence.max():
+            raise EstimationError(
+                f"dropping cluster {cluster_id!r} leaves a single-arm trial")
+    refits = [fit(sub, kind, options) for sub in cells.deletions]
+    reps = np.array([r.delta_hat for r in refits])
+    var = (n - 1) / n * float(np.sum((reps - reps.mean()) ** 2))
+    return var, reps, all(r.converged for r in refits)
+
+
+def jackknife_variance(trial: ObservedTrial | CellStats, kind: EstimatorKind,
                        options: FitOptions = FitOptions()) -> tuple[float, np.ndarray]:
     """Leave-one-cluster-out jackknife variance and the replicate estimates.
 
-    Each replicate refits the estimator from scratch on the trial without
-    one cluster; the variance is ((I-1)/I) * sum((d_i - dbar)^2) around
-    the mean of the leave-one-out estimates.
+    Each replicate refits the estimator from scratch on the cell table
+    without one cluster; the variance is ((I-1)/I) * sum((d_i - dbar)^2)
+    around the mean of the leave-one-out estimates.
     """
-    n = trial.n_clusters
-    if n < 3:
-        raise EstimationError("jackknife needs at least 3 clusters")
-    reps = np.empty(n)
-    for i, cluster_id in enumerate(trial.cells.ids):
-        try:
-            sub = trial.drop_cluster(cluster_id)
-        except TrialValidationError as exc:
-            raise EstimationError(
-                f"dropping cluster {cluster_id!r} leaves a "
-                f"single-arm trial") from exc
-        reps[i] = fit(sub, kind, options).delta_hat
-    center = reps.mean()
-    var = (n - 1) / n * float(np.sum((reps - center) ** 2))
+    var, reps, _ = _jackknife(trial.cells, kind, options)
     return var, reps
 
 
@@ -114,12 +117,14 @@ def wald_test(delta_hat: float, variance: float, n_clusters: int) -> float:
     return float(p) if p.ndim == 0 else p
 
 
-def fit_with_inference(trial: ObservedTrial, kind: EstimatorKind,
+def fit_with_inference(trial: ObservedTrial | CellStats, kind: EstimatorKind,
                        options: FitOptions = FitOptions(),
                        jackknife: bool = True) -> FitResult:
-    """Fit plus jackknife variance attached to the result."""
+    """Fit plus jackknife variance attached to the result; `converged` is
+    False when the fit or any jackknife refit used non-converged REML."""
     result = fit(trial, kind, options)
     if jackknife:
-        var, reps = jackknife_variance(trial, kind, options)
-        result = replace(result, jackknife_var=var, jackknife_replicates=reps)
+        var, reps, converged = _jackknife(trial.cells, kind, options)
+        result = replace(result, jackknife_var=var, jackknife_replicates=reps,
+                         converged=result.converged and converged)
     return result

@@ -4,7 +4,8 @@ The restricted likelihood is profiled over the residual variance, leaving
 a one-dimensional search over the ICC for the exchangeable structure and
 a two-dimensional search over (within-period ICC, cluster
 auto-correlation) for the nested-exchangeable structure.  All likelihood
-evaluations run on vectorized per-cluster cell statistics.
+evaluations run on vectorized per-cluster cell statistics, and each
+result is memoised on its cell table.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 from scipy import optimize
 
 from .blocks import normal_equations
-from .trial import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents
+from .trial import (CellStats, CorrelationStructure, EstimationError,
+                    ObservedTrial, VarianceComponents)
 
 __all__ = ["estimate_variance_components"]
 
@@ -65,7 +67,7 @@ def _snap_rho(rho: float) -> float:
     return 0.0 if rho <= _RHO_MIN * 10 else rho
 
 
-def estimate_variance_components(trial: ObservedTrial,
+def estimate_variance_components(trial: ObservedTrial | CellStats,
                                  structure: CorrelationStructure,
                                  return_converged: bool = False):
     """REML variance components of the unweighted model for one structure.
@@ -73,13 +75,20 @@ def estimate_variance_components(trial: ObservedTrial,
     Returns a VarianceComponents (and a convergence flag when
     return_converged is set).  Estimates are clamped to [0, inf) with the
     ICC kept strictly below 1; non-convergence returns the best values
-    found with converged=False.
+    found with converged=False.  The search runs once per cell table and
+    structure; later calls return the memoised result.
     """
-    cells = trial.cells
+    memo = trial.cells.reml_memo
+    if structure not in memo:
+        memo[structure] = _reml(trial.cells, structure)
+    vc, converged = memo[structure]
+    return (vc, converged) if return_converged else vc
 
+
+def _reml(cells: CellStats,
+          structure: CorrelationStructure) -> tuple[VarianceComponents, bool]:
     if structure is CorrelationStructure.INDEPENDENCE:
-        vc = VarianceComponents(max(_sigma2(cells, 0.0, 0.0), 1e-10))
-        return (vc, True) if return_converged else vc
+        return VarianceComponents(max(_sigma2(cells, 0.0, 0.0), 1e-10)), True
 
     lo, hi = _logit(_RHO_MIN), _logit(_RHO_MAX)
     if structure is CorrelationStructure.EXCHANGEABLE:
@@ -94,8 +103,12 @@ def estimate_variance_components(trial: ObservedTrial,
         rho = _snap_rho(_expit(float(res.x)))
         r = rho / (1.0 - rho)
         sigma2 = max(_sigma2(cells, r, r), 1e-10)
-        vc = VarianceComponents(sigma2, tau_alpha2=sigma2 * r)
-        return (vc, bool(res.success)) if return_converged else vc
+        return VarianceComponents(sigma2, tau_alpha2=sigma2 * r), bool(res.success)
+
+    if max(cells.k0.max(), cells.k1.max()) < 2:
+        raise EstimationError(
+            "nested REML needs a cell with at least two records: with one "
+            "record per cell, sigma_w2 and tau_gamma2 are not identified")
 
     clo, chi = _logit(_CAC_MIN), _logit(_CAC_MAX)
 
@@ -121,4 +134,4 @@ def estimate_variance_components(trial: ObservedTrial,
     total = sigma2 * q
     vc = VarianceComponents(sigma2, tau_alpha2=cac * total,
                             tau_gamma2=(1.0 - cac) * total)
-    return (vc, bool(res.success)) if return_converged else vc
+    return vc, bool(res.success)

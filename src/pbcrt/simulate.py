@@ -15,10 +15,9 @@ import numpy as np
 from scipy import stats as sps
 
 from .estimands import PopulationMixture, true_cate, true_pate
-from .estimators import EstimationError, EstimatorKind, FitOptions, fit
-from .inference import confidence_interval, wald_test
-from .reml import estimate_variance_components
-from .trial import CorrelationStructure, ObservedTrial, VarianceComponents
+from .estimators import EstimationError, EstimatorKind, FitOptions
+from .inference import confidence_interval, fit_with_inference, wald_test
+from .trial import ObservedTrial, VarianceComponents
 
 __all__ = [
     "SimScenario",
@@ -158,7 +157,7 @@ class EstimatorSummary:
     estimator: EstimatorKind
     n_ok: int
     n_failures: int
-    n_reml_nonconverged: int  # replicates with a non-converged REML in any of their fits
+    n_reml_nonconverged: int  # completed replicates whose fit or refits used non-converged REML
     mean_estimate: float
     mc_variance: float
     rel_bias_pate_pct: float
@@ -261,55 +260,28 @@ def _coverage_and_power(d: np.ndarray, var: np.ndarray, targets,
 def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimReport:
     """Run all replicates, fit every requested estimator, and summarize.
 
-    A replicate that fails to fit one estimator is excluded for that
-    estimator only; more than 5 percent failures for any estimator stops
-    the study.
+    Each estimator is fitted, with its jackknife when the scenario asks
+    for one, by `fit_with_inference`.  A replicate that fails to fit one
+    estimator is excluded for that estimator only; more than 5 percent
+    failures for any estimator stops the study.
     """
     kinds = scenario.estimators
     r_tot = scenario.reps
-    deltas = {k: np.full(r_tot, np.nan) for k in kinds}
-    mvars = {k: np.full(r_tot, np.nan) for k in kinds}
-    jvars = {k: np.full(r_tot, np.nan) for k in kinds} if scenario.jackknife else None
+    # Per replicate: delta_hat, model variance, jackknife variance.
+    fits = {k: np.full((r_tot, 3), np.nan) for k in kinds}
     failures = {k: 0 for k in kinds}
-    nonconverged = {k: set() for k in kinds}  # replicates, per estimator
-
-    # Variance components depend only on (trial, structure), so fits and
-    # jackknife refits that share a structure reuse one REML per trial.
-    mixed_structures = {k.structure for k in kinds if k.mixed}
-    share_reml = options.vc is None and mixed_structures
-
-    def fit_options_for(kind, trial, cache):
-        if not (share_reml and kind.mixed):
-            return options
-        if kind.structure not in cache:
-            cache[kind.structure] = estimate_variance_components(
-                trial, kind.structure, return_converged=True)
-        vc, converged = cache[kind.structure]
-        if not converged:
-            nonconverged[kind].add(r)
-        return FitOptions(vc=vc)
+    nonconverged = {k: 0 for k in kinds}
 
     for r in range(r_tot):
         trial = generate_trial(scenario, r)
-        subtrials = ([trial.drop_cluster(c) for c in trial.cells.ids]
-                     if scenario.jackknife else [])
-        cache: dict[CorrelationStructure, tuple[VarianceComponents, bool]] = {}
-        sub_caches: list[dict] = [{} for _ in subtrials]
         for k in kinds:
             try:
-                res = fit(trial, k, fit_options_for(k, trial, cache))
-                deltas[k][r] = res.delta_hat
-                mvars[k][r] = res.model_based_var
-                if scenario.jackknife:
-                    reps = np.array(
-                        [fit(sub, k, fit_options_for(k, sub, sc)).delta_hat
-                         for sub, sc in zip(subtrials, sub_caches)])
-                    n_c = len(reps)
-                    jvars[k][r] = ((n_c - 1) / n_c
-                                   * float(np.sum((reps - reps.mean()) ** 2)))
+                res = fit_with_inference(trial, k, options, scenario.jackknife)
             except EstimationError:
                 failures[k] += 1
-                deltas[k][r] = np.nan
+                continue
+            fits[k][r] = res.delta_hat, res.model_based_var, res.jackknife_var
+            nonconverged[k] += not res.converged
 
     max_fail = max(failures.values())
     if max_fail > 0.05 * r_tot:
@@ -323,17 +295,15 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
     summaries = []
     estimates = {}
     for k in kinds:
-        ok = np.isfinite(deltas[k])
-        d = deltas[k][ok]
-        mv = mvars[k][ok]
-        n_ok = int(ok.sum())
+        d, mv, jv = fits[k][np.isfinite(fits[k][:, 0])].T
+        n_ok = d.size
         mean = float(d.mean())
         mc_var = float(d.var(ddof=1)) if n_ok > 1 else 0.0
         cov_m_p, cov_m_c, pow_m = _coverage_and_power(
             d, mv, (pate, cate), scenario.n_clusters, level)
         s = EstimatorSummary(
             estimator=k, n_ok=n_ok, n_failures=failures[k],
-            n_reml_nonconverged=len(nonconverged[k]),
+            n_reml_nonconverged=nonconverged[k],
             mean_estimate=mean, mc_variance=mc_var,
             rel_bias_pate_pct=_rel_bias_pct(mean, pate),
             rel_bias_cate_pct=_rel_bias_pct(mean, cate),
@@ -343,7 +313,6 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
             coverage_model_pate=cov_m_p, coverage_model_cate=cov_m_c,
             power_model=pow_m)
         if scenario.jackknife:
-            jv = jvars[k][ok]
             s.mean_jackknife_variance = float(jv.mean())
             (s.coverage_jackknife_pate, s.coverage_jackknife_cate,
              s.power_jackknife) = _coverage_and_power(

@@ -7,8 +7,8 @@ period 1 only, so the treatment indicator is fully determined by
 
 Individual records exist only at the boundary: `ObservedTrial` validates
 them and reduces them once to `CellStats`, the per-cluster cell sizes,
-sums and sums of squares that every fit reads.  Deleting a cluster for the
-jackknife deletes one row of those arrays.
+sums and sums of squares that every fit reads.  The jackknife refits on
+those arrays with one row deleted.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "TrialValidationError",
+    "EstimationError",
     "CorrelationStructure",
     "WeightingScheme",
     "VarianceComponents",
@@ -32,6 +33,10 @@ __all__ = [
 
 class TrialValidationError(ValueError):
     """Raised when trial records violate a structural invariant."""
+
+
+class EstimationError(RuntimeError):
+    """A fit could not be computed (singular design, degenerate arms, ...)."""
 
 
 class CorrelationStructure(Enum):
@@ -116,7 +121,8 @@ class CellStats:
     Every model here has design rows constant within a cluster-period cell
     and a covariance block constant over cell pairs, so the two cell sizes,
     the two cell sums and the sums of squares carry all the information
-    any fit needs.  Clusters are in first-appearance order.
+    any fit needs.  Clusters are in first-appearance order.  The arrays
+    are read-only, so results memoised on the table cannot go stale.
     """
 
     ids: np.ndarray       # cluster labels (str objects)
@@ -128,6 +134,10 @@ class CellStats:
     ss0: np.ndarray       # cell sums of squared outcomes
     ss1: np.ndarray
 
+    def __post_init__(self):
+        for a in self._arrays():
+            a.flags.writeable = False
+
     def _arrays(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in fields(self)]
 
@@ -137,12 +147,27 @@ class CellStats:
                         for a, b in zip(self._arrays(), other._arrays())))
 
     @property
+    def cells(self) -> "CellStats":
+        """The table itself, so that fits accept it in place of a trial."""
+        return self
+
+    @property
     def n_clusters(self) -> int:
         return int(self.ids.size)
 
     @cached_property
     def n_obs(self) -> int:
         return int(self.k0.sum() + self.k1.sum())
+
+    @cached_property
+    def deletions(self) -> list["CellStats"]:
+        """The delete-one-cluster tables of the jackknife, built once."""
+        return [self.drop(i) for i in range(self.n_clusters)]
+
+    @cached_property
+    def reml_memo(self) -> dict:
+        """REML results on this table by correlation structure."""
+        return {}
 
     @property
     def equal_period_sizes(self) -> bool:
@@ -174,12 +199,6 @@ def _cluster_codes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = np.empty(len(index), dtype=object)
     ids[:] = list(index)
     return np.repeat(run_code, np.diff(heads, append=labels.size)), ids
-
-
-def _check_arms(cells: CellStats) -> None:
-    if cells.sequence.min() == cells.sequence.max():
-        raise TrialValidationError(
-            "trial needs at least one cluster in each sequence arm")
 
 
 class ObservedTrial:
@@ -226,16 +245,17 @@ class ObservedTrial:
             raise TrialValidationError(
                 f"cluster {ids[empty[0] // 2]!r} lacks records in period "
                 f"{empty[0] % 2}")
-        cells = CellStats(ids, (n_treated > 0).astype(np.float64),
-                          k[0::2], k[1::2], s[0::2], s[1::2], ss[0::2], ss[1::2])
-        _check_arms(cells)
+        arm = (n_treated > 0).astype(np.float64)
+        if arm.min() == arm.max():
+            raise TrialValidationError(
+                "trial needs at least one cluster in each sequence arm")
 
         self.cluster_ids = ids[code]
         self.periods = per
         self.sequences = seq
         self.outcomes = y
-        self.cells = cells
-        self._code = code
+        self.cells = CellStats(ids, arm, k[0::2], k[1::2], s[0::2], s[1::2],
+                               ss[0::2], ss[1::2])
 
     @property
     def n_clusters(self) -> int:
@@ -250,23 +270,12 @@ class ObservedTrial:
         return self.cells.equal_period_sizes
 
     def drop_cluster(self, cluster_id: str) -> "ObservedTrial":
-        """Return the subtrial omitting one full cluster (for jackknife refits)."""
-        hit = np.nonzero(self.cells.ids == str(cluster_id))[0]
-        if not hit.size:
+        """Return the subtrial omitting one full cluster."""
+        keep = self.cluster_ids != str(cluster_id)
+        if keep.all():
             raise KeyError(f"no cluster {cluster_id!r} in trial")
-        i = int(hit[0])
-        cells = self.cells.drop(i)
-        _check_arms(cells)
-        keep = self._code != i
-        sub = object.__new__(ObservedTrial)
-        sub.cluster_ids = self.cluster_ids[keep]
-        sub.periods = self.periods[keep]
-        sub.sequences = self.sequences[keep]
-        sub.outcomes = self.outcomes[keep]
-        sub.cells = cells
-        code = self._code[keep]
-        sub._code = code - (code > i)
-        return sub
+        return ObservedTrial(self.cluster_ids[keep], self.periods[keep],
+                             self.sequences[keep], self.outcomes[keep])
 
     @classmethod
     def from_records(cls, records: Iterable[tuple]) -> "ObservedTrial":

@@ -314,3 +314,17 @@ class TestFitResult:
         assert r.vc_hat.tau_gamma2 == 0.0
         rn = fit(t, EstimatorKind.NEME)
         assert rn.vc_hat.sigma_w2 > 0
+
+    def test_normal_equations_one_factorization(self):
+        # Coefficients and the (delta, delta) entry of the inverse come
+        # from one Cholesky factor; a singular system is refused.
+        from pbcrt.estimators import EstimationError, _solve_normal
+
+        a = np.random.default_rng(116).standard_normal((3, 3))
+        m, v = a @ a.T + 0.1 * np.eye(3), np.array([1.0, -2.0, 0.5])
+        theta, inv_dd = _solve_normal(m, v)
+        inv = np.linalg.inv(m)
+        assert theta == pytest.approx(inv @ v, rel=1e-12)
+        assert inv_dd == pytest.approx(inv[1, 1], rel=1e-12)
+        with pytest.raises(EstimationError, match="singular"):
+            _solve_normal(np.ones((3, 3)), v)

@@ -71,6 +71,25 @@ class TestJackknife:
         assert r.jackknife_replicates.shape == (4,)
         assert r.jackknife_var >= 0
 
+    def test_converged_covers_refits(self, monkeypatch):
+        # One jackknife refit whose REML did not converge makes the result
+        # non-converged, though the full-data fit converged.
+        import pbcrt.estimators as est
+
+        t = four_cluster_trial()
+        reml = est.estimate_variance_components
+
+        def one_refit_fails(trial, structure, return_converged=False):
+            vc, converged = reml(trial, structure, return_converged=True)
+            return vc, converged and trial.cells is not t.cells.deletions[2]
+
+        monkeypatch.setattr(est, "estimate_variance_components",
+                            one_refit_fails)
+        assert fit(t, EstimatorKind.EME).converged
+        assert fit_with_inference(t, EstimatorKind.EME, jackknife=False).converged
+        assert not fit_with_inference(t, EstimatorKind.EME).converged
+        assert fit_with_inference(t, EstimatorKind.FE).converged
+
     def test_model_based_variance_matches_fit(self):
         t = four_cluster_trial()
         assert model_based_variance(t, EstimatorKind.IEE) == pytest.approx(

@@ -164,6 +164,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "delta_hat" in out
 
+    def test_fit_reports_nonconvergence(self, tmp_path, capsys, monkeypatch):
+        # Non-converged REML leaves stdout as it is, sets "converged" in
+        # the JSON and warns on stderr.
+        import pbcrt.estimators as est
+
+        trial_path = tmp_path / "t.csv"
+        emit_trial_csv(sim_trial(), trial_path)
+        json_path = tmp_path / "f.json"
+        argv = ["fit", str(trial_path), "--estimator", "neme",
+                "--variance", "both", "--json", str(json_path)]
+        runs = []
+        for converges in (True, False):
+            if not converges:
+                reml = est.estimate_variance_components
+                monkeypatch.setattr(
+                    est, "estimate_variance_components",
+                    lambda *a, **kw: (reml(*a, **kw)[0], False))
+            assert main(argv) == 0
+            runs.append((capsys.readouterr(),
+                         json.loads(json_path.read_text())))
+        (ok, ok_doc), (bad, bad_doc) = runs
+        assert ok_doc["converged"] and not bad_doc["converged"]
+        assert bad.out == ok.out
+        assert ok.err == ""
+        assert "did not converge" in bad.err
+
     def test_fit_validation_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("cluster_id,period,sequence,outcome\na,0,0,1.0\n")

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+import pbcrt.estimators
 from pbcrt import (
     CorrelationStructure,
+    EstimationError,
+    EstimatorKind,
+    ObservedTrial,
     PopulationMixture,
     SimScenario,
     VarianceComponents,
     estimate_variance_components,
+    fit,
     generate_trial,
 )
 
@@ -95,6 +100,20 @@ class TestNestedExchangeable:
             t, CorrelationStructure.NESTED_EXCHANGEABLE, return_converged=True)
         assert converged
         assert est.sigma_w2 > 0
+
+    def test_one_record_per_cell_not_identified(self):
+        # Only sigma_w2 + tau_gamma2 is identified when no cell holds two
+        # records, so the nested fit refuses instead of splitting it.
+        rng = np.random.default_rng(12)
+        t = ObservedTrial.from_cell_means(
+            (f"c{i}", i % 2, 1, 1, *rng.standard_normal(2)) for i in range(12))
+        with pytest.raises(EstimationError, match="two records"):
+            estimate_variance_components(
+                t, CorrelationStructure.NESTED_EXCHANGEABLE)
+        with pytest.raises(EstimationError, match="two records"):
+            fit(t, EstimatorKind.NEME)
+        assert fit(t, EstimatorKind.EME).vc_hat.sigma_w2 > 0
+        assert pbcrt.estimators.EstimationError is EstimationError
 
     def test_too_few_clusters(self):
         cells = [("a", 0, 2, 2, 1.0, 2.0)]

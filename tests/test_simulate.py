@@ -15,6 +15,7 @@ from pbcrt import (
     VarianceComponents,
     expand_truncated_poisson,
     fit,
+    fit_with_inference,
     generate_trial,
     plim,
     run_study,
@@ -196,16 +197,44 @@ class TestStudy:
         assert 0.0 <= s.coverage_jackknife_cate <= 1.0
 
     def test_matches_independent_fits(self):
-        # The study's shared REML caching must not change any estimate.
-        sc = scenario(reps=2, estimators=(EstimatorKind.EME,
-                                          EstimatorKind.NEMEW))
+        # REML shared between estimators and refits must not change any
+        # estimate, model variance or jackknife variance.
+        sc = scenario(n_clusters=6, reps=2, jackknife=True)
         rep = run_study(sc)
-        for r in range(2):
-            t = generate_trial(sc, r)
-            assert rep.estimates["eme"][r] == pytest.approx(
-                fit(t, EstimatorKind.EME).delta_hat, abs=1e-12)
-            assert rep.estimates["nemew"][r] == pytest.approx(
-                fit(t, EstimatorKind.NEMEW).delta_hat, abs=1e-12)
+        for s in rep.summaries:
+            fits = [fit_with_inference(generate_trial(sc, r), s.estimator)
+                    for r in range(sc.reps)]
+            assert rep.estimates[s.estimator.value] == [
+                f.delta_hat for f in fits]
+            assert s.mean_model_variance == float(np.mean(
+                [f.model_based_var for f in fits]))
+            assert s.mean_jackknife_variance == float(np.mean(
+                [f.jackknife_var for f in fits]))
+
+    def test_one_reml_search_per_table_and_structure(self, monkeypatch):
+        # eme/emew and neme/nemew share one REML search on each trial and
+        # on each of its I delete-one tables.
+        import types
+
+        import pbcrt.reml as reml
+        from scipy import optimize
+
+        calls = {"minimize_scalar": 0, "minimize": 0}
+
+        def counted(name):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return getattr(optimize, name)(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(reml, "optimize", types.SimpleNamespace(
+            **{name: counted(name) for name in calls}))
+        sc = scenario(n_clusters=6, reps=2, jackknife=True,
+                      estimators=(EstimatorKind.EME, EstimatorKind.EMEW,
+                                  EstimatorKind.NEME, EstimatorKind.NEMEW))
+        run_study(sc)
+        assert calls == {"minimize_scalar": sc.reps * (1 + 6),
+                         "minimize": sc.reps * (1 + 6)}
 
     def test_rates_equal_per_replicate_helpers(self):
         # The vectorised coverage and power of a jackknife study equal the
@@ -241,7 +270,7 @@ class TestStudy:
         # The count is of replicates, like n_ok and n_failures: a replicate
         # counts once however many of its fits and refits used a
         # non-converged REML.
-        import pbcrt.simulate as sim
+        import pbcrt.estimators as est
 
         def study(fails):
             def reml(trial, structure, return_converged=False):
@@ -249,7 +278,7 @@ class TestStudy:
                 nested = structure is CorrelationStructure.NESTED_EXCHANGEABLE
                 return VC, not (nested and fails(trial))
 
-            monkeypatch.setattr(sim, "estimate_variance_components", reml)
+            monkeypatch.setattr(est, "estimate_variance_components", reml)
             doc = run_study(sc).to_json_dict()
             return {s["estimator"]: s["n_reml_nonconverged"]
                     for s in doc["summaries"]}
@@ -270,13 +299,13 @@ class TestStudy:
             "neme": 1, "nemew": 1}
 
     def test_failure_policy(self, monkeypatch):
-        import pbcrt.simulate as sim
+        import pbcrt.inference as inf
 
         def failing_fit(trial, kind, options=None):
             from pbcrt.estimators import EstimationError
             raise EstimationError("boom")
 
-        monkeypatch.setattr(sim, "fit", failing_fit)
+        monkeypatch.setattr(inf, "fit", failing_fit)
         with pytest.raises(StudyError, match="failed"):
             run_study(scenario(reps=4, estimators=(EstimatorKind.IEE,)))
 

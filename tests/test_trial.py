@@ -97,6 +97,14 @@ class TestIndexing:
         with pytest.raises(KeyError):
             t.drop_cluster("nope")
 
+    def test_cells_read_only(self):
+        # Results memoised on a cell table cannot go stale.
+        c = make_trial(BASIC).cells
+        with pytest.raises(ValueError, match="read-only"):
+            c.sum0[0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            c.deletions[0].k1[0] = 9.0
+
     def test_from_cell_means(self):
         t = ObservedTrial.from_cell_means([
             ("a", 0, 2, 3, 1.5, 2.5), ("b", 1, 1, 1, 0.0, 4.0)])
@@ -189,7 +197,7 @@ class TestIndexing:
 
 class TestDropCluster:
     def check_drops(self, t, recs, depth):
-        for cid in t.cells.ids:
+        for i, cid in enumerate(t.cells.ids):
             kept = [r for r in recs if r[0] != cid]
             try:
                 want = ObservedTrial.from_records(kept)
@@ -197,6 +205,7 @@ class TestDropCluster:
                 with pytest.raises(TrialValidationError, match="arm"):
                     t.drop_cluster(cid)
                 continue
+            assert t.cells.deletions[i] == want.cells
             sub = t.drop_cluster(cid)
             assert sub.cells == want.cells
             assert np.array_equal(sub.cluster_ids, want.cluster_ids)
@@ -209,8 +218,9 @@ class TestDropCluster:
                     min_size=2, max_size=7),
            st.randoms(use_true_random=False))
     def test_equals_reindexed_subset(self, sizes, rnd):
-        # Deleting a cells row gives exactly the statistics and records of
-        # re-indexing the remaining records, also after a second deletion.
+        # Deleting a cells row, as the jackknife does, and drop_cluster give
+        # exactly the statistics and records of re-indexing the remaining
+        # records, also after a second deletion.
         recs = [(f"c{i}", j, i % 2, rnd.uniform(-10, 10))
                 for i, k in enumerate(sizes) for j in (0, 1) for _ in range(k[j])]
         rnd.shuffle(recs)

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import normal_equations, structure_taus
+from .blocks import cholesky3, lower_solve3, normal_equations, structure_taus
 from .reml import estimate_variance_components
 from .trial import (
     CellStats,
@@ -125,12 +125,16 @@ def fit(trial: ObservedTrial | CellStats, kind: EstimatorKind,
 def _solve_normal(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
     """M^-1 v and the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for
     the Cholesky factor L of M."""
-    try:
-        c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("singular normal equations") from exc
-    z = np.linalg.solve(c, [0.0, 1.0, 0.0])
-    return np.linalg.solve(c.T, np.linalg.solve(c, v)), float(z @ z)
+    chol = cholesky3(m)
+    if chol is None:
+        raise EstimationError("singular normal equations")
+    l00, l10, l11, l20, l21, l22 = chol
+    z0, z1, z2 = lower_solve3(chol, v.tolist())
+    t2 = z2 / l22
+    t1 = (z1 - l21 * t2) / l11
+    t0 = (z0 - l10 * t1 - l20 * t2) / l00
+    _, e1, e2 = lower_solve3(chol, (0.0, 1.0, 0.0))
+    return np.array([t0, t1, t2]), e1 * e1 + e2 * e2
 
 
 # ---------------------------------------------------------------------------

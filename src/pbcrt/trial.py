@@ -165,6 +165,18 @@ class CellStats:
         return [self.drop(i) for i in range(self.n_clusters)]
 
     @cached_property
+    def within_ss(self) -> np.ndarray:
+        """Within-cell sums of squares about the cell means, per cluster."""
+        return (self.ss0 - self.sum0 * self.sum0 / self.k0
+                + self.ss1 - self.sum1 * self.sum1 / self.k1)
+
+    @cached_property
+    def gls_map(self) -> np.ndarray:
+        """The normal-equation coefficients of `blocks.gls_map`, built once."""
+        from .blocks import gls_map
+        return gls_map(self)
+
+    @cached_property
     def reml_memo(self) -> dict:
         """REML results on this table by correlation structure."""
         return {}
@@ -250,12 +262,17 @@ class ObservedTrial:
             raise TrialValidationError(
                 "trial needs at least one cluster in each sequence arm")
 
-        self.cluster_ids = ids[code]
+        self._code = code
         self.periods = per
         self.sequences = seq
         self.outcomes = y
         self.cells = CellStats(ids, arm, k[0::2], k[1::2], s[0::2], s[1::2],
                                ss[0::2], ss[1::2])
+
+    @cached_property
+    def cluster_ids(self) -> np.ndarray:
+        """Each record's cluster label, gathered on first use."""
+        return self.cells.ids[self._code]
 
     @property
     def n_clusters(self) -> int:

@@ -4,6 +4,10 @@
   structures (`eme_block_terms`, `neme_block_terms`, their log-determinant
   `block_logdet`) and the dense covariance block `dense_block`: the
   closed forms the general `blocks.inverse_cell_terms` must reduce to.
+- `normal_equations_elementwise`: the normal equations summed from the
+  per-cluster entries of C in `inverse_cell_terms_elementwise`, and
+  `normal_equations_exact`, the same system in exact rational arithmetic:
+  the oracles of the one-product assembly `blocks.normal_equations`.
 - `generate_trial_records`: trial generation one cluster at a time with
   per-record Python lists, the stream `simulate.generate_trial` must
   reproduce bit for bit.
@@ -14,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from pbcrt import CorrelationStructure, ObservedTrial, VarianceComponents, WeightingScheme
+from pbcrt import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents, WeightingScheme
 from pbcrt.blocks import structure_taus
 from pbcrt.simulate import SimScenario, _subpop_assignment, _truncated_poisson
 
@@ -113,6 +118,81 @@ def block_logdet(structure: CorrelationStructure, k: int, vc: VarianceComponents
     return (2 * (k - 1) * math.log(s)
             + math.log(s + k * tg)
             + math.log(s + k * tg + 2 * k * ta))
+
+
+def inverse_cell_terms_elementwise(k0, k1, sigma_w2: float, tau_within: float,
+                                   tau_between: float):
+    """Entries (c00, c01, c11) of C = M (s*I + diag(k0, k1) M)^-1 and log det R."""
+    k0 = np.asarray(k0, dtype=np.float64)
+    k1 = np.asarray(k1, dtype=np.float64)
+    s, tw, tb = sigma_w2, tau_within, tau_between
+    det = (s + k0 * tw) * (s + k1 * tw) - k0 * k1 * tb * tb
+    c00 = (s * tw + k1 * (tw * tw - tb * tb)) / det
+    c11 = (s * tw + k0 * (tw * tw - tb * tb)) / det
+    c01 = s * tb / det
+    logdet = (k0 + k1 - 2.0) * math.log(s) + np.log(det)
+    return c00, c01, c11, logdet
+
+
+def normal_equations_elementwise(cells: CellStats, tau_within: float,
+                                 tau_between: float, weight=None):
+    """(M, v, y'W y, sum of log-dets), summed from per-cluster aggregates."""
+    k0, k1, t0, t1, s = cells.k0, cells.k1, cells.sum0, cells.sum1, cells.sequence
+    c00, c01, c11, logdet = inverse_cell_terms_elementwise(
+        k0, k1, 1.0, tau_within, tau_between)
+    w0 = k0 - k0 * k0 * c00
+    w1 = k1 - k1 * k1 * c11
+    wx = -k0 * k1 * c01
+    q0 = t0 - k0 * (c00 * t0 + c01 * t1)
+    q1 = t1 - k1 * (c01 * t0 + c11 * t1)
+    r = cells.ss0 + cells.ss1 - (c00 * t0 * t0 + 2.0 * c01 * t0 * t1 + c11 * t1 * t1)
+    if weight is not None:
+        w0, w1, wx, q0, q1, r = (x / weight for x in (w0, w1, wx, q0, q1, r))
+    m = np.empty((3, 3))
+    m[0, 0] = np.sum(w0 + w1 + 2.0 * wx)
+    m[0, 1] = m[1, 0] = np.sum(s * (w1 + wx))
+    m[0, 2] = m[2, 0] = np.sum(w1 + wx)
+    m[1, 1] = m[1, 2] = m[2, 1] = np.sum(s * w1)
+    m[2, 2] = np.sum(w1)
+    v = np.array([np.sum(q0 + q1), np.sum(s * q1), np.sum(q1)])
+    return m, v, float(np.sum(r)), float(np.sum(logdet))
+
+
+def normal_equations_exact(cells: CellStats, tau_within: float,
+                           tau_between: float, weight=None):
+    """(M, v, y'W y, y'W y - v'M^-1 v) as Fractions, exact for the float inputs."""
+    tw, tb = Fraction(tau_within), Fraction(tau_between)
+    m = [[Fraction(0)] * 3 for _ in range(3)]
+    v = [Fraction(0)] * 3
+    yy = Fraction(0)
+    weights = np.ones_like(cells.k0) if weight is None else weight
+    for row in zip(cells.sequence, cells.k0, cells.k1, cells.sum0, cells.sum1,
+                   cells.ss0, cells.ss1, weights):
+        s, k0, k1, t0, t1, ss0, ss1, w = map(Fraction, map(float, row))
+        det = (1 + k0 * tw) * (1 + k1 * tw) - k0 * k1 * tb * tb
+        c00 = (tw + k1 * (tw * tw - tb * tb)) / det
+        c11 = (tw + k0 * (tw * tw - tb * tb)) / det
+        c01 = tb / det
+        # Rows (1, 0, 0) in period 0 and (1, s, 1) in period 1.
+        x = ((1, 0, 0), (1, s, 1))
+        wc = ((k0 - k0 * k0 * c00, -k0 * k1 * c01),
+              (-k0 * k1 * c01, k1 - k1 * k1 * c11))
+        q = (t0 - k0 * (c00 * t0 + c01 * t1), t1 - k1 * (c01 * t0 + c11 * t1))
+        for a in range(3):
+            v[a] += sum(x[p][a] * q[p] for p in range(2)) / w
+            for b in range(3):
+                m[a][b] += sum(x[p][a] * wc[p][r] * x[r][b]
+                               for p in range(2) for r in range(2)) / w
+        yy += (ss0 + ss1 - (c00 * t0 * t0 + 2 * c01 * t0 * t1
+                            + c11 * t1 * t1)) / w
+    # y'W y - v'M^-1 v by Gaussian elimination on [M | v].
+    a = [row[:] + [v[i]] for i, row in enumerate(m)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            f = a[j][i] / a[i][i]
+            a[j] = [aj - f * ai for aj, ai in zip(a[j], a[i])]
+    quad = yy - sum(a[i][3] ** 2 / a[i][i] for i in range(3))
+    return m, v, yy, quad
 
 
 def generate_trial_records(scenario: SimScenario, replicate_index: int) -> ObservedTrial:

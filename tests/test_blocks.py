@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbcrt import CorrelationStructure, VarianceComponents, WeightingScheme
-from pbcrt.blocks import inverse_cell_terms, structure_taus
+from pbcrt import (CorrelationStructure, ObservedTrial, PopulationMixture,
+                   SimScenario, VarianceComponents, WeightingScheme, generate_trial)
+from pbcrt.blocks import inverse_cell_terms, normal_equations, structure_taus
+from pbcrt.io import load_size_table
 
-from oracles import block_logdet, dense_block, eme_block_terms, neme_block_terms
+from oracles import (block_logdet, dense_block, eme_block_terms, neme_block_terms,
+                     normal_equations_elementwise, normal_equations_exact)
 
 STRUCTS = [CorrelationStructure.EXCHANGEABLE,
            CorrelationStructure.NESTED_EXCHANGEABLE]
@@ -19,6 +22,14 @@ def random_vc(rng):
     return VarianceComponents(sigma_w2=float(rng.uniform(0.1, 3.0)),
                               tau_alpha2=float(rng.uniform(0.0, 1.0)),
                               tau_gamma2=float(rng.uniform(0.0, 1.0)))
+
+
+def cell_terms(k0, k1, s, tw, tb):
+    """(c00, c01, c11, logdet) of R^-1 = (1/s)(I - U C U'), from the basis
+    e = (s, tw, tb) / D that `inverse_cell_terms` returns."""
+    (e_s, e_w, e_b), logdet = inverse_cell_terms(k0, k1, s, tw, tb)
+    return ((1.0 - s * (e_s + k1 * e_w)) / k0, s * e_b,
+            (1.0 - s * (e_s + k0 * e_w)) / k1, logdet)
 
 
 def dense_inverse_entries(structure, k, vc):
@@ -117,7 +128,7 @@ class TestGeneralCellTerms:
             vc = random_vc(rng)
             for structure in STRUCTS:
                 tw, tb = structure_taus(structure, vc)
-                c00, c01, c11, logdet = inverse_cell_terms(
+                c00, c01, c11, logdet = cell_terms(
                     np.array([k0]), np.array([k1]), vc.sigma_w2, tw, tb)
                 r = dense_block(structure, k0, k1, vc)
                 rinv = np.linalg.inv(r)
@@ -136,17 +147,17 @@ class TestGeneralCellTerms:
         vc = VarianceComponents(1.1, 0.4, 0.2)
         for k in (1, 4, 6):
             tw, tb = structure_taus(CorrelationStructure.NESTED_EXCHANGEABLE, vc)
-            c00, c01, c11, _ = inverse_cell_terms(k, k, vc.sigma_w2, tw, tb)
+            c00, c01, c11, _ = cell_terms(k, k, vc.sigma_w2, tw, tb)
             t = neme_block_terms(k, vc)
             s = vc.sigma_w2
             # a = within-cell row sum of the inverse, times K
-            a = k / s - k * k * float(c00) / s
+            a = k / s - k * k * c00[0] / s
             assert a == pytest.approx(t.d * k + t.f * k * (k - 1), abs=1e-12)
-            assert -k * k * float(c01) / s == pytest.approx(t.b, abs=1e-12)
+            assert -k * k * c01[0] / s == pytest.approx(t.b, abs=1e-12)
 
     def test_independence_collapse(self):
-        c00, c01, c11, logdet = inverse_cell_terms(3, 5, 2.0, 0.0, 0.0)
-        assert float(c00) == 0.0 and float(c01) == 0.0 and float(c11) == 0.0
+        c00, c01, c11, logdet = cell_terms(3, 5, 2.0, 0.0, 0.0)
+        assert c00[0] == 0.0 and c01[0] == 0.0 and c11[0] == 0.0
         assert float(logdet) == pytest.approx(8 * math.log(2.0))
 
     def test_zero_gamma_collapse(self):
@@ -189,3 +200,85 @@ def test_monotone_downweighting_of_large_clusters():
     vc = VarianceComponents(1.0, 0.1, 0.0)
     per = [eme_block_terms(k, vc).a / k for k in range(1, 60)]
     assert all(a > b for a, b in zip(per, per[1:]))
+
+
+def jiah_size_cells(seed, mean):
+    """Cell statistics of random outcomes on the bundled unequal size table."""
+    rng = np.random.default_rng(seed)
+    cids, pers, seqs, ys = [], [], [], []
+    for cid, seq, k0, k1 in load_size_table():
+        alpha = 0.2 * rng.standard_normal()
+        cids += [cid] * (k0 + k1)
+        pers += [0] * k0 + [1] * k1
+        seqs += [seq] * (k0 + k1)
+        ys += list(mean + alpha + rng.standard_normal(k0))
+        ys += list(mean + 0.2 + 0.35 * seq + alpha + rng.standard_normal(k1))
+    return ObservedTrial(cids, pers, seqs, ys).cells
+
+
+def equal_size_cells(seed, mean):
+    sc = SimScenario(n_clusters=10,
+                     mixture=PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5),
+                     vc=VarianceComponents(1.0, 0.053, 0.013), reps=1,
+                     master_seed=seed, fixed_sizes=True, mu=mean)
+    return generate_trial(sc, 0).cells
+
+
+class TestAssemblyAccuracy:
+    """The one-product assembly against exact rational arithmetic.
+
+    The error of M is its largest entry error over its largest entry.  The
+    error of y'Wy - v'M^-1 v (both solved by np.linalg.solve) is taken in
+    units of y'y, the weighted sum of the squared outcomes it is computed
+    from: at outcome mean 100, y'Wy and v'M^-1 v nearly cancel, and no
+    assembly from float cell statistics is exact to better than rounding
+    of y'y.  The assembly must be at least as accurate as the elementwise
+    sum of C's entries, on the quadratic form up to a few units of that
+    rounding.
+    """
+
+    RATIOS = (0.0, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4)
+    EPS = float(np.finfo(np.float64).eps)
+
+    @staticmethod
+    def errors(assemble, cells, tw, tb, weight, exact):
+        m, v, yy, _ = assemble(cells, tw, tb, weight)
+        m_x, _, _, quad_x = exact
+        scale = max(abs(x) for row in m_x for x in row)
+        err_m = max(abs(Fraction(float(m[i, j])) - m_x[i][j])
+                    for i in range(3) for j in range(3)) / scale
+        quad = yy - float(v @ np.linalg.solve(m, v))
+        y_y = np.sum((cells.ss0 + cells.ss1) / (1.0 if weight is None else weight))
+        return float(err_m), float(abs(Fraction(quad) - quad_x)) / float(y_y)
+
+    @pytest.mark.parametrize("mean", [1.0, 100.0])
+    @pytest.mark.parametrize("table,weighted", [("equal", False),
+                                                ("equal", True),
+                                                ("jiah", False)])
+    def test_matches_exact_at_least_as_well(self, table, weighted, mean):
+        cells = (equal_size_cells(31, mean) if table == "equal"
+                 else jiah_size_cells(32, mean))
+        weight = cells.k0 if weighted else None
+        new, old = np.zeros(2), np.zeros(2)
+        for ratio in self.RATIOS:
+            for cac in (0.0, 0.5, 1.0):
+                tw, tb = ratio, cac * ratio
+                exact = normal_equations_exact(cells, tw, tb, weight)
+                new = np.maximum(new, self.errors(normal_equations, cells, tw,
+                                                  tb, weight, exact))
+                old = np.maximum(old, self.errors(normal_equations_elementwise,
+                                                  cells, tw, tb, weight, exact))
+        print(f"{table} weighted={weighted} mean={mean}: max error of M "
+              f"{new[0]:.2e} (elementwise {old[0]:.2e}), of the quadratic "
+              f"form {new[1] / self.EPS:.2f} (elementwise "
+              f"{old[1] / self.EPS:.2f}) units of rounding of y'y")
+        assert new[0] <= old[0] and new[0] <= 1e-15
+        assert new[1] <= max(old[1], 4.0 * self.EPS)
+
+    def test_log_determinants_match_elementwise(self):
+        cells = jiah_size_cells(33, 1.0)
+        for ratio in self.RATIOS:
+            for cac in (0.0, 0.5, 1.0):
+                got = normal_equations(cells, ratio, cac * ratio)[3]
+                want = normal_equations_elementwise(cells, ratio, cac * ratio)[3]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

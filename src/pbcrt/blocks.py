@@ -79,31 +79,34 @@ def gls_map(cells: CellStats) -> np.ndarray:
     residual scale, the product with this matrix gives, in order,
     M[0, 0], M[0, 1], M[0, 2], M[1, 1] (= M[1, 2]), M[2, 2], the three
     entries of v, and y'W y less the within-cell sums of squares.  Per
-    cluster, the inverse-block aggregates are
+    cluster, with cell means m0, m1 and kk = k0 k1, the inverse-block
+    aggregates are
 
-        w0 = k0 (1 + k1 tw) / D,  w1 = k1 (1 + k0 tw) / D,  wx = -k0 k1 tb / D,
-        q0 = (t0 (1 + k1 tw) - k0 tb t1) / D,  q1 = (t1 (1 + k0 tw) - k1 tb t0) / D,
+        w0 = k0 (1 + k1 tw) / D,  w1 = k1 (1 + k0 tw) / D,  wx = -kk tb / D,
+        q0 = (k0 m0 (1 + k1 tw) - kk tb m1) / D,
+        q1 = (k1 m1 (1 + k0 tw) - kk tb m0) / D,
 
-    and the quadratic form of the cell sums is
-    ((t0^2/k0)(1 + k1 tw) + (t1^2/k1)(1 + k0 tw) - 2 tb t0 t1) / D.
+    and the quadratic form of the cell means is
+    (k0 m0^2 (1 + k1 tw) + k1 m1^2 (1 + k0 tw) - 2 kk tb m0 m1) / D.
     """
-    k0, k1, t0, t1, s = cells.k0, cells.k1, cells.sum0, cells.sum1, cells.sequence
+    k0, k1, m0, m1, s = cells.k0, cells.k1, cells.mean0, cells.mean1, cells.sequence
     kk = k0 * k1
     zero = np.zeros_like(k0)
     w1 = (k1, kk, zero)
     w1x = (k1, kk, -kk)
-    q1 = (t1, k0 * t1, -k1 * t0)
+    q1 = (k1 * m1, kk * m1, -kk * m0)
+    m01 = kk * (m0 + m1)
     rows = [
         (k0 + k1, 2.0 * kk, -2.0 * kk),
         tuple(s * c for c in w1x),
         w1x,
         tuple(s * c for c in w1),
         w1,
-        (t0 + t1, k1 * t0 + k0 * t1, -(k0 * t1 + k1 * t0)),
+        (k0 * m0 + k1 * m1, m01, -m01),
         tuple(s * c for c in q1),
         q1,
-        (t0 * t0 / k0 + t1 * t1 / k1, k1 * t0 * t0 / k0 + k0 * t1 * t1 / k1,
-         -2.0 * t0 * t1),
+        (k0 * m0 * m0 + k1 * m1 * m1, kk * (m0 * m0 + m1 * m1),
+         -2.0 * kk * m0 * m1),
     ]
     return np.array([np.concatenate(r) for r in rows])
 
@@ -120,7 +123,7 @@ def normal_equations(cells: CellStats, tau_within: float, tau_between: float,
     """
     e, logdet = inverse_cell_terms(cells.k0, cells.k1, 1.0, tau_within,
                                    tau_between)
-    within = cells.within_ss
+    within = cells.within
     if weight is not None:
         e, within = e / weight, within / weight
     return _system(cells.gls_map @ e.ravel(), within.sum(), logdet.sum())
@@ -149,7 +152,7 @@ def normal_equations_with_gradient(cells: CellStats, tau_within: float,
     de_w[1] += e[0]
     de_b[2] += e[0]
     x = cells.gls_map @ np.column_stack((e.ravel(), de_w.ravel(), de_b.ravel()))
-    return [_system(x[:, 0], cells.within_ss.sum(), logdet.sum()),
+    return [_system(x[:, 0], cells.within.sum(), logdet.sum()),
             _system(x[:, 1], 0.0, a_w.sum()), _system(x[:, 2], 0.0, a_b.sum())]
 
 

@@ -157,22 +157,21 @@ def _fixed_effects(cells: CellStats) -> tuple[float, float, float]:
 
     By the Frisch-Waugh-Lovell theorem, profiling out the cluster effects
     leaves a weighted regression of each cluster's period difference
-    d = ybar1 - ybar0 on its sequence with weights h = k0 k1 / (k0 + k1):
+    d = mean1 - mean0 on its sequence with weights h = k0 k1 / (k0 + k1):
     delta_hat is the difference of the arms' h-weighted means of d, with
     variance sigma2 (1/H0 + 1/H1) for arm weight totals H, and the
-    residual sum of squares adds the within-cell sums of squares.
+    residual sum of squares adds the table's within-cell sums of squares.
     """
     dof = cells.n_obs - cells.n_clusters - 2
     if dof <= 0:
         raise EstimationError("saturated design: no residual degrees of freedom")
-    k0, k1, t0, t1 = cells.k0, cells.k1, cells.sum0, cells.sum1
+    k0, k1 = cells.k0, cells.k1
     seq = cells.sequence.astype(np.intp)
-    d = t1 / k1 - t0 / k0
+    d = cells.mean1 - cells.mean0
     h = k0 * k1 / (k0 + k1)
     h_arm = np.bincount(seq, weights=h, minlength=2)
     d_arm = np.bincount(seq, weights=h * d, minlength=2) / h_arm
-    within = np.sum(cells.ss0 - t0 * t0 / k0 + cells.ss1 - t1 * t1 / k1)
-    sigma2 = float(within + np.sum(h * (d - d_arm[seq]) ** 2)) / dof
+    sigma2 = float(cells.within.sum() + np.sum(h * (d - d_arm[seq]) ** 2)) / dof
     return (float(d_arm[1] - d_arm[0]),
             sigma2 * float(1.0 / h_arm[0] + 1.0 / h_arm[1]), sigma2)
 
@@ -207,7 +206,9 @@ def gls_point_estimate(trial: ObservedTrial, structure: CorrelationStructure,
     cells = trial.cells
     m, v, _ = _mixed_system(cells, structure, vc,
                             _cluster_weight(cells, weighting))
-    return _solve_normal(m, v)[0]
+    theta = _solve_normal(m, v)[0]
+    theta[0] += cells.origin
+    return theta
 
 
 def _fit_mixed(trial: ObservedTrial | CellStats, kind: EstimatorKind,

@@ -5,10 +5,8 @@ import csv
 import json
 from importlib import resources
 
-from .estimands import PopulationMixture
-from .estimators import EstimatorKind
 from .simulate import SimScenario
-from .trial import ObservedTrial, TrialValidationError, VarianceComponents
+from .trial import ObservedTrial, TrialValidationError
 
 __all__ = [
     "parse_trial_csv",
@@ -72,26 +70,12 @@ def emit_trial_csv(trial: ObservedTrial, path) -> None:
 
 
 def load_scenario_json(path) -> SimScenario:
-    """Build a SimScenario from a JSON config mirroring its fields."""
+    """Build a SimScenario from a JSON config mirroring its fields
+    (`SimScenario.from_dict`)."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        mix = PopulationMixture([(p, k, d) for p, k, d in doc["mixture"]])
-        vc_doc = doc["vc"]
-        vc = VarianceComponents(sigma_w2=vc_doc["sigma_w2"],
-                                tau_alpha2=vc_doc.get("tau_alpha2", 0.0),
-                                tau_gamma2=vc_doc.get("tau_gamma2", 0.0))
-        kinds = tuple(EstimatorKind(k) for k in doc["estimators"]) \
-            if "estimators" in doc else tuple(EstimatorKind)
-        return SimScenario(
-            n_clusters=doc["n_clusters"], mixture=mix, vc=vc,
-            mu=doc.get("mu", 1.0), phi1=doc.get("phi1", 0.2),
-            reps=doc.get("reps", 1000),
-            master_seed=doc.get("master_seed", 0),
-            estimators=kinds, ci_level=doc.get("ci_level", 0.95),
-            jackknife=doc.get("jackknife", True),
-            fixed_sizes=doc.get("fixed_sizes", False),
-            fixed_split=doc.get("fixed_split", False))
+        return SimScenario.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise TrialValidationError(f"{path}: bad scenario config: {exc}") from exc
 

@@ -9,7 +9,9 @@ map (`blocks.normal_equations`) and a 3x3 Cholesky factorisation in
 closed form.  A search that converges is polished by a few Newton steps
 on the analytic gradient, which fixes the optimum to rounding rather than
 to the square root of it; a search stopped at the iteration limit keeps
-its point.  Each result is memoised on its cell table.
+its point.  Each result is memoised on its cell table.  Outcomes that
+leave no residual variation (a profiled quadratic that is not positive)
+raise `EstimationError`.
 """
 from __future__ import annotations
 
@@ -90,7 +92,7 @@ def _gradient(cells: CellStats, tw0: float, tb0: float) -> np.ndarray:
     (m, v, yqy, _), *derivatives = normal_equations_with_gradient(cells, tw0, tb0)
     m_inv = np.linalg.inv(m)
     theta = m_inv @ v
-    quad = yqy - float(theta @ v)
+    quad = _residual(yqy - float(theta @ v))
     dof = cells.n_obs - _N_PARAMS
     return np.array([
         dlogdet + float(np.sum(m_inv * dm))
@@ -103,7 +105,16 @@ def _sigma2(cells: CellStats, tw0: float, tb0: float) -> float:
     chol, quad, _ = _profile(cells, tw0, tb0)
     if chol is None:
         raise EstimationError("singular normal equations")
-    return max(quad, 0.0) / (cells.n_obs - _N_PARAMS)
+    return _residual(quad) / (cells.n_obs - _N_PARAMS)
+
+
+def _residual(quad: float) -> float:
+    """The profiled quadratic y'Wy - v'M^-1 v, which REML divides by."""
+    if not 0.0 < quad < math.inf:
+        raise EstimationError(
+            f"profiled residual sum of squares is {quad!r}: the outcomes "
+            "leave no residual variation to estimate components from")
+    return quad
 
 
 def _polish(cells: CellStats, x, ratios, lo, hi) -> np.ndarray:

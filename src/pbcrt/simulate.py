@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy import stats as sps
@@ -72,6 +72,38 @@ class SimScenario:
             raise ValueError("Poisson size means must be >= 1")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
+
+    def to_dict(self) -> dict:
+        """The fields as JSON values, in the form `from_dict` reads."""
+        return {
+            "n_clusters": self.n_clusters,
+            "mixture": [[s.prob, [s.k0, s.k1], s.delta]
+                        for s in self.mixture.subpops],
+            "vc": asdict(self.vc),
+            "mu": self.mu, "phi1": self.phi1, "reps": self.reps,
+            "master_seed": self.master_seed,
+            "estimators": [k.value for k in self.estimators],
+            "ci_level": self.ci_level, "jackknife": self.jackknife,
+            "fixed_sizes": self.fixed_sizes, "fixed_split": self.fixed_split,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SimScenario":
+        """Build from a dict of field values, as `to_dict` writes them.
+
+        n_clusters, mixture and vc.sigma_w2 are required; every other
+        field keeps its default when absent.  A mixture row is
+        [p, K, delta] or [p, [k0, k1], delta].
+        """
+        kw = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+        kw["mixture"] = PopulationMixture([(p, k, d) for p, k, d in doc["mixture"]])
+        vc = doc["vc"]
+        kw["vc"] = VarianceComponents(sigma_w2=vc["sigma_w2"],
+                                      tau_alpha2=vc.get("tau_alpha2", 0.0),
+                                      tau_gamma2=vc.get("tau_gamma2", 0.0))
+        if "estimators" in doc:
+            kw["estimators"] = tuple(EstimatorKind(k) for k in doc["estimators"])
+        return cls(**kw)
 
 
 def _truncated_poisson(rng: np.random.Generator, mean: float) -> int:
@@ -214,21 +246,8 @@ class SimReport:
                                          repr(s.power_jackknife)])
 
     def to_json_dict(self) -> dict:
-        sc = self.scenario
         return {
-            "scenario": {
-                "n_clusters": sc.n_clusters,
-                "mixture": [[s.prob, [s.k0, s.k1], s.delta]
-                            for s in sc.mixture.subpops],
-                "vc": {"sigma_w2": sc.vc.sigma_w2,
-                       "tau_alpha2": sc.vc.tau_alpha2,
-                       "tau_gamma2": sc.vc.tau_gamma2},
-                "mu": sc.mu, "phi1": sc.phi1, "reps": sc.reps,
-                "master_seed": sc.master_seed,
-                "estimators": [k.value for k in sc.estimators],
-                "ci_level": sc.ci_level, "jackknife": sc.jackknife,
-                "fixed_sizes": sc.fixed_sizes, "fixed_split": sc.fixed_split,
-            },
+            "scenario": self.scenario.to_dict(),
             "pate": self.pate,
             "cate": self.cate,
             "summaries": [{**{k: (v.value if isinstance(v, EstimatorKind) else v)

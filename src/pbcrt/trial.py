@@ -6,8 +6,9 @@ period 1 only, so the treatment indicator is fully determined by
 (sequence, period).
 
 Individual records exist only at the boundary: `ObservedTrial` validates
-them and reduces them once to `CellStats`, the per-cluster cell sizes,
-sums and sums of squares that every fit reads.  The jackknife refits on
+them, subtracts one trial-level origin (the mean outcome) and reduces them
+once to `CellStats`, the per-cluster cell sizes, centred cell means and
+within-cell sums of squares that every fit reads.  The jackknife refits on
 those arrays with one row deleted.
 """
 from __future__ import annotations
@@ -120,29 +121,33 @@ class CellStats:
 
     Every model here has design rows constant within a cluster-period cell
     and a covariance block constant over cell pairs, so the two cell sizes,
-    the two cell sums and the sums of squares carry all the information
-    any fit needs.  Clusters are in first-appearance order.  The arrays
-    are read-only, so results memoised on the table cannot go stale.
+    the two cell means and the within-cell sum of squares carry all the
+    information any fit needs.  The means are of the outcomes less
+    `origin`, one constant per trial; every model has an intercept, so
+    only the intercept depends on it.  Clusters are in first-appearance
+    order.  The arrays are read-only, so results memoised on the table
+    cannot go stale.
     """
 
     ids: np.ndarray       # cluster labels (str objects)
     sequence: np.ndarray  # 0 control arm, 1 treated in period 1
     k0: np.ndarray        # cell sizes
     k1: np.ndarray
-    sum0: np.ndarray      # cell sums of the outcomes
-    sum1: np.ndarray
-    ss0: np.ndarray       # cell sums of squared outcomes
-    ss1: np.ndarray
+    mean0: np.ndarray     # cell means of the outcomes less origin
+    mean1: np.ndarray
+    within: np.ndarray    # sum of squares about the two cell means
+    origin: float         # the outcome the means are taken from
 
     def __post_init__(self):
         for a in self._arrays():
             a.flags.writeable = False
 
     def _arrays(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)]
+        """Every field but the last, origin."""
+        return [getattr(self, f.name) for f in fields(self)[:-1]]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, CellStats)
+        return (isinstance(other, CellStats) and self.origin == other.origin
                 and all(np.array_equal(a, b)
                         for a, b in zip(self._arrays(), other._arrays())))
 
@@ -165,12 +170,6 @@ class CellStats:
         return [self.drop(i) for i in range(self.n_clusters)]
 
     @cached_property
-    def within_ss(self) -> np.ndarray:
-        """Within-cell sums of squares about the cell means, per cluster."""
-        return (self.ss0 - self.sum0 * self.sum0 / self.k0
-                + self.ss1 - self.sum1 * self.sum1 / self.k1)
-
-    @cached_property
     def gls_map(self) -> np.ndarray:
         """The normal-equation coefficients of `blocks.gls_map`, built once."""
         from .blocks import gls_map
@@ -186,14 +185,15 @@ class CellStats:
         return bool(np.array_equal(self.k0, self.k1))
 
     def drop(self, i: int) -> "CellStats":
-        """The statistics without row i."""
-        return CellStats(*(np.delete(a, i) for a in self._arrays()))
+        """The statistics without row i, at the same origin."""
+        return CellStats(*(np.delete(a, i) for a in self._arrays()),
+                         self.origin)
 
     def means(self) -> "CellStats":
         """Cell-means statistics: each cell is one observation, its mean."""
-        m0, m1 = self.sum0 / self.k0, self.sum1 / self.k1
         one = np.ones_like(self.k0)
-        return CellStats(self.ids, self.sequence, one, one, m0, m1, m0**2, m1**2)
+        return CellStats(self.ids, self.sequence, one, one, self.mean0,
+                         self.mean1, np.zeros_like(self.k0), self.origin)
 
 
 def _cluster_codes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +250,6 @@ class ObservedTrial:
                 "sequence value")
         cell = 2 * code + per
         k = np.bincount(cell, minlength=2 * n).astype(np.float64)
-        s = np.bincount(cell, weights=y, minlength=2 * n)
-        ss = np.bincount(cell, weights=y**2, minlength=2 * n)
         empty = np.nonzero(k == 0)[0]
         if empty.size:
             raise TrialValidationError(
@@ -261,13 +259,29 @@ class ObservedTrial:
         if arm.min() == arm.max():
             raise TrialValidationError(
                 "trial needs at least one cluster in each sequence arm")
+        # Two passes (Chan, Golub & LeVeque 1983): cell means of the
+        # outcomes less their mean, then squares about those cell means.
+        # The mean is refined once, so constant outcomes centre to zero.
+        with np.errstate(all="ignore"):
+            origin = float(y.mean())
+            r = y - origin
+            origin += float(r.mean())
+            np.subtract(y, origin, out=r)
+            mean = np.bincount(cell, weights=r, minlength=2 * n) / k
+            r -= mean[cell]
+            ss = np.bincount(cell, weights=np.square(r, out=r), minlength=2 * n)
+            spread = float(np.sum(k * mean * mean) + ss.sum())
+        if not (math.isfinite(origin) and math.isfinite(spread)):
+            raise TrialValidationError(
+                "outcomes too large: their mean or sum of squares about it "
+                "overflows")
 
         self._code = code
         self.periods = per
         self.sequences = seq
         self.outcomes = y
-        self.cells = CellStats(ids, arm, k[0::2], k[1::2], s[0::2], s[1::2],
-                               ss[0::2], ss[1::2])
+        self.cells = CellStats(ids, arm, k[0::2], k[1::2], mean[0::2],
+                               mean[1::2], ss[0::2] + ss[1::2], origin)
 
     @cached_property
     def cluster_ids(self) -> np.ndarray:
@@ -285,14 +299,6 @@ class ObservedTrial:
     @property
     def equal_period_sizes(self) -> bool:
         return self.cells.equal_period_sizes
-
-    def drop_cluster(self, cluster_id: str) -> "ObservedTrial":
-        """Return the subtrial omitting one full cluster."""
-        keep = self.cluster_ids != str(cluster_id)
-        if keep.all():
-            raise KeyError(f"no cluster {cluster_id!r} in trial")
-        return ObservedTrial(self.cluster_ids[keep], self.periods[keep],
-                             self.sequences[keep], self.outcomes[keep])
 
     @classmethod
     def from_records(cls, records: Iterable[tuple]) -> "ObservedTrial":

@@ -13,6 +13,10 @@
   reproduce bit for bit.
 - `str_codes`: cluster codes from str() of every record's label, which the
   run-length coding of `ObservedTrial` must reproduce.
+- `cell_table`: the reduction of records to a cell table about a given
+  origin, one record at a time, and `drop_cluster`, a subtrial re-indexed
+  from the records of the kept clusters: the oracles of
+  `ObservedTrial.cells` and `CellStats.drop`.
 """
 from __future__ import annotations
 
@@ -137,7 +141,8 @@ def inverse_cell_terms_elementwise(k0, k1, sigma_w2: float, tau_within: float,
 def normal_equations_elementwise(cells: CellStats, tau_within: float,
                                  tau_between: float, weight=None):
     """(M, v, y'W y, sum of log-dets), summed from per-cluster aggregates."""
-    k0, k1, t0, t1, s = cells.k0, cells.k1, cells.sum0, cells.sum1, cells.sequence
+    k0, k1, s = cells.k0, cells.k1, cells.sequence
+    t0, t1 = k0 * cells.mean0, k1 * cells.mean1
     c00, c01, c11, logdet = inverse_cell_terms_elementwise(
         k0, k1, 1.0, tau_within, tau_between)
     w0 = k0 - k0 * k0 * c00
@@ -145,7 +150,8 @@ def normal_equations_elementwise(cells: CellStats, tau_within: float,
     wx = -k0 * k1 * c01
     q0 = t0 - k0 * (c00 * t0 + c01 * t1)
     q1 = t1 - k1 * (c01 * t0 + c11 * t1)
-    r = cells.ss0 + cells.ss1 - (c00 * t0 * t0 + 2.0 * c01 * t0 * t1 + c11 * t1 * t1)
+    r = (cells.within + t0 * cells.mean0 + t1 * cells.mean1
+         - (c00 * t0 * t0 + 2.0 * c01 * t0 * t1 + c11 * t1 * t1))
     if weight is not None:
         w0, w1, wx, q0, q1, r = (x / weight for x in (w0, w1, wx, q0, q1, r))
     m = np.empty((3, 3))
@@ -166,9 +172,10 @@ def normal_equations_exact(cells: CellStats, tau_within: float,
     v = [Fraction(0)] * 3
     yy = Fraction(0)
     weights = np.ones_like(cells.k0) if weight is None else weight
-    for row in zip(cells.sequence, cells.k0, cells.k1, cells.sum0, cells.sum1,
-                   cells.ss0, cells.ss1, weights):
-        s, k0, k1, t0, t1, ss0, ss1, w = map(Fraction, map(float, row))
+    for row in zip(cells.sequence, cells.k0, cells.k1, cells.mean0, cells.mean1,
+                   cells.within, weights):
+        s, k0, k1, m0, m1, within, w = map(Fraction, map(float, row))
+        t0, t1 = k0 * m0, k1 * m1
         det = (1 + k0 * tw) * (1 + k1 * tw) - k0 * k1 * tb * tb
         c00 = (tw + k1 * (tw * tw - tb * tb)) / det
         c11 = (tw + k0 * (tw * tw - tb * tb)) / det
@@ -183,8 +190,8 @@ def normal_equations_exact(cells: CellStats, tau_within: float,
             for b in range(3):
                 m[a][b] += sum(x[p][a] * wc[p][r] * x[r][b]
                                for p in range(2) for r in range(2)) / w
-        yy += (ss0 + ss1 - (c00 * t0 * t0 + 2 * c01 * t0 * t1
-                            + c11 * t1 * t1)) / w
+        yy += (within + t0 * m0 + t1 * m1
+               - (c00 * t0 * t0 + 2 * c01 * t0 * t1 + c11 * t1 * t1)) / w
     # y'W y - v'M^-1 v by Gaussian elimination on [M | v].
     a = [row[:] + [v[i]] for i, row in enumerate(m)]
     for i in range(3):
@@ -234,3 +241,40 @@ def str_codes(labels) -> tuple[list[int], list[str]]:
     index: dict[str, int] = {}
     codes = [index.setdefault(str(c), len(index)) for c in labels]
     return codes, list(index)
+
+
+def cell_table(records, origin: float) -> CellStats:
+    """The cell table of (cluster_id, period, sequence, outcome) records
+    about `origin`, summed one record at a time in record order.
+
+    `ObservedTrial`'s per-cell sums run in the same order, so its table at
+    the same origin must be equal bit for bit.
+    """
+    codes, ids = str_codes([r[0] for r in records])
+    k = [[0.0, 0.0] for _ in ids]
+    total = [[0.0, 0.0] for _ in ids]
+    ss = [[0.0, 0.0] for _ in ids]
+    seq = [0.0] * len(ids)
+    for c, (_, p, q, y) in zip(codes, records):
+        k[c][p] += 1.0
+        total[c][p] += y - origin
+        seq[c] = float(q)
+    mean = [[t / n for t, n in zip(ts, ns)] for ts, ns in zip(total, k)]
+    for c, (_, p, _, y) in zip(codes, records):
+        d = (y - origin) - mean[c][p]
+        ss[c][p] += d * d
+    label = np.empty(len(ids), dtype=object)
+    label[:] = ids
+    (k0, k1), (m0, m1) = np.array(k).T, np.array(mean).T
+    return CellStats(label, np.array(seq), k0, k1, m0, m1,
+                     np.array([a + b for a, b in ss]), origin)
+
+
+def drop_cluster(trial: ObservedTrial, cluster_id) -> ObservedTrial:
+    """The subtrial omitting one full cluster, re-indexed from its records:
+    the oracle of `CellStats.drop`."""
+    keep = trial.cluster_ids != str(cluster_id)
+    if keep.all():
+        raise KeyError(f"no cluster {cluster_id!r} in trial")
+    return ObservedTrial(trial.cluster_ids[keep], trial.periods[keep],
+                         trial.sequences[keep], trial.outcomes[keep])

@@ -248,7 +248,9 @@ class TestAssemblyAccuracy:
         err_m = max(abs(Fraction(float(m[i, j])) - m_x[i][j])
                     for i in range(3) for j in range(3)) / scale
         quad = yy - float(v @ np.linalg.solve(m, v))
-        y_y = np.sum((cells.ss0 + cells.ss1) / (1.0 if weight is None else weight))
+        y_y = np.sum((cells.within + cells.k0 * cells.mean0**2
+                      + cells.k1 * cells.mean1**2)
+                     / (1.0 if weight is None else weight))
         return float(err_m), float(abs(Fraction(quad) - quad_x)) / float(y_y)
 
     @pytest.mark.parametrize("mean", [1.0, 100.0])

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbcrt.reml as reml
 
 from pbcrt import (
     CorrelationStructure,
+    EstimationError,
     EstimatorKind,
     FitOptions,
     ObservedTrial,
     PopulationMixture,
     SimScenario,
+    TrialValidationError,
     UnsupportedWeightingError,
     VarianceComponents,
     WeightingScheme,
@@ -17,6 +21,7 @@ from pbcrt import (
     generate_trial,
     gls_point_estimate,
 )
+from pbcrt.inference import fit_with_inference
 from pbcrt.io import load_size_table
 
 from oracles import dense_block
@@ -55,6 +60,11 @@ def random_trial(seed, n_clusters=8, sizes=(3, 9), deltas=(0.4, 1.0),
                          t.sequences[keep], t.outcomes[keep])
 
 
+def with_outcomes(t, f):
+    """The trial t with outcomes f(y)."""
+    return ObservedTrial(t.cluster_ids, t.periods, t.sequences, f(t.outcomes))
+
+
 def equalize_sizes(seed, k=6, n_clusters=8):
     mix = PopulationMixture([(1.0, k, 0.7)])
     sc = SimScenario(n_clusters=n_clusters, mixture=mix,
@@ -76,15 +86,16 @@ class TestIndependenceFits:
         t = random_trial(101)
         c = t.cells
         treated, control = c.sequence == 1, c.sequence == 0
-        expect = (c.sum1[treated].sum() / c.k1[treated].sum()
-                  - c.sum1[control].sum() / c.k1[control].sum())
+        t1 = c.k1 * c.mean1
+        expect = (t1[treated].sum() / c.k1[treated].sum()
+                  - t1[control].sum() / c.k1[control].sum())
         r = fit(t, EstimatorKind.IEE)
         assert r.delta_hat == pytest.approx(expect, abs=1e-10)
 
     def test_ieew_is_mean_of_cluster_means_difference(self):
         t = random_trial(102)
         c = t.cells
-        mean1 = c.sum1 / c.k1
+        mean1 = c.mean1
         treated, control = mean1[c.sequence == 1], mean1[c.sequence == 0]
         r = fit(t, EstimatorKind.IEEW)
         assert r.delta_hat == pytest.approx(
@@ -105,7 +116,7 @@ class TestFixedEffects:
     def test_few_is_did_of_cell_means(self):
         t = random_trial(103)
         c = t.cells
-        did = c.sum1 / c.k1 - c.sum0 / c.k0
+        did = c.mean1 - c.mean0
         seq = c.sequence
         expect = (np.mean([d for d, s in zip(did, seq) if s == 1])
                   - np.mean([d for d, s in zip(did, seq) if s == 0]))
@@ -138,12 +149,11 @@ def dense_fixed_effects(trial, weighted):
     c = trial.cells
     n_c = c.n_clusters
     k = np.column_stack([c.k0, c.k1]).ravel()
-    t = np.column_stack([c.sum0, c.sum1]).ravel()
-    ss = np.column_stack([c.ss0, c.ss1]).ravel()
+    ybar = np.column_stack([c.mean0, c.mean1]).ravel()
+    within = float(np.sum(c.within))
     if weighted:
-        t = t / k
-        ss = t * t
-        k = np.ones_like(k)
+        k, within = np.ones_like(k), 0.0
+    t = k * ybar
     per = np.tile([0.0, 1.0], n_c)
     z = np.zeros((2 * n_c, n_c + 2))
     z[:, 0] = 1.0
@@ -154,7 +164,7 @@ def dense_fixed_effects(trial, weighted):
     m = (z * k[:, None]).T @ z
     theta = np.linalg.solve(m, z.T @ t)
     fitted = z @ theta
-    rss = float(np.sum(ss - 2.0 * fitted * t + k * fitted**2))
+    rss = within + float(np.sum(t * ybar - 2.0 * fitted * t + k * fitted**2))
     sigma2 = rss / (k.sum() - n_c - 2)
     return theta[1], sigma2 * np.linalg.inv(m)[1, 1]
 
@@ -265,23 +275,136 @@ class TestCollapses:
             assert b == pytest.approx(a, abs=1e-10), unweighted
 
 
+TOL_EXACT = 1e-10  # non-REML fits and fits at plug-in components
+TOL_REML = 1e-6    # fits whose components come from REML
+
+
+def grid_trial(seed, n_clusters):
+    """Trial with alternating arms, equal period sizes 2-6 and outcomes on
+    a 2^-20 grid, so that adding an integer up to 1e8 is exact."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(2, 7, n_clusters)
+    seq = np.arange(n_clusters) % 2
+    base = 1.0 + 0.4 * rng.standard_normal(n_clusters)
+    cell = base[:, None] + [0.0, 0.2] + np.outer(seq, [0.0, 0.5])
+    cell += 0.2 * rng.standard_normal((n_clusters, 2))
+    size = np.repeat(k, 2)
+    y = np.repeat(cell.ravel(), size) + rng.standard_normal(size.sum())
+    return ObservedTrial(np.repeat([f"c{i}" for i in range(n_clusters)], 2 * k),
+                         np.repeat(np.tile([0, 1], n_clusters), size),
+                         np.repeat(seq, 2 * k), np.round(y * 2.0**20) / 2.0**20)
+
+
+def check_equivariance(t, t2, sign=1.0, scale=1.0):
+    """Every kind with REML and at plug-in components, both with the
+    jackknife: the fits on t2 equal those on t with delta_hat times
+    sign * scale and the variances times scale^2.  REML fits are compared
+    where both converged; the others are returned."""
+    vc = VarianceComponents(1.0, 0.1, 0.03)
+    vc2 = VarianceComponents(*(scale**2 * x for x in
+                               (vc.sigma_w2, vc.tau_alpha2, vc.tau_gamma2)))
+    spread = float(np.std(t.outcomes))
+    skipped = []
+    for kind in EstimatorKind:
+        runs = [(FitOptions(), FitOptions(), TOL_REML if kind.mixed else TOL_EXACT)]
+        if kind.mixed:
+            runs.append((FitOptions(vc=vc), FitOptions(vc=vc2), TOL_EXACT))
+        for opts, opts2, tol in runs:
+            a, b = fit_with_inference(t, kind, opts), fit_with_inference(t2, kind, opts2)
+            if not (a.converged and b.converged):
+                skipped.append(kind.value)
+                continue
+            assert b.delta_hat == pytest.approx(
+                sign * scale * a.delta_hat, rel=tol, abs=tol * scale * spread), kind
+            assert [b.model_based_var, b.jackknife_var] == pytest.approx(
+                [scale**2 * a.model_based_var, scale**2 * a.jackknife_var],
+                rel=tol), kind
+    return skipped
+
+
+def run_property(prop, name):
+    """Run prop(trial, data) on I = 4-12 grid trials; print the kinds it
+    skipped.  The examples are fixed, so that a REML search that stops
+    elsewhere on a new trial cannot make the suite flaky."""
+    skipped = []
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 12), st.data())
+    def check(seed, n, data):
+        skipped.extend(prop(grid_trial(seed, n), data))
+
+    check()
+    print(f"{name}: {len(skipped)} REML comparisons not converged: {skipped}")
+
+
 class TestInvariances:
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_location_and_scale(self, kind):
         t = equalize_sizes(111)
         vc = VarianceComponents(1.0, 0.1, 0.03)
         opts = FitOptions(vc=vc) if kind.mixed else FitOptions()
-        base = fit(t, kind, opts).delta_hat
-        shifted = ObservedTrial(t.cluster_ids, t.periods, t.sequences,
-                                t.outcomes + 7.5)
-        assert fit(shifted, kind, opts).delta_hat == pytest.approx(base, abs=1e-9)
-        scaled = ObservedTrial(t.cluster_ids, t.periods, t.sequences,
-                               3.0 * t.outcomes)
+        base = fit(t, kind, opts)
+        shifted = fit(with_outcomes(t, lambda y: y + 7.5), kind, opts)
+        assert shifted.delta_hat == pytest.approx(base.delta_hat, abs=1e-9)
+        assert shifted.model_based_var == pytest.approx(base.model_based_var,
+                                                        rel=1e-9)
         opts_scaled = (FitOptions(vc=VarianceComponents(
             9.0 * vc.sigma_w2, 9.0 * vc.tau_alpha2, 9.0 * vc.tau_gamma2))
             if kind.mixed else FitOptions())
-        assert fit(scaled, kind, opts_scaled).delta_hat == pytest.approx(
-            3.0 * base, abs=1e-9)
+        scaled = fit(with_outcomes(t, lambda y: 3.0 * y), kind, opts_scaled)
+        assert scaled.delta_hat == pytest.approx(3.0 * base.delta_hat, abs=1e-9)
+        assert scaled.model_based_var == pytest.approx(
+            9.0 * base.model_based_var, rel=1e-9)
+
+    def test_location_property(self):
+        # y -> a + y, exact in float64 on the 2^-20 grid.
+        def prop(t, data):
+            a = data.draw(st.integers(-10**8, 10**8))
+            return check_equivariance(t, with_outcomes(t, lambda y: a + y))
+        run_property(prop, "location")
+
+    def test_scale_property(self):
+        # y -> b y for b a power of two, exact in float64.
+        def prop(t, data):
+            b = 2.0 ** data.draw(st.integers(-10, 10))
+            return check_equivariance(t, with_outcomes(t, lambda y: b * y),
+                                      scale=b)
+        run_property(prop, "scale")
+
+    def test_arm_swap_property(self):
+        # sequence -> 1 - sequence negates delta_hat.
+        def prop(t, data):
+            swapped = ObservedTrial(t.cluster_ids, t.periods, 1 - t.sequences,
+                                    t.outcomes)
+            return check_equivariance(t, swapped, sign=-1.0)
+        run_property(prop, "arm swap")
+
+    def test_cluster_order_property(self):
+        # Listing the clusters in another order changes nothing.
+        def prop(t, data):
+            perm = data.draw(st.permutations(range(t.n_clusters)))
+            rank = dict(zip(t.cells.ids[perm], range(t.n_clusters)))
+            order = np.argsort([rank[c] for c in t.cluster_ids], kind="stable")
+            permuted = ObservedTrial(t.cluster_ids[order], t.periods[order],
+                                     t.sequences[order], t.outcomes[order])
+            assert list(permuted.cells.ids) == list(t.cells.ids[perm])
+            return check_equivariance(t, permuted)
+        run_property(prop, "cluster order")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "scale floors: trial._MIN_SIGMA_W2 and the max(., 1e-10) calls in "
+        "reml._reml and estimators.fit floor sigma_w2 at an absolute 1e-10, "
+        "so at outcome scale 1e-6 REML stops at the floor (ROADMAP item 1)"))
+    def test_small_scale(self):
+        t = grid_trial(5, 10)
+        b = 1e-6
+        base = {k: fit(t, k) for k in (EstimatorKind.EME, EstimatorKind.NEME)}
+        small = with_outcomes(t, lambda y: b * y)
+        for kind, a in base.items():
+            r = fit(small, kind)
+            assert r.delta_hat == pytest.approx(b * a.delta_hat, rel=TOL_REML)
+            assert r.model_based_var == pytest.approx(
+                b * b * a.model_based_var, rel=TOL_REML)
 
     def test_record_order_irrelevant(self):
         t = random_trial(112)
@@ -333,6 +456,36 @@ class TestInvariances:
         assert len(moves) + len(nonconverged) == 120
         assert rises.max() <= reml._DEV_ROUNDING
         assert grads.max() <= 1e-10
+
+
+class TestDegenerateOutcomes:
+    """Outcomes that leave nothing to estimate, or overflow, raise pbcrt's
+    own errors; fits at plug-in components still return."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: with_outcomes(equalize_sizes(111), lambda y: 0 * y + 0.1),
+                     id="constant"),
+        pytest.param(noiseless_informative_trial, id="noiseless")])
+    def test_reml_refuses_zero_residual(self, make):
+        # Constant outcomes leave no residual at all; on the noiseless
+        # fixture, every three-cluster jackknife table is fitted exactly.
+        t = make()
+        for kind in EstimatorKind:
+            opts = FitOptions()
+            if kind.mixed:
+                with pytest.raises(EstimationError, match="residual"):
+                    fit_with_inference(t, kind)
+                opts = FitOptions(vc=VarianceComponents(1.0, 0.1, 0.03))
+            r = fit_with_inference(t, kind, opts)
+            assert np.isfinite([r.delta_hat, r.model_based_var,
+                                r.jackknife_var]).all()
+
+    @pytest.mark.parametrize("outcomes", [
+        pytest.param(lambda y: 1e160 * y, id="1e160y"),
+        pytest.param(lambda y: 0 * y + 1e308, id="all-1e308")])
+    def test_overflowing_outcomes_rejected(self, outcomes):
+        with pytest.raises(TrialValidationError, match="overflow"):
+            with_outcomes(equalize_sizes(111), outcomes)
 
 
 class TestFitResult:

@@ -45,7 +45,7 @@ class TestTrialCsv:
         a, b = t.cells, t2.cells
         for name in ("ids", "sequence", "k0", "k1"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert b.sum1 == pytest.approx(a.sum1, abs=1e-12)
+        assert b.mean1 + b.origin == pytest.approx(a.mean1 + a.origin, abs=1e-12)
 
     def test_minimal_four_row_file(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -126,6 +126,39 @@ class TestScenarioJson:
         with pytest.raises(TrialValidationError):
             load_scenario_json(path)
 
+    def test_round_trip_every_field(self, tmp_path):
+        # Every field away from its default survives to_dict, JSON and
+        # load_scenario_json; both mixture row forms read alike.
+        sc = SimScenario(
+            n_clusters=6,
+            mixture=PopulationMixture([(0.25, 3, 0.1), (0.75, (9, 9), -0.2)]),
+            vc=VarianceComponents(2.0, 0.3, 0.07), mu=-1.5, phi1=0.4, reps=7,
+            master_seed=11, estimators=(EstimatorKind.FEW, EstimatorKind.EME),
+            ci_level=0.9, jackknife=False, fixed_sizes=True, fixed_split=True)
+        defaults = SimScenario(n_clusters=4, mixture=sc.mixture,
+                               vc=VarianceComponents(1.0))
+        doc = sc.to_dict()
+        assert all(v != defaults.to_dict()[k] for k, v in doc.items()
+                   if k != "mixture")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        back = load_scenario_json(path)
+        assert back.to_dict() == doc
+        assert [vars(s) for s in back.mixture.subpops] == \
+            [vars(s) for s in sc.mixture.subpops]
+        assert back.vc == sc.vc and back.estimators == sc.estimators
+        assert back == SimScenario(**{**vars(sc), "mixture": back.mixture})
+        doc["mixture"] = [[0.25, 3, 0.1], [0.75, 9, -0.2]]
+        path.write_text(json.dumps(doc))
+        assert load_scenario_json(path).to_dict() == sc.to_dict()
+
+    def test_bad_config_names_path(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"n_clusters": 4, "vc": {"sigma_w2": 1.0},
+                                    "mixture": [[1.0, 5]]}))
+        with pytest.raises(TrialValidationError, match="s.json: bad scenario"):
+            load_scenario_json(path)
+
 
 class TestCli:
     def test_limits_prints_truths(self, capsys):
@@ -196,6 +229,16 @@ class TestCli:
         rc = main(["fit", str(path), "--estimator", "iee"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_fit_overflowing_outcomes_exit_code(self, tmp_path, capsys):
+        t = sim_trial()
+        path = tmp_path / "huge.csv"
+        path.write_text("cluster_id,period,sequence,outcome\n" + "".join(
+            f"{c},{p},{s},{1e160 * y!r}\n" for c, p, s, y in
+            zip(t.cluster_ids, t.periods, t.sequences, t.outcomes)))
+        rc = main(["fit", str(path), "--estimator", "neme"])
+        assert rc == 1
+        assert "overflow" in capsys.readouterr().err
 
     def test_fit_estimation_error_exit_code(self, tmp_path, capsys):
         # Weighted mixed fit on unequal cell sizes cannot be computed.

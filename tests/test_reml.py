@@ -192,6 +192,17 @@ class TestProfiledLikelihood:
         expect = prof_val + (n - 3) + (n - 3) * np.log(1.0 / (n - 3))
         assert dense_val == pytest.approx(expect, abs=1e-6)
 
+    def test_zero_residual_raises(self):
+        # Constant outcomes centre to exactly zero: the profiled quadratic
+        # both the gradient and sigma2 divide by is 0.
+        t = simulate(VarianceComponents(1.0), 9, n_clusters=6, k=4)
+        cells = ObservedTrial(t.cluster_ids, t.periods, t.sequences,
+                              0.0 * t.outcomes + 3.7).cells
+        assert not cells.mean0.any() and not cells.within.any()
+        for f in (reml._gradient, reml._sigma2):
+            with pytest.raises(EstimationError, match="residual"):
+                f(cells, 0.2, 0.1)
+
     def test_gradient_matches_central_differences(self):
         # The analytic gradient of the profiled deviance in (tw0, tb0)
         # against central differences, on equal and unequal cell sizes.

@@ -88,8 +88,9 @@ class TestGeneration:
         sc = scenario(vc=vc0, fixed_sizes=True, fixed_split=True,
                       mu=1.0, phi1=0.2)
         t = generate_trial(sc, 0)
-        c = t.cells.means()
-        for k0, seq, mean0, mean1 in zip(t.cells.k0, c.sequence, c.sum0, c.sum1):
+        c = t.cells
+        for k0, seq, mean0, mean1 in zip(c.k0, c.sequence, c.mean0 + c.origin,
+                                         c.mean1 + c.origin):
             assert mean0 == pytest.approx(1.0, abs=1e-4)
             delta = 0.2 if k0 == 20 else 0.5
             expect = 1.2 + (delta if seq else 0.0)
@@ -293,7 +294,7 @@ class TestStudy:
         def first_refit(t):
             return (t.n_clusters == 5
                     and np.array_equal(t.cells.ids, first.ids[1:])
-                    and np.array_equal(t.cells.sum0, first.sum0[1:]))
+                    and np.array_equal(t.cells.mean0, first.mean0[1:]))
         assert study(first_refit) == {
             "iee": 0, "ieew": 0, "fe": 0, "few": 0, "eme": 0, "emew": 0,
             "neme": 1, "nemew": 1}

@@ -12,7 +12,7 @@ from pbcrt import (
 )
 from pbcrt.trial import _cluster_codes
 
-from oracles import str_codes
+from oracles import cell_table, drop_cluster, str_codes
 
 
 def make_trial(records):
@@ -72,9 +72,12 @@ class TestIndexing:
         assert list(c.ids) == ["a", "b"]
         assert list(c.sequence) == [0, 1]
         assert list(c.k0) == [1, 1] and list(c.k1) == [1, 2]
-        assert c.sum1[1] == pytest.approx(10.0)
-        assert c.ss1[1] == pytest.approx(52.0)
-        assert c.means().sum1[1] == pytest.approx(5.0)
+        assert c.origin == pytest.approx(3.2)
+        assert c.mean1[1] + c.origin == pytest.approx(5.0)
+        assert list(c.within) == pytest.approx([0.0, 2.0])
+        m = c.means()
+        assert (m.k1[1], m.mean1[1], m.within[1]) == (1.0, c.mean1[1], 0.0)
+        assert m.origin == c.origin
 
     def test_first_appearance_order(self):
         rows = [("z", 0, 1, 1.0), ("z", 1, 1, 1.0),
@@ -91,17 +94,17 @@ class TestIndexing:
     def test_drop_cluster(self):
         rows = BASIC + [("c", 0, 0, 5.0), ("c", 1, 0, 6.0)]
         t = make_trial(rows)
-        sub = t.drop_cluster("a")
+        sub = drop_cluster(t, "a")
         assert list(sub.cells.ids) == ["b", "c"]
         assert sub.n_obs == 5
         with pytest.raises(KeyError):
-            t.drop_cluster("nope")
+            drop_cluster(t, "nope")
 
     def test_cells_read_only(self):
         # Results memoised on a cell table cannot go stale.
         c = make_trial(BASIC).cells
         with pytest.raises(ValueError, match="read-only"):
-            c.sum0[0] = 9.0
+            c.mean0[0] = 9.0
         with pytest.raises(ValueError, match="read-only"):
             c.deletions[0].k1[0] = 9.0
 
@@ -110,8 +113,8 @@ class TestIndexing:
             ("a", 0, 2, 3, 1.5, 2.5), ("b", 1, 1, 1, 0.0, 4.0)])
         c = t.cells
         assert (c.k0[0], c.k1[0]) == (2, 3)
-        assert c.means().sum0[0] == pytest.approx(1.5)
-        assert c.ss1[0] == pytest.approx(3 * 2.5**2)
+        assert c.mean0[0] + c.origin == pytest.approx(1.5)
+        assert c.within[0] == pytest.approx(0.0, abs=1e-24)
 
     def test_from_cell_means_equals_records(self):
         cells = [("a", 0, 2, 3, 1.5, 2.5), (7, 1, 1, 4, 0, -1.0),
@@ -179,35 +182,36 @@ class TestIndexing:
         recs = [(f"c{i}", j, i % 2, y) for i, j, y in rows]
         naive = {}
         for cid, j, s, y in recs:
-            d = naive.setdefault(cid, [0, 0, 0.0, 0.0, 0.0, 0.0])
-            d[j] += 1
-            d[2 + j] += y
-            d[4 + j] += y * y
+            naive.setdefault(cid, ([], []))[j].append(y)
         try:
             t = ObservedTrial.from_records(recs)
         except TrialValidationError:
             return
         c = t.cells
+        assert c.origin == pytest.approx(np.mean([r[3] for r in recs]))
         for i, cid in enumerate(c.ids):
-            d = naive[cid]
-            assert (c.k0[i], c.k1[i]) == (d[0], d[1])
-            assert c.sum0[i] == pytest.approx(d[2], abs=1e-9)
-            assert c.ss1[i] == pytest.approx(d[5], abs=1e-9)
+            y0, y1 = naive[cid]
+            assert (c.k0[i], c.k1[i]) == (len(y0), len(y1))
+            assert c.mean0[i] + c.origin == pytest.approx(np.mean(y0), abs=1e-9)
+            assert c.mean1[i] + c.origin == pytest.approx(np.mean(y1), abs=1e-9)
+            assert c.within[i] == pytest.approx(
+                np.var(y0) * len(y0) + np.var(y1) * len(y1), abs=1e-9)
 
 
 class TestDropCluster:
     def check_drops(self, t, recs, depth):
+        # Each deletion equals the kept records reduced at the parent's
+        # origin, and the re-indexed subtrial the same reduction at its own.
         for i, cid in enumerate(t.cells.ids):
             kept = [r for r in recs if r[0] != cid]
+            assert t.cells.deletions[i] == cell_table(kept, t.cells.origin)
             try:
-                want = ObservedTrial.from_records(kept)
-            except TrialValidationError:
-                with pytest.raises(TrialValidationError, match="arm"):
-                    t.drop_cluster(cid)
+                sub = drop_cluster(t, cid)
+            except TrialValidationError as exc:
+                assert "arm" in str(exc)
                 continue
-            assert t.cells.deletions[i] == want.cells
-            sub = t.drop_cluster(cid)
-            assert sub.cells == want.cells
+            assert sub.cells == cell_table(kept, sub.cells.origin)
+            want = ObservedTrial.from_records(kept)
             assert np.array_equal(sub.cluster_ids, want.cluster_ids)
             assert np.array_equal(sub.outcomes, want.outcomes)
             if depth > 1:
@@ -218,13 +222,15 @@ class TestDropCluster:
                     min_size=2, max_size=7),
            st.randoms(use_true_random=False))
     def test_equals_reindexed_subset(self, sizes, rnd):
-        # Deleting a cells row, as the jackknife does, and drop_cluster give
-        # exactly the statistics and records of re-indexing the remaining
-        # records, also after a second deletion.
+        # Deleting a cells row, as the jackknife does, and re-indexing the
+        # remaining records give exactly the statistics of reducing those
+        # records one at a time, also after a second deletion.
         recs = [(f"c{i}", j, i % 2, rnd.uniform(-10, 10))
                 for i, k in enumerate(sizes) for j in (0, 1) for _ in range(k[j])]
         rnd.shuffle(recs)
-        self.check_drops(ObservedTrial.from_records(recs), recs, depth=2)
+        t = ObservedTrial.from_records(recs)
+        assert t.cells == cell_table(recs, t.cells.origin)
+        self.check_drops(t, recs, depth=2)
 
 
 class TestVarianceComponents:

@@ -24,14 +24,13 @@ __all__ = [
     "inverse_cell_terms",
     "gls_map",
     "normal_equations",
-    "normal_equations_with_gradient",
     "cholesky3",
     "lower_solve3",
 ]
 
 # Entries of the symmetric M among the first five rows of the map: the
 # design (1, s*p, p) for period p makes M[1, 1] = M[1, 2].
-_M_ROWS = np.array([0, 1, 2, 1, 3, 3, 2, 3, 4])
+M_ROWS = np.array([0, 1, 2, 1, 3, 3, 2, 3, 4])
 
 
 def structure_taus(structure: CorrelationStructure, vc: VarianceComponents) -> tuple[float, float]:
@@ -67,16 +66,17 @@ def inverse_cell_terms(k0, k1, sigma_w2: float, tau_within: float, tau_between: 
     k1 = np.asarray(k1, dtype=np.float64)
     s, tw, tb = sigma_w2, tau_within, tau_between
     k = k0 + k1
-    det = s * (s + k * tw) + (k0 * k1) * ((tw - tb) * (tw + tb))
+    det = k * (s * tw) + s * s + (k0 * k1) * ((tw - tb) * (tw + tb))
     e = np.multiply.outer((s, tw, tb), 1.0 / det.ravel())
-    return e, (k - 2.0) * math.log(s) + np.log(det)
+    return e, np.log(det) if s == 1.0 else (k - 2.0) * math.log(s) + np.log(det)
 
 
 def gls_map(cells: CellStats) -> np.ndarray:
-    """The (9, 3I) coefficients of the unit-scale normal equations on e.
+    """The (9, 3, I) coefficients of the unit-scale normal equations on e.
 
-    With e the stacked inverse-block basis of `inverse_cell_terms` at unit
-    residual scale, the product with this matrix gives, in order,
+    With e the (3, I) inverse-block basis of `inverse_cell_terms` at unit
+    residual scale, the sum of this map times e over its last two axes
+    gives, in order,
     M[0, 0], M[0, 1], M[0, 2], M[1, 1] (= M[1, 2]), M[2, 2], the three
     entries of v, and y'W y less the within-cell sums of squares.  Per
     cluster, with cell means m0, m1 and kk = k0 k1, the inverse-block
@@ -108,7 +108,7 @@ def gls_map(cells: CellStats) -> np.ndarray:
         (k0 * m0 * m0 + k1 * m1 * m1, kk * (m0 * m0 + m1 * m1),
          -2.0 * kk * m0 * m1),
     ]
-    return np.array([np.concatenate(r) for r in rows])
+    return np.array(rows)
 
 
 def normal_equations(cells: CellStats, tau_within: float, tau_between: float,
@@ -126,40 +126,16 @@ def normal_equations(cells: CellStats, tau_within: float, tau_between: float,
     within = cells.within
     if weight is not None:
         e, within = e / weight, within / weight
-    return _system(cells.gls_map @ e.ravel(), within.sum(), logdet.sum())
+    x = cells.gls_map.reshape(9, -1) @ e.ravel()
+    return (x[M_ROWS].reshape(3, 3), x[5:8], float(x[8] + within.sum()),
+            float(logdet.sum()))
 
 
-def _system(x, within: float, logdet: float):
-    """(M, v, y'W y, log-determinant) from one product x of the map."""
-    return x[_M_ROWS].reshape(3, 3), x[5:8], float(x[8] + within), float(logdet)
-
-
-def normal_equations_with_gradient(cells: CellStats, tau_within: float,
-                                   tau_between: float):
-    """The unweighted `normal_equations` and their derivatives in tw and tb.
-
-    With a = dD/dt / D for either ratio t, de/dtw = (0, 1, 0)/D - a e and
-    de/dtb = (0, 0, 1)/D - a e, where dD/dtw / D = (k0 + k1) e_1 +
-    2 k0 k1 e_tw and dD/dtb / D = -2 k0 k1 e_tb; the map takes all three
-    in one product.  Returns three (M, v, y'W y, sum of log-determinants)
-    tuples: the values, their derivatives in tw and in tb.
-    """
-    k0, k1 = cells.k0, cells.k1
-    e, logdet = inverse_cell_terms(k0, k1, 1.0, tau_within, tau_between)
-    a_w = (k0 + k1) * e[0] + 2.0 * (k0 * k1) * e[1]
-    a_b = -2.0 * (k0 * k1) * e[2]
-    de_w, de_b = -a_w * e, -a_b * e
-    de_w[1] += e[0]
-    de_b[2] += e[0]
-    x = cells.gls_map @ np.column_stack((e.ravel(), de_w.ravel(), de_b.ravel()))
-    return [_system(x[:, 0], cells.within.sum(), logdet.sum()),
-            _system(x[:, 1], 0.0, a_w.sum()), _system(x[:, 2], 0.0, a_b.sum())]
-
-
-def cholesky3(m: np.ndarray):
+def cholesky3(m):
     """Lower Cholesky factor (l00, l10, l11, l20, l21, l22) of a symmetric 3x3
-    matrix, in Python floats; None unless it is positive definite."""
-    (a, b, c), (_, d, f), (_, _, g) = m.tolist()
+    matrix given as nested sequences of Python floats; None unless it is
+    positive definite."""
+    (a, b, c), (_, d, f), (_, _, g) = m
     if not a > 0.0:
         return None
     l00 = math.sqrt(a)

@@ -118,14 +118,14 @@ def fit(trial: ObservedTrial | CellStats, kind: EstimatorKind,
     delta, var, sigma2 = (_fixed_effects if fe else _independence)(cells)
     return FitResult(kind=kind, delta_hat=delta, n_clusters=cells.n_clusters,
                      model_based_var=var,
-                     vc_hat=None if kind.weighted
-                     else VarianceComponents(max(sigma2, 1e-10)))
+                     vc_hat=None if kind.weighted or sigma2 == 0.0
+                     else VarianceComponents(sigma2))
 
 
 def _solve_normal(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
     """M^-1 v and the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for
     the Cholesky factor L of M."""
-    chol = cholesky3(m)
+    chol = cholesky3(m.tolist())
     if chol is None:
         raise EstimationError("singular normal equations")
     l00, l10, l11, l20, l21, l22 = chol

@@ -93,14 +93,18 @@ class SimScenario:
 
         n_clusters, mixture and vc.sigma_w2 are required; every other
         field keeps its default when absent.  A mixture row is
-        [p, K, delta] or [p, [k0, k1], delta].
+        [p, K, delta] or [p, [k0, k1], delta].  Unknown keys, at the top
+        level or in vc, raise ValueError naming them.
         """
+        vc = doc["vc"]
+        known = ({f.name for f in fields(cls)}
+                 | {f"vc.{f.name}" for f in fields(VarianceComponents)})
+        unknown = [k for k in (*doc, *(f"vc.{k}" for k in vc)) if k not in known]
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
         kw = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
         kw["mixture"] = PopulationMixture([(p, k, d) for p, k, d in doc["mixture"]])
-        vc = doc["vc"]
-        kw["vc"] = VarianceComponents(sigma_w2=vc["sigma_w2"],
-                                      tau_alpha2=vc.get("tau_alpha2", 0.0),
-                                      tau_gamma2=vc.get("tau_gamma2", 0.0))
+        kw["vc"] = VarianceComponents(**vc)
         if "estimators" in doc:
             kw["estimators"] = tuple(EstimatorKind(k) for k in doc["estimators"])
         return cls(**kw)

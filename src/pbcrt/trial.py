@@ -59,9 +59,6 @@ class WeightingScheme(Enum):
     INVERSE_CLUSTER_PERIOD_SIZE = "inverse_cluster_period_size"
 
 
-_MIN_SIGMA_W2 = 1e-10
-
-
 @dataclass(frozen=True)
 class VarianceComponents:
     """Variance components (sigma_w2, tau_alpha2, tau_gamma2) and derived ICCs."""
@@ -75,8 +72,8 @@ class VarianceComponents:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.sigma_w2 < _MIN_SIGMA_W2:
-            raise ValueError(f"sigma_w2 must be >= {_MIN_SIGMA_W2}, got {self.sigma_w2!r}")
+        if not self.sigma_w2 > 0.0:
+            raise ValueError(f"sigma_w2 must be positive, got {self.sigma_w2!r}")
         if self.tau_alpha2 < 0 or self.tau_gamma2 < 0:
             raise ValueError("variance components must be nonnegative")
 
@@ -174,6 +171,11 @@ class CellStats:
         """The normal-equation coefficients of `blocks.gls_map`, built once."""
         from .blocks import gls_map
         return gls_map(self)
+
+    @cached_property
+    def block_sums(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """k0 + k1, k0 k1 and the within-cell sum of squares, built once."""
+        return self.k0 + self.k1, self.k0 * self.k1, float(self.within.sum())
 
     @cached_property
     def reml_memo(self) -> dict:

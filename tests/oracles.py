@@ -8,6 +8,9 @@
   per-cluster entries of C in `inverse_cell_terms_elementwise`, and
   `normal_equations_exact`, the same system in exact rational arithmetic:
   the oracles of the one-product assembly `blocks.normal_equations`.
+- `profiled_deviance`: the REML deviance and its gradient in numpy from
+  `blocks.normal_equations` and the map's products with the derivatives
+  of e, the oracle of `reml._deviance` and `reml._gradient`.
 - `generate_trial_records`: trial generation one cluster at a time with
   per-record Python lists, the stream `simulate.generate_trial` must
   reproduce bit for bit.
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from pbcrt import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents, WeightingScheme
-from pbcrt.blocks import structure_taus
+from pbcrt.blocks import inverse_cell_terms, normal_equations, structure_taus
 from pbcrt.simulate import SimScenario, _subpop_assignment, _truncated_poisson
 
 
@@ -200,6 +203,34 @@ def normal_equations_exact(cells: CellStats, tau_within: float,
             a[j] = [aj - f * ai for aj, ai in zip(a[j], a[i])]
     quad = yy - sum(a[i][3] ** 2 / a[i][i] for i in range(3))
     return m, v, yy, quad
+
+
+def profiled_deviance(cells: CellStats, tau_within: float, tau_between: float):
+    """The profiled -2 restricted log-likelihood and its gradient in the ratios.
+
+    With e = (1, tw, tb) / D and a = dD/dt / D, de/dtw = (0, 1, 0)/D - a_w e
+    and de/dtb = (0, 0, 1)/D - a_b e; the map times each gives dM, dv and
+    d(y'Wy), and d log det M = tr(M^-1 dM).
+    """
+    m, v, yy, logdet = normal_equations(cells, tau_within, tau_between)
+    k0, k1 = cells.k0, cells.k1
+    e, _ = inverse_cell_terms(k0, k1, 1.0, tau_within, tau_between)
+    a_w = (k0 + k1) * e[0] + 2.0 * k0 * k1 * e[1]
+    a_b = -2.0 * k0 * k1 * e[2]
+    m_inv = np.linalg.inv(m)
+    theta = m_inv @ v
+    quad = yy - theta @ v
+    dof = cells.n_obs - 3
+    grad = []
+    for j, a in ((1, a_w), (2, a_b)):
+        de = -a * e
+        de[j] += e[0]
+        x = cells.gls_map.reshape(9, -1) @ de.ravel()
+        dm = x[[0, 1, 2, 1, 3, 3, 2, 3, 4]].reshape(3, 3)
+        grad.append(a.sum() + np.sum(m_inv * dm) + dof * (
+            x[8] - 2.0 * theta @ x[5:8] + theta @ dm @ theta) / quad)
+    return (logdet + np.linalg.slogdet(m)[1] + dof * math.log(quad),
+            np.array(grad))
 
 
 def generate_trial_records(scenario: SimScenario, replicate_index: int) -> ObservedTrial:

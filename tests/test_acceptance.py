@@ -153,6 +153,7 @@ def test_criterion_2_estimator_collapses(capsys):
              f"{elapsed:.1f}s (< 30s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_noninformative_unbiasedness(capsys, noninformative_study):
     """Homogeneous effects: all eight estimators within the 5% band."""
     rows = []
@@ -165,6 +166,7 @@ def test_criterion_3_noninformative_unbiasedness(capsys, noninformative_study):
              "homogeneous-effect relative bias within +/-5%: " + ", ".join(rows))
 
 
+@pytest.mark.slow
 def test_criterion_4_informative_bias_pattern(capsys, informative_study):
     """Size-informative effects: the consistency pattern and the limits."""
     rep = informative_study
@@ -200,6 +202,7 @@ def test_criterion_4_informative_bias_pattern(capsys, informative_study):
     announce(capsys, 4, ok, "; ".join(msgs))
 
 
+@pytest.mark.slow
 def test_criterion_5_coverage_direction(capsys, informative_study):
     """Jackknife intervals: nominal-ish for the weighted consistent
     estimators and never worse than model-based intervals."""
@@ -249,6 +252,7 @@ def test_criterion_6_worst_case_formulas(capsys):
              f"P* at size ratio 0.1 = {p_zeta:.3f} (0.46 +/- 0.01)")
 
 
+@pytest.mark.slow
 def test_criterion_7_stress_scenario(capsys):
     """Extreme size imbalance at the worst-case ICC: the exchangeable
     fits stay inside the band, the weighted nested fit does not."""
@@ -274,6 +278,7 @@ def test_criterion_7_stress_scenario(capsys):
              f"nemew {b_nemew:+.2f}% vs cATE (outside 5%)")
 
 
+@pytest.mark.slow
 def test_criterion_8_oracle_vs_monte_carlo(capsys):
     """Many clusters: every estimator's mean matches its exact limit.
 

@@ -366,7 +366,7 @@ class TestInvariances:
     def test_scale_property(self):
         # y -> b y for b a power of two, exact in float64.
         def prop(t, data):
-            b = 2.0 ** data.draw(st.integers(-10, 10))
+            b = 2.0 ** data.draw(st.integers(-20, 20))
             return check_equivariance(t, with_outcomes(t, lambda y: b * y),
                                       scale=b)
         run_property(prop, "scale")
@@ -391,10 +391,6 @@ class TestInvariances:
             return check_equivariance(t, permuted)
         run_property(prop, "cluster order")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "scale floors: trial._MIN_SIGMA_W2 and the max(., 1e-10) calls in "
-        "reml._reml and estimators.fit floor sigma_w2 at an absolute 1e-10, "
-        "so at outcome scale 1e-6 REML stops at the floor (ROADMAP item 1)"))
     def test_small_scale(self):
         t = grid_trial(5, 10)
         b = 1e-6
@@ -479,6 +475,17 @@ class TestDegenerateOutcomes:
             r = fit_with_inference(t, kind, opts)
             assert np.isfinite([r.delta_hat, r.model_based_var,
                                 r.jackknife_var]).all()
+
+    def test_residual_variance_not_floored(self):
+        # iee and fe report no components at an exactly zero residual
+        # variance, and the unfloored value at any positive one.
+        t = equalize_sizes(111)
+        constant = with_outcomes(t, lambda y: 0 * y + 0.1)
+        tiny = with_outcomes(t, lambda y: 1e-8 * y)
+        for kind in (EstimatorKind.IEE, EstimatorKind.FE):
+            assert fit(constant, kind).vc_hat is None
+            assert fit(tiny, kind).vc_hat.sigma_w2 == pytest.approx(
+                1e-16 * fit(t, kind).vc_hat.sigma_w2, rel=1e-9)
 
     @pytest.mark.parametrize("outcomes", [
         pytest.param(lambda y: 1e160 * y, id="1e160y"),

@@ -149,6 +149,21 @@ class TestScenarioJson:
         path.write_text(json.dumps(doc))
         assert load_scenario_json(path).to_dict() == sc.to_dict()
 
+    def test_unknown_keys_rejected(self, tmp_path):
+        # A misspelt key is an error naming every unknown key, at the top
+        # level and in vc, not a silent default.
+        doc = {"n_clusters": 4, "mixture": [[1.0, 5, 0.3]],
+               "vc": {"sigma_w2": 1.0, "tau_alpa2": 0.1},
+               "jacknife": False, "rep": 3}
+        with pytest.raises(ValueError) as err:
+            SimScenario.from_dict(doc)
+        assert str(err.value) == "unknown scenario keys: jacknife, rep, vc.tau_alpa2"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrialValidationError,
+                           match="s.json: bad scenario config: unknown scenario keys"):
+            load_scenario_json(path)
+
     def test_bad_config_names_path(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"n_clusters": 4, "vc": {"sigma_w2": 1.0},
@@ -247,6 +262,16 @@ class TestCli:
         rc = main(["fit", str(path), "--estimator", "emew"])
         assert rc == 2
         assert "estimation error" in capsys.readouterr().err
+
+    def test_simulate_unknown_key_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_clusters": 4, "mixture": [[1.0, 5, 0.3]],
+                                   "vc": {"sigma_w2": 1.0}, "rep": 3}))
+        rc = main(["simulate", str(cfg), "--csv", str(tmp_path / "s.csv"),
+                   "--json", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert "unknown scenario keys: rep" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_simulate_byte_identical(self, tmp_path, capsys):
         doc = {"n_clusters": 6, "mixture": [[1.0, 5, 0.3]],

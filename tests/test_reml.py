@@ -122,16 +122,12 @@ class TestNestedExchangeable:
     @pytest.mark.xfail(strict=True, reason=(
         "Nelder-Mead from x0 = (logit 0.05, 0) crawls along cac: SciPy's "
         "initial simplex moves a zero coordinate by only 0.00025, and this "
-        "search stops at the iteration cap at cac 0.5155 (ROADMAP item 3)"))
+        "search stops at the iteration cap at cac 0.5155 (ROADMAP item 2)"))
     def test_nested_search_reaches_optimum(self):
         # The full table of operation 25 of the I=10 jackknife study
         # benchmark (master seed 20260823 * 100000 + 25): cac -> 1 gives
         # deviance 8629.41, 3.0 below where the search stops.
-        sc = SimScenario(n_clusters=10,
-                         mixture=PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5),
-                         vc=VarianceComponents(1.0, 0.053, 0.013), reps=1,
-                         master_seed=20260823 * 100_000 + 25, fixed_split=True)
-        cells = generate_trial(sc, 0).cells
+        cells = benchmark_cells(25)
         vc = estimate_variance_components(
             cells, CorrelationStructure.NESTED_EXCHANGEABLE)
         found = reml._deviance(cells, (vc.tau_alpha2 + vc.tau_gamma2) / vc.sigma_w2,
@@ -146,6 +142,72 @@ class TestNestedExchangeable:
         from pbcrt import ObservedTrial, TrialValidationError
         with pytest.raises(TrialValidationError):
             ObservedTrial.from_cell_means(cells)
+
+
+def scipy_nelder_mead(func, x0):
+    """The nested search as SciPy runs it, in the port's return form."""
+    res = optimize.minimize(func, np.array(x0), method="Nelder-Mead",
+                            options={"xatol": 1e-8, "fatol": 1e-10,
+                                     "maxiter": reml._MAX_ITER,
+                                     "maxfev": 4 * reml._MAX_ITER})
+    return tuple(res.x), res.fun, res.nit, res.nfev, res.success
+
+
+class TestNelderMead:
+    """`reml._nelder_mead` returns exactly what SciPy's Nelder-Mead does."""
+
+    @pytest.mark.parametrize("x0", [(-1.2, 1.0), (0.0, 0.0), (2.0, -1.5),
+                                    (0.0, 3.0), (-2.944, 0.0)])
+    def test_rosenbrock(self, x0):
+        def f(x):
+            return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+        assert reml._nelder_mead(f, x0) == scipy_nelder_mead(f, x0)
+
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (-3.0, 2.0)])
+    def test_infinite_half_plane(self, x0):
+        def f(x):
+            return (math.inf if x[0] > 0.5
+                    else (x[0] - 1.0) ** 2 + (x[1] + 0.3) ** 2)
+        assert reml._nelder_mead(f, x0) == scipy_nelder_mead(f, x0)
+
+    @pytest.mark.parametrize("x0", [(0.1, 0.2), (1.5, -0.7)])
+    def test_plateau_with_ties(self, x0):
+        # Steps of height 1: vertices tie, so their order decides each move.
+        def f(x):
+            return float(math.floor(4.0 * (x[0] ** 2 + abs(x[1]))))
+        assert reml._nelder_mead(f, x0) == scipy_nelder_mead(f, x0)
+
+    def test_nested_reml_searches(self, monkeypatch):
+        # Every nested search, full and delete-one tables, of operations
+        # 21-28 of the I=10 jackknife study benchmark, among them op 25's
+        # full table, which stops at the iteration cap.
+        port = reml._nelder_mead
+        searches = []
+
+        def recorded(func, x0):
+            searches.append((func, x0))
+            return port(func, x0)
+
+        monkeypatch.setattr(reml, "_nelder_mead", recorded)
+        for j in range(21, 29):
+            cells = benchmark_cells(j)
+            for c in [cells, *cells.deletions]:
+                estimate_variance_components(
+                    c, CorrelationStructure.NESTED_EXCHANGEABLE)
+        assert len(searches) == 8 * 11
+        results = [port(func, x0) for func, x0 in searches]
+        assert results == [scipy_nelder_mead(func, x0) for func, x0 in searches]
+        assert not results[4 * 11][4]
+        assert sum(not r[4] for r in results) >= 2
+
+
+def benchmark_cells(j):
+    """The trial of operation j of the I=10 jackknife study benchmark."""
+    sc = SimScenario(n_clusters=10,
+                     mixture=PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5),
+                     vc=VarianceComponents(1.0, 0.053, 0.013), reps=1,
+                     master_seed=20260823 * 100_000 + j, fixed_split=True)
+    return generate_trial(sc, 0).cells
 
 
 class TestProfiledLikelihood:
@@ -202,6 +264,20 @@ class TestProfiledLikelihood:
         for f in (reml._gradient, reml._sigma2):
             with pytest.raises(EstimationError, match="residual"):
                 f(cells, 0.2, 0.1)
+
+    def test_kernel_matches_normal_equations(self):
+        # The Python-float kernel against the numpy evaluation on
+        # `blocks.normal_equations`, on equal and unequal cell sizes.  At
+        # tw0 = tb0 the gradient's terms cancel, and each evaluation is
+        # within 1.5e-14 of the exact rational gradient there.
+        from oracles import profiled_deviance
+        from test_blocks import equal_size_cells, jiah_size_cells
+
+        for c in (equal_size_cells(35, 1.0), jiah_size_cells(36, 1.0)):
+            for tw0, tb0 in ((0.05, 0.0), (0.2, 0.1), (0.3, 0.3), (4.0, 2.0)):
+                dev, grad = profiled_deviance(c, tw0, tb0)
+                assert reml._deviance(c, tw0, tb0) == pytest.approx(dev, rel=1e-14)
+                assert reml._gradient(c, tw0, tb0) == pytest.approx(grad, rel=3e-14)
 
     def test_gradient_matches_central_differences(self):
         # The analytic gradient of the profiled deviance in (tw0, tb0)

@@ -220,22 +220,24 @@ class TestStudy:
         import pbcrt.reml as reml
         from scipy import optimize
 
-        calls = {"minimize_scalar": 0, "minimize": 0}
+        calls = {"minimize_scalar": 0, "_nelder_mead": 0}
 
-        def counted(name):
+        def counted(name, search):
             def run(*args, **kwargs):
                 calls[name] += 1
-                return getattr(optimize, name)(*args, **kwargs)
+                return search(*args, **kwargs)
             return run
 
         monkeypatch.setattr(reml, "optimize", types.SimpleNamespace(
-            **{name: counted(name) for name in calls}))
+            minimize_scalar=counted("minimize_scalar", optimize.minimize_scalar)))
+        monkeypatch.setattr(reml, "_nelder_mead",
+                            counted("_nelder_mead", reml._nelder_mead))
         sc = scenario(n_clusters=6, reps=2, jackknife=True,
                       estimators=(EstimatorKind.EME, EstimatorKind.EMEW,
                                   EstimatorKind.NEME, EstimatorKind.NEMEW))
         run_study(sc)
         assert calls == {"minimize_scalar": sc.reps * (1 + 6),
-                         "minimize": sc.reps * (1 + 6)}
+                         "_nelder_mead": sc.reps * (1 + 6)}
 
     def test_rates_equal_per_replicate_helpers(self):
         # The vectorised coverage and power of a jackknife study equal the

@@ -257,6 +257,7 @@ class TestVarianceComponents:
             VarianceComponents(0.0)
         with pytest.raises(ValueError):
             VarianceComponents(math.inf)
+        assert VarianceComponents(1e-300).sigma_w2 == 1e-300  # no floor
 
     def test_frozen_hashable(self):
         assert hash(VarianceComponents(1.0)) == hash(VarianceComponents(1.0))

@@ -51,6 +51,7 @@ from .simulate import (
     SimReport,
     EstimatorSummary,
     StudyError,
+    generate_cells,
     generate_trial,
     run_study,
     expand_truncated_poisson,
@@ -78,7 +79,7 @@ __all__ = [
     "true_pate", "true_cate", "plim", "estimand_weights",
     "optimal_icc", "optimal_sampling_prob", "emew_bias",
     "SimScenario", "SimReport", "EstimatorSummary", "StudyError",
-    "generate_trial", "run_study", "expand_truncated_poisson",
+    "generate_cells", "generate_trial", "run_study", "expand_truncated_poisson",
     "parse_trial_csv", "emit_trial_csv", "load_scenario_json",
     "load_size_table", "size_table_skeleton_trial",
     "__version__",

@@ -12,7 +12,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .estimators import EstimationError, EstimatorKind, FitOptions, FitResult, fit
 from .trial import CellStats, ObservedTrial
@@ -113,7 +113,7 @@ def wald_test(delta_hat: float, variance: float, n_clusters: int) -> float:
         raise ValueError("variance must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(v == 0.0, d == 0.0,
-                     2.0 * stats.t.sf(d / np.sqrt(v), _df(n_clusters)))
+                     2.0 * special.stdtr(_df(n_clusters), -(d / np.sqrt(v))))
     return float(p) if p.ndim == 0 else p
 
 

@@ -130,14 +130,15 @@ def _deviance(cells: CellStats, tw0: float, tb0: float) -> float:
 
     Ratios are in residual-variance units: the covariance block is
     sigma_w2 * (I + U M0 U') with M0 = [[tw0, tb0], [tb0, tw0]].  A
-    normal matrix that is not positive definite gives inf.
+    normal matrix that is not positive definite, or a profiled quadratic
+    that is not positive, gives inf.
     """
     chol, quad, logdet_blocks = _profile(cells, tw0, tb0)
-    if chol is None:
+    if chol is None or not quad > 0.0:
         return float("inf")
     dof = cells.n_obs - _N_PARAMS
     return (logdet_blocks + 2.0 * math.log(chol[0] * chol[2] * chol[5])
-            + dof * math.log(max(quad, 1e-300)))
+            + dof * math.log(quad))
 
 
 def _gradient(cells: CellStats, tw0: float, tb0: float) -> np.ndarray:

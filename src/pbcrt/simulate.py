@@ -4,6 +4,11 @@ Each replicate's randomness is a pure function of (master_seed,
 replicate_index), so studies are reproducible and replicates can run in
 any order.  Cluster sizes are zero-truncated Poisson draws with
 subpopulation-specific means, equal across the two periods.
+
+One replicate's draws have two consumers: `generate_cells` reduces them
+straight to the cell table that `run_study` fits, and `generate_trial`
+lists them as the individual records of an `ObservedTrial`, for files,
+the command line and tests.  Both give the same table bit for bit.
 """
 from __future__ import annotations
 
@@ -17,13 +22,14 @@ from scipy import stats as sps
 from .estimands import PopulationMixture, true_cate, true_pate
 from .estimators import EstimationError, EstimatorKind, FitOptions
 from .inference import confidence_interval, fit_with_inference, wald_test
-from .trial import ObservedTrial, VarianceComponents
+from .trial import CellStats, ObservedTrial, VarianceComponents
 
 __all__ = [
     "SimScenario",
     "EstimatorSummary",
     "SimReport",
     "StudyError",
+    "generate_cells",
     "generate_trial",
     "run_study",
     "expand_truncated_poisson",
@@ -131,8 +137,9 @@ def _subpop_assignment(scenario: SimScenario, rng: np.random.Generator) -> np.nd
     return np.repeat(np.arange(len(probs)), counts)
 
 
-def generate_trial(scenario: SimScenario, replicate_index: int) -> ObservedTrial:
-    """One simulated trial, deterministic given (master_seed, replicate_index)."""
+def _draw(scenario: SimScenario, replicate_index: int):
+    """One replicate's random draws: the 2I cell sizes, the arms, and for
+    every record its cell index (2 x cluster + period) and outcome."""
     rng = np.random.default_rng([scenario.master_seed, replicate_index])
     n = scenario.n_clusters
     subpop = _subpop_assignment(scenario, rng)
@@ -157,12 +164,30 @@ def generate_trial(scenario: SimScenario, replicate_index: int) -> ObservedTrial
     cell_mean = np.column_stack((
         base + sd_g * z[start + 1],
         base + scenario.phi1 + seq * delta + sd_g * z[start + 2])).ravel()
-    cell_size = np.repeat(sizes, 2)
-    labels = np.array([f"c{i:04d}" for i in range(n)])
-    return ObservedTrial(np.repeat(labels, 2 * sizes),
-                         np.repeat(np.tile([0, 1], n), cell_size),
-                         np.repeat(seq, 2 * sizes),
-                         np.repeat(cell_mean, cell_size) + sd_e * e)
+    k = np.repeat(sizes, 2)
+    cell = np.repeat(np.arange(2 * n), k)
+    return k, seq, cell, cell_mean[cell] + sd_e * e
+
+
+def _labels(n: int) -> np.ndarray:
+    """The cluster labels, fixed-width so `ObservedTrial` codes them by runs."""
+    return np.array([f"c{i:04d}" for i in range(n)])
+
+
+def generate_cells(scenario: SimScenario, replicate_index: int) -> CellStats:
+    """The cell table of `generate_trial(scenario, replicate_index)`,
+    reduced from the same draws without building its records."""
+    k, seq, cell, y = _draw(scenario, replicate_index)
+    return CellStats.reduce(_labels(scenario.n_clusters).astype(object),
+                            seq.astype(np.float64), k.astype(np.float64),
+                            cell, y)
+
+
+def generate_trial(scenario: SimScenario, replicate_index: int) -> ObservedTrial:
+    """One simulated trial, deterministic given (master_seed, replicate_index)."""
+    _, seq, cell, y = _draw(scenario, replicate_index)
+    return ObservedTrial(_labels(scenario.n_clusters)[cell // 2], cell % 2,
+                         seq[cell // 2], y)
 
 
 def expand_truncated_poisson(mix: PopulationMixture, tail: float = 1e-12) -> PopulationMixture:
@@ -296,10 +321,10 @@ def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimR
     nonconverged = {k: 0 for k in kinds}
 
     for r in range(r_tot):
-        trial = generate_trial(scenario, r)
+        cells = generate_cells(scenario, r)
         for k in kinds:
             try:
-                res = fit_with_inference(trial, k, options, scenario.jackknife)
+                res = fit_with_inference(cells, k, options, scenario.jackknife)
             except EstimationError:
                 failures[k] += 1
                 continue

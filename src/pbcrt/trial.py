@@ -5,11 +5,13 @@ post period (1).  Clusters randomized to sequence 1 receive treatment in
 period 1 only, so the treatment indicator is fully determined by
 (sequence, period).
 
-Individual records exist only at the boundary: `ObservedTrial` validates
-them, subtracts one trial-level origin (the mean outcome) and reduces them
-once to `CellStats`, the per-cluster cell sizes, centred cell means and
-within-cell sums of squares that every fit reads.  The jackknife refits on
-those arrays with one row deleted.
+Every fit reads `CellStats`, the per-cluster cell sizes, cell means
+centred on one trial-level origin (the mean outcome) and within-cell sums
+of squares.  `CellStats.reduce` is the one reduction of outcomes to such a
+table.  Individual records exist only at the boundary: `ObservedTrial`
+validates and codes them, then reduces them with it; simulated studies
+reduce their draws with it directly (`simulate.generate_cells`).  The
+jackknife refits on the table's arrays with one row deleted.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ __all__ = [
     "CellStats",
     "ObservedTrial",
 ]
+
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class TrialValidationError(ValueError):
@@ -191,6 +195,42 @@ class CellStats:
         return CellStats(*(np.delete(a, i) for a in self._arrays()),
                          self.origin)
 
+    @classmethod
+    def reduce(cls, ids: np.ndarray, arm: np.ndarray, k: np.ndarray,
+               cell: np.ndarray, y: np.ndarray) -> "CellStats":
+        """The table of records with cell index `cell` and outcomes `y`.
+
+        Record j lies in cluster cell[j] // 2, period cell[j] % 2; `k`
+        holds the 2I cell sizes in that order, none of them zero, and
+        `ids` and `arm` one entry per cluster.  Outcomes whose sum of
+        squares about their mean overflows, or whose mean square about it
+        is subnormal without all being equal, raise TrialValidationError.
+        """
+        # Two passes (Chan, Golub & LeVeque 1983): cell means of the
+        # outcomes less their mean, then squares about those cell means.
+        # The mean is refined once, so constant outcomes centre to zero.
+        with np.errstate(all="ignore"):
+            origin = float(y.mean())
+            r = y - origin
+            origin += float(r.mean())
+            np.subtract(y, origin, out=r)
+            mean = np.bincount(cell, weights=r, minlength=k.size) / k
+            r -= mean[cell]
+            ss = np.bincount(cell, weights=np.square(r, out=r), minlength=k.size)
+            spread = float(np.sum(k * mean * mean) + ss.sum())
+        if not (math.isfinite(origin) and math.isfinite(spread)):
+            raise TrialValidationError(
+                "outcomes too large: their mean or sum of squares about it "
+                "overflows")
+        # Below the normal range the squares lose precision silently, and
+        # the scale-equivariant fits would be off without a warning.
+        if spread / y.size < _TINY and y.min() != y.max():
+            raise TrialValidationError(
+                f"outcomes too close together: their mean square about the "
+                f"mean, {spread / y.size!r}, is below {_TINY!r}")
+        return cls(ids, arm, k[0::2], k[1::2], mean[0::2], mean[1::2],
+                   ss[0::2] + ss[1::2], origin)
+
     def means(self) -> "CellStats":
         """Cell-means statistics: each cell is one observation, its mean."""
         one = np.ones_like(self.k0)
@@ -261,29 +301,11 @@ class ObservedTrial:
         if arm.min() == arm.max():
             raise TrialValidationError(
                 "trial needs at least one cluster in each sequence arm")
-        # Two passes (Chan, Golub & LeVeque 1983): cell means of the
-        # outcomes less their mean, then squares about those cell means.
-        # The mean is refined once, so constant outcomes centre to zero.
-        with np.errstate(all="ignore"):
-            origin = float(y.mean())
-            r = y - origin
-            origin += float(r.mean())
-            np.subtract(y, origin, out=r)
-            mean = np.bincount(cell, weights=r, minlength=2 * n) / k
-            r -= mean[cell]
-            ss = np.bincount(cell, weights=np.square(r, out=r), minlength=2 * n)
-            spread = float(np.sum(k * mean * mean) + ss.sum())
-        if not (math.isfinite(origin) and math.isfinite(spread)):
-            raise TrialValidationError(
-                "outcomes too large: their mean or sum of squares about it "
-                "overflows")
-
         self._code = code
         self.periods = per
         self.sequences = seq
         self.outcomes = y
-        self.cells = CellStats(ids, arm, k[0::2], k[1::2], mean[0::2],
-                               mean[1::2], ss[0::2] + ss[1::2], origin)
+        self.cells = CellStats.reduce(ids, arm, k, cell, y)
 
     @cached_property
     def cluster_ids(self) -> np.ndarray:

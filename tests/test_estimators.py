@@ -487,6 +487,37 @@ class TestDegenerateOutcomes:
             assert fit(tiny, kind).vc_hat.sigma_w2 == pytest.approx(
                 1e-16 * fit(t, kind).vc_hat.sigma_w2, rel=1e-9)
 
+    def test_tiny_scales_exact_or_refused(self):
+        # Outcomes times b give b times the estimates and b^2 times the
+        # model variance and components, or, once their mean square is
+        # subnormal, a TrialValidationError; never a silently wrong fit.
+        sc = SimScenario(n_clusters=10, mixture=PopulationMixture.two_point(
+            0.5, 20, 100, 0.2, 0.5), vc=VarianceComponents(1.0, 0.053, 0.013),
+            reps=1, master_seed=3, fixed_split=True)
+        t = generate_trial(sc, 0)
+        base = {kind: fit(t, kind) for kind in EstimatorKind}
+        refused = []
+        for k in (100, 140, 150, 152, 153, 154, 155, 160, 170):
+            b = 10.0 ** -k
+            try:
+                small = with_outcomes(t, lambda y: b * y)
+            except TrialValidationError as exc:
+                assert "mean square" in str(exc)
+                refused.append(k)
+                continue
+            for kind, a in base.items():
+                r = fit(small, kind)
+                got = [r.delta_hat, r.model_based_var]
+                want = [b * a.delta_hat, b * (b * a.model_based_var)]
+                if a.vc_hat is not None:
+                    got += [r.vc_hat.sigma_w2, r.vc_hat.tau_alpha2,
+                            r.vc_hat.tau_gamma2]
+                    want += [b * (b * a.vc_hat.sigma_w2),
+                             b * (b * a.vc_hat.tau_alpha2),
+                             b * (b * a.vc_hat.tau_gamma2)]
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0), (k, kind)
+        assert refused == [154, 155, 160, 170]
+
     @pytest.mark.parametrize("outcomes", [
         pytest.param(lambda y: 1e160 * y, id="1e160y"),
         pytest.param(lambda y: 0 * y + 1e308, id="all-1e308")])

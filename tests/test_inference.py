@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 from pbcrt import (
     EstimationError,
@@ -180,6 +180,18 @@ class TestWaldTest:
         assert p[:2].tolist() == [1.0, 0.0]
         with pytest.raises(ValueError):
             wald_test(d, -v, 10)
+
+    def test_equals_t_distribution_sf(self):
+        # The t tail comes straight from special.stdtr; it must equal the
+        # value of stats.t.sf, which wraps it in argument handling.
+        d = np.array([0.0, 0.3, -0.2, 0.0, 1.5, -2.0, 1e-300, 40.0])
+        v = np.array([0.0, 0.0, 0.04, 0.5, 0.01, 3.0, 1.0, 1e-6])
+        for n in range(4, 401):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(v == 0.0, d == 0.0, 2.0 * stats.t.sf(
+                    np.abs(d) / np.sqrt(v), n - 2))
+            assert wald_test(d, v, n).tolist() == want.tolist(), n
+            assert [wald_test(x, y, n) for x, y in zip(d, v)] == want.tolist()
 
     def test_symmetry(self):
         assert wald_test(0.4, 0.01, 8) == pytest.approx(

@@ -16,6 +16,7 @@ from pbcrt import (
     expand_truncated_poisson,
     fit,
     fit_with_inference,
+    generate_cells,
     generate_trial,
     plim,
     run_study,
@@ -130,6 +131,7 @@ class TestGeneration:
                       fixed_sizes=fixed_sizes, fixed_split=fixed_split)
         got, want = generate_trial(sc, rep), generate_trial_records(sc, rep)
         assert got.cells == want.cells
+        assert generate_cells(sc, rep) == want.cells
         for col in ("cluster_ids", "periods", "sequences", "outcomes"):
             a, b = getattr(got, col), getattr(want, col)
             assert a.dtype == b.dtype and np.array_equal(a, b), col
@@ -211,6 +213,17 @@ class TestStudy:
                 [f.model_based_var for f in fits]))
             assert s.mean_jackknife_variance == float(np.mean(
                 [f.jackknife_var for f in fits]))
+
+    def test_builds_no_records(self, monkeypatch):
+        # Replicates are drawn straight into their cell tables.
+        import pbcrt.trial
+
+        def refuse(self, *args):
+            raise AssertionError("run_study built individual records")
+
+        monkeypatch.setattr(pbcrt.trial.ObservedTrial, "__init__", refuse)
+        rep = run_study(scenario(n_clusters=6, reps=2, jackknife=True))
+        assert all(s.n_ok == 2 for s in rep.summaries)
 
     def test_one_reml_search_per_table_and_structure(self, monkeypatch):
         # eme/emew and neme/nemew share one REML search on each trial and

@@ -8,8 +8,9 @@ rank-2 update of sigma_w2 * I, and every quadratic form the estimators
 need is linear in three per-cluster numbers, e = (s, tw, tb) / D with D
 the determinant of the 2x2 cell system.  `gls_map` holds those linear
 coefficients for one cell table, so `normal_equations` assembles the 3x3
-GLS system shared by REML and the independence and mixed fits as one
-matrix product.  `cholesky3` factors that system in closed form.
+GLS system shared by REML and the independence and mixed fits, for any
+list of (ratios, row of the table's keep-masked jackknife stack) points
+in one vectorised call.  `cholesky_solve` factors those systems.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ __all__ = [
     "inverse_cell_terms",
     "gls_map",
     "normal_equations",
-    "cholesky3",
-    "lower_solve3",
+    "map_sums",
+    "cholesky_solve",
 ]
 
 # Entries of the symmetric M among the first five rows of the map: the
@@ -59,15 +60,18 @@ def inverse_cell_terms(k0, k1, sigma_w2: float, tau_within: float, tau_between: 
         c01 = s e_tb.
 
     D is a sum of nonnegative terms whenever tw >= tb >= 0, as every
-    structure here gives.  Vectorized over clusters: k0, k1 may be arrays.
-    Returns (e, logdet) with e of shape (3, n).
+    structure here gives.  Vectorized over clusters and, with tw and tb of
+    shape (..., 1), over points: returns (e, logdet), e of shape (..., 3, n).
     """
     k0 = np.asarray(k0, dtype=np.float64)
     k1 = np.asarray(k1, dtype=np.float64)
     s, tw, tb = sigma_w2, tau_within, tau_between
     k = k0 + k1
     det = k * (s * tw) + s * s + (k0 * k1) * ((tw - tb) * (tw + tb))
-    e = np.multiply.outer((s, tw, tb), 1.0 / det.ravel())
+    inv = 1.0 / np.atleast_1d(det)
+    e = np.empty(inv.shape[:-1] + (3, inv.shape[-1]))
+    for i, c in enumerate((s, tw, tb)):
+        np.multiply(c, inv, out=e[..., i, :])
     return e, np.log(det) if s == 1.0 else (k - 2.0) * math.log(s) + np.log(det)
 
 
@@ -111,50 +115,55 @@ def gls_map(cells: CellStats) -> np.ndarray:
     return np.array(rows)
 
 
-def normal_equations(cells: CellStats, tau_within: float, tau_between: float,
-                     weight=None):
+def normal_equations(cells: CellStats, tau_within, tau_between, weight=None,
+                     rows=0):
     """GLS normal equations of the (mu, delta, phi1) design at unit residual scale.
 
     The block of each cluster is I + U M U' with M = [[tw, tb], [tb, tw]]
     in residual-variance units.  With a weight (one value per cluster),
-    each cluster's terms are divided by it.  Returns (M, v, y'W y, sum of
-    block log-determinants), where W is the weighted inverse covariance;
-    the log-determinants ignore the weight.
+    each cluster's terms are divided by it.  The ratios and each point's
+    row of `CellStats.keep` may be arrays of points.  Returns (M, v,
+    y'W y, sum of block log-determinants) with the points' shape leading,
+    where W is the weighted inverse covariance; the log-determinants
+    ignore the weight.
     """
-    e, logdet = inverse_cell_terms(cells.k0, cells.k1, 1.0, tau_within,
-                                   tau_between)
+    tw, tb = (t[..., None] if isinstance(t, np.ndarray) else t
+              for t in (tau_within, tau_between))
+    e, logdet = inverse_cell_terms(cells.k0, cells.k1, 1.0, tw, tb)
     within = cells.within
     if weight is not None:
         e, within = e / weight, within / weight
-    x = cells.gls_map.reshape(9, -1) @ e.ravel()
-    return (x[M_ROWS].reshape(3, 3), x[5:8], float(x[8] + within.sum()),
-            float(logdet.sum()))
+    keep = cells.keep(rows)
+    x = map_sums(cells.gls_map, e * keep[..., None, :])
+    return (x[..., M_ROWS].reshape(x.shape[:-1] + (3, 3)), x[..., 5:8],
+            x[..., 8] + np.einsum("...i,...i->...", keep, within),
+            np.einsum("...i,...i->...", keep, logdet))
 
 
-def cholesky3(m):
-    """Lower Cholesky factor (l00, l10, l11, l20, l21, l22) of a symmetric 3x3
-    matrix given as nested sequences of Python floats; None unless it is
-    positive definite."""
-    (a, b, c), (_, d, f), (_, _, g) = m
-    if not a > 0.0:
-        return None
-    l00 = math.sqrt(a)
-    l10, l20 = b / l00, c / l00
-    p = d - l10 * l10
-    if not p > 0.0:
-        return None
-    l11 = math.sqrt(p)
-    l21 = (f - l20 * l10) / l11
-    p = g - l20 * l20 - l21 * l21
-    if not p > 0.0:
-        return None
-    return l00, l10, l11, l20, l21, math.sqrt(p)
+def map_sums(gls_map: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The map's nine sums over clusters with each basis e[..., 3, I]: one
+    `einsum` without BLAS, so no sum depends on the other bases."""
+    return np.einsum("...k,rk->...r", e.reshape(e.shape[:-2] + (-1,)),
+                     gls_map.reshape(9, -1))
 
 
-def lower_solve3(chol, v) -> tuple[float, float, float]:
-    """L^-1 v for a factor from `cholesky3`."""
-    l00, l10, l11, l20, l21, l22 = chol
-    v0, v1, v2 = v
-    z0 = v0 / l00
-    z1 = (v1 - l10 * z0) / l11
-    return z0, z1, (v2 - l20 * z0 - l21 * z1) / l22
+def cholesky_solve(m: np.ndarray, v: np.ndarray):
+    """Closed-form Cholesky factors of symmetric 3x3 matrices and L^-1 v.
+
+    m has shape (..., 3, 3) and v (..., 3).  Returns the factor's entries
+    (l00, l10, l11, l20, l21, l22) and those of z = L^-1 v.  M is positive
+    definite exactly where l22 > 0; elsewhere the entries are NaN,
+    infinite or zero, and no warning is raised.
+    """
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, f, g = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
+    with np.errstate(all="ignore"):
+        l00 = np.sqrt(a)
+        l10, l20 = b / l00, c / l00
+        l11 = np.sqrt(d - l10 * l10)
+        l21 = (f - l20 * l10) / l11
+        l22 = np.sqrt(g - l20 * l20 - l21 * l21)
+        z0 = v[..., 0] / l00
+        z1 = (v[..., 1] - l10 * z0) / l11
+        z2 = (v[..., 2] - l20 * z0 - l21 * z1) / l22
+    return (l00, l10, l11, l20, l21, l22), (z0, z1, z2)

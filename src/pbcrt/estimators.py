@@ -12,6 +12,9 @@ cluster-period size weights.  Every fit reads only the trial's
 - the weighted independence and fixed-effects fits are the unweighted
   fits on the cell means, and the weighted mixed fits divide each
   cluster's terms by its cell size.
+
+`fit_rows` fits any rows of a table's keep-masked jackknife stack in one
+batched solve, and `fit` is its one-row case.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import cholesky3, lower_solve3, normal_equations, structure_taus
+from .blocks import cholesky_solve, normal_equations, structure_taus
 from .reml import estimate_variance_components
 from .trial import (
     CellStats,
@@ -111,48 +114,60 @@ class FitResult:
 def fit(trial: ObservedTrial | CellStats, kind: EstimatorKind,
         options: FitOptions = FitOptions()) -> FitResult:
     """Fit one estimator on a trial or its cell table: estimate and model variance."""
+    return fit_rows(trial.cells, kind, options, 0)[0]
+
+
+def fit_rows(cells: CellStats, kind: EstimatorKind, options: FitOptions,
+             rows) -> list[FitResult]:
+    """`fit` on each given row (or one row) of the table's jackknife stack,
+    `CellStats.keep`, in one solve.  No row's result depends on the other
+    rows, so `fit` is the one-row case.
+    """
+    rows = np.asarray(rows)
     if kind.mixed:
-        return _fit_mixed(trial, kind, options)
-    cells = trial.cells.means() if kind.weighted else trial.cells
-    fe = kind in (EstimatorKind.FE, EstimatorKind.FEW)
-    delta, var, sigma2 = (_fixed_effects if fe else _independence)(cells)
-    return FitResult(kind=kind, delta_hat=delta, n_clusters=cells.n_clusters,
-                     model_based_var=var,
-                     vc_hat=None if kind.weighted or sigma2 == 0.0
-                     else VarianceComponents(sigma2))
+        delta, var, vcs, converged = _mixed(cells, kind, options, rows)
+    else:
+        table = cells.means if kind.weighted else cells
+        fe = kind in (EstimatorKind.FE, EstimatorKind.FEW)
+        delta, var, sigma2 = (_fixed_effects if fe else _independence)(table, rows)
+        vcs = [None if kind.weighted or s == 0.0 else VarianceComponents(s)
+               for s in sigma2.reshape(-1).tolist()]
+        converged = [True] * rows.size
+    n_clusters = np.where(rows > 0, cells.n_clusters - 1, cells.n_clusters)
+    return [FitResult(kind, d, n, v, vc, ok) for d, n, v, vc, ok in zip(
+        *(a.reshape(-1).tolist() for a in (delta, n_clusters, var)), vcs, converged)]
 
 
-def _solve_normal(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_normal(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """M^-1 v and the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for
     the Cholesky factor L of M."""
-    chol = cholesky3(m.tolist())
-    if chol is None:
+    (l00, l10, l11, l20, l21, l22), (z0, z1, z2) = cholesky_solve(m, v)
+    if not (l22 > 0.0).all():
         raise EstimationError("singular normal equations")
-    l00, l10, l11, l20, l21, l22 = chol
-    z0, z1, z2 = lower_solve3(chol, v.tolist())
     t2 = z2 / l22
     t1 = (z1 - l21 * t2) / l11
     t0 = (z0 - l10 * t1 - l20 * t2) / l00
-    _, e1, e2 = lower_solve3(chol, (0.0, 1.0, 0.0))
-    return np.array([t0, t1, t2]), e1 * e1 + e2 * e2
+    e1 = 1.0 / l11
+    e2 = -(l21 * e1) / l22
+    return np.array((t0, t1, t2)).T, e1 * e1 + e2 * e2
 
 
 # ---------------------------------------------------------------------------
 # independence-structure fits: (delta_hat, model variance, residual variance)
 
-def _independence(cells: CellStats) -> tuple[float, float, float]:
+def _independence(cells: CellStats, rows: np.ndarray):
     """OLS with treatment and period effects, residual variance RSS / (n - 3).
 
     A valid trial has at least two clusters with both cells filled, so
     n - 3 >= 1.
     """
-    m, v, yy, _ = normal_equations(cells, 0.0, 0.0)
+    m, v, yy, _ = normal_equations(cells, 0.0, 0.0, rows=rows)
     theta, inv_dd = _solve_normal(m, v)
-    sigma2 = max(yy - float(theta @ v), 0.0) / (cells.n_obs - 3)
-    return float(theta[1]), sigma2 * inv_dd, sigma2
+    sigma2 = np.maximum(yy - (theta * v).sum(axis=-1), 0.0) / (cells.row_obs[rows] - 3)
+    return theta[..., 1], sigma2 * inv_dd, sigma2
 
 
-def _fixed_effects(cells: CellStats) -> tuple[float, float, float]:
+def _fixed_effects(cells: CellStats, rows: np.ndarray):
     """Two-way fixed effects (cluster + period dummies + treatment).
 
     By the Frisch-Waugh-Lovell theorem, profiling out the cluster effects
@@ -162,18 +177,20 @@ def _fixed_effects(cells: CellStats) -> tuple[float, float, float]:
     variance sigma2 (1/H0 + 1/H1) for arm weight totals H, and the
     residual sum of squares adds the table's within-cell sums of squares.
     """
-    dof = cells.n_obs - cells.n_clusters - 2
-    if dof <= 0:
+    dof = cells.row_obs[rows] - (cells.n_clusters - (rows > 0)) - 2
+    if (dof <= 0).any():
         raise EstimationError("saturated design: no residual degrees of freedom")
-    k0, k1 = cells.k0, cells.k1
-    seq = cells.sequence.astype(np.intp)
+    keep = cells.keep(rows)
+    k0, k1, seq = cells.k0, cells.k1, cells.sequence
     d = cells.mean1 - cells.mean0
     h = k0 * k1 / (k0 + k1)
-    h_arm = np.bincount(seq, weights=h, minlength=2)
-    d_arm = np.bincount(seq, weights=h * d, minlength=2) / h_arm
-    sigma2 = float(cells.within.sum() + np.sum(h * (d - d_arm[seq]) ** 2)) / dof
-    return (float(d_arm[1] - d_arm[0]),
-            sigma2 * float(1.0 / h_arm[0] + 1.0 / h_arm[1]), sigma2)
+    arm_h = keep[..., None, :] * (np.array((1.0 - seq, seq)) * h)
+    h_arm = arm_h.sum(axis=-1)
+    d_arm = (arm_h * d).sum(axis=-1) / h_arm
+    resid = d - d_arm[..., seq.astype(np.intp)]
+    sigma2 = (keep * (cells.within + h * resid * resid)).sum(axis=-1) / dof
+    return (d_arm[..., 1] - d_arm[..., 0],
+            sigma2 * (1.0 / h_arm[..., 0] + 1.0 / h_arm[..., 1]), sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +207,9 @@ def _cluster_weight(cells: CellStats, weighting: WeightingScheme):
     return cells.k0
 
 
-def _mixed_system(cells: CellStats, structure: CorrelationStructure,
-                  vc: VarianceComponents, weight):
-    """Unit-scale normal equations (M, v, y'Wy) of the GLS fit at components vc."""
-    tw, tb = structure_taus(structure, vc)
-    m, v, yqy, _ = normal_equations(cells, tw / vc.sigma_w2, tb / vc.sigma_w2,
-                                    weight)
-    return m, v, yqy
+def _unit_ratios(structure: CorrelationStructure, vc: VarianceComponents):
+    """The structure's covariance contributions in residual-variance units."""
+    return np.divide(structure_taus(structure, vc), vc.sigma_w2)
 
 
 def gls_point_estimate(trial: ObservedTrial, structure: CorrelationStructure,
@@ -204,32 +217,34 @@ def gls_point_estimate(trial: ObservedTrial, structure: CorrelationStructure,
                        weighting: WeightingScheme = WeightingScheme.UNWEIGHTED) -> np.ndarray:
     """Solve the (weighted) GLS normal equations for (mu, delta, phi1)."""
     cells = trial.cells
-    m, v, _ = _mixed_system(cells, structure, vc,
-                            _cluster_weight(cells, weighting))
+    m, v, _, _ = normal_equations(cells, *_unit_ratios(structure, vc),
+                                  _cluster_weight(cells, weighting))
     theta = _solve_normal(m, v)[0]
     theta[0] += cells.origin
     return theta
 
 
-def _fit_mixed(trial: ObservedTrial | CellStats, kind: EstimatorKind,
-               options: FitOptions) -> FitResult:
-    cells = trial.cells
+def _mixed(cells: CellStats, kind: EstimatorKind, options: FitOptions,
+           rows: np.ndarray):
+    """(delta_hat, model variance, components, converged) on each row."""
     weight = _cluster_weight(cells, kind.weighting)
-    converged = True
-    vc = options.vc
-    if vc is None:
-        vc, converged = estimate_variance_components(
-            trial, kind.structure, return_converged=True)
-    m, v, yqy = _mixed_system(cells, kind.structure, vc, weight)
+    if options.vc is None:
+        found = estimate_variance_components(cells, kind.structure,
+                                             return_converged=True,
+                                             rows=np.reshape(rows, -1))
+        tw, tb = np.array([_unit_ratios(kind.structure, vc) for vc, _ in found]).T
+    else:
+        found = [(options.vc, True)] * rows.size
+        tw, tb = _unit_ratios(kind.structure, options.vc)
+    vcs = [vc for vc, _ in found]
+    m, v, yqy, _ = normal_equations(cells, tw, tb, weight, rows)
     theta, inv_dd = _solve_normal(m, v)
     if kind.weighted:
         # Weighted estimating equations are defined up to the weight scale;
         # a residual dispersion factor restores the variance to the scale of
         # the data, as in survey-weighted pseudo-likelihood software.
-        scale = max(yqy - float(theta @ v), 0.0) / (cells.n_obs - 3)
+        scale = (np.maximum(yqy - (theta * v).sum(axis=-1), 0.0)
+                 / (cells.row_obs[rows] - 3))
     else:
-        scale = vc.sigma_w2
-    return FitResult(kind=kind, delta_hat=float(theta[1]),
-                     n_clusters=cells.n_clusters,
-                     model_based_var=scale * inv_dd,
-                     vc_hat=vc, converged=converged)
+        scale = np.array([vc.sigma_w2 for vc in vcs])
+    return theta[..., 1], scale * inv_dd, vcs, [ok for _, ok in found]

@@ -2,8 +2,8 @@
 
 Two variance routes: the model-based GLS variance produced by each fit,
 and the leave-one-cluster-out jackknife, which refits the whole estimator
-(including variance components) on the cell table without each row.
-All t-based inference uses I - 2 degrees of freedom.
+(including variance components) on every delete-one table, as rows of
+one keep-masked stack.  All t-based inference uses I - 2 degrees of freedom.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special, stats
 
-from .estimators import EstimationError, EstimatorKind, FitOptions, FitResult, fit
+from .estimators import EstimationError, EstimatorKind, FitOptions, FitResult, fit, fit_rows
 from .trial import CellStats, ObservedTrial
 
 __all__ = [
@@ -57,22 +57,6 @@ def model_based_variance(trial: ObservedTrial, kind: EstimatorKind,
     return fit(trial, kind, options).model_based_var
 
 
-def _jackknife(cells: CellStats, kind: EstimatorKind,
-               options: FitOptions) -> tuple[float, np.ndarray, bool]:
-    """Jackknife variance, replicates, and whether every refit converged."""
-    n = cells.n_clusters
-    if n < 3:
-        raise EstimationError("jackknife needs at least 3 clusters")
-    for cluster_id, sub in zip(cells.ids, cells.deletions):
-        if sub.sequence.min() == sub.sequence.max():
-            raise EstimationError(
-                f"dropping cluster {cluster_id!r} leaves a single-arm trial")
-    refits = [fit(sub, kind, options) for sub in cells.deletions]
-    reps = np.array([r.delta_hat for r in refits])
-    var = (n - 1) / n * float(np.sum((reps - reps.mean()) ** 2))
-    return var, reps, all(r.converged for r in refits)
-
-
 def jackknife_variance(trial: ObservedTrial | CellStats, kind: EstimatorKind,
                        options: FitOptions = FitOptions()) -> tuple[float, np.ndarray]:
     """Leave-one-cluster-out jackknife variance and the replicate estimates.
@@ -81,8 +65,8 @@ def jackknife_variance(trial: ObservedTrial | CellStats, kind: EstimatorKind,
     without one cluster; the variance is ((I-1)/I) * sum((d_i - dbar)^2)
     around the mean of the leave-one-out estimates.
     """
-    var, reps, _ = _jackknife(trial.cells, kind, options)
-    return var, reps
+    result = fit_with_inference(trial, kind, options)
+    return result.jackknife_var, result.jackknife_replicates
 
 
 def confidence_interval(delta_hat: float, variance: float, n_clusters: int,
@@ -121,10 +105,26 @@ def fit_with_inference(trial: ObservedTrial | CellStats, kind: EstimatorKind,
                        options: FitOptions = FitOptions(),
                        jackknife: bool = True) -> FitResult:
     """Fit plus jackknife variance attached to the result; `converged` is
-    False when the fit or any jackknife refit used non-converged REML."""
-    result = fit(trial, kind, options)
-    if jackknife:
-        var, reps, converged = _jackknife(trial.cells, kind, options)
-        result = replace(result, jackknife_var=var, jackknife_replicates=reps,
-                         converged=result.converged and converged)
-    return result
+    False when the fit or any jackknife refit used non-converged REML.
+    The fit and its I refits are the rows of one `fit_rows` call."""
+    cells = trial.cells
+    if not jackknife:
+        return fit(cells, kind, options)
+    arm = cells.sequence.astype(np.intp)
+    lone = np.flatnonzero(np.bincount(arm)[arm] == 1)
+    try:
+        if cells.n_clusters < 3:
+            raise EstimationError("jackknife needs at least 3 clusters")
+        if lone.size:
+            raise EstimationError(f"dropping cluster {cells.ids[lone[0]]!r} "
+                                  "leaves a single-arm trial")
+        result, *refits = fit_rows(cells, kind, options,
+                                   range(cells.n_clusters + 1))
+    except EstimationError:
+        fit(cells, kind, options)  # the full table's own error comes first
+        raise
+    n = len(refits)
+    reps = np.array([r.delta_hat for r in refits])
+    var = (n - 1) / n * float(np.sum((reps - reps.mean()) ** 2))
+    return replace(result, jackknife_var=var, jackknife_replicates=reps,
+                   converged=all(r.converged for r in (result, *refits)))

@@ -4,23 +4,22 @@ The restricted likelihood is profiled over the residual variance, leaving
 a one-dimensional search over the ICC for the exchangeable structure
 (SciPy's bounded Brent) and a two-dimensional Nelder-Mead search over
 (within-period ICC, cluster auto-correlation) for the nested-exchangeable
-structure (SciPy's algorithm, step for step in Python floats).  Each
-likelihood evaluation is one product with the normal-equation map
-(`blocks.gls_map`) and a closed-form 3x3 Cholesky factorisation.  Newton
-steps on the analytic gradient polish a converged optimum to rounding.
-Results are memoised on the cell table.  Outcomes that leave no residual
-variation raise `EstimationError`.
+structure, both SciPy's algorithms step for step as generators that yield
+the points they need.  `_drive` advances the searches of every requested
+row of a table's jackknife stack (`CellStats.keep`) in lockstep, with one
+vectorised likelihood evaluation per round.  Newton steps on the analytic
+gradient polish converged optima, for all rows at once.  Results are
+memoised per table, structure and row.
 """
 from __future__ import annotations
 
 import math
-from functools import partial
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
-from scipy import optimize
 
-from .blocks import M_ROWS, cholesky3, inverse_cell_terms, lower_solve3
+from .blocks import M_ROWS, map_sums, cholesky_solve, inverse_cell_terms, normal_equations
 from .trial import (CellStats, CorrelationStructure, EstimationError,
                     ObservedTrial, VarianceComponents)
 
@@ -53,262 +52,319 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _expit(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))
+def _expit(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
 
-def _nelder_mead(func, x0):
+def _nelder_mead(x0):
     """SciPy 1.17's Nelder-Mead (non-adaptive, unbounded) on two coordinates.
 
-    The same initial simplex, vertex expressions, stable vertex order and
-    stopping rules in Python floats, so it returns the (x, fun, nit, nfev,
-    success) of `scipy.optimize.minimize(func, x0, method="Nelder-Mead")`
-    with xatol 1e-8, fatol 1e-10 and maxiter _MAX_ITER.  At most
-    3 + 4 (_MAX_ITER - 1) evaluations are made.
+    A search generator: it yields lists of points, is sent their values,
+    and returns SciPy's (x, fun, nit, nfev, success) with xatol 1e-8,
+    fatol 1e-10 and maxiter _MAX_ITER, step for step in Python floats.
+    Each iteration asks for its reflection, expansion and both
+    contractions at once, and for its shrink points in a second request.
     """
     a, b = x0
-    sim = sorted(((func(p), p) for p in (
-        (a, b), (1.05 * a if a != 0.0 else 0.00025, b),
-        (a, 1.05 * b if b != 0.0 else 0.00025))), key=itemgetter(0))
+    start = [(a, b), (1.05 * a if a != 0.0 else 0.00025, b),
+             (a, 1.05 * b if b != 0.0 else 0.00025)]
+    sim = sorted(zip((yield start), start), key=itemgetter(0))
     nfev, nit = 3, 1
     while nit < _MAX_ITER:
         (f0, (b0, b1)), (f1, p1), (fw, w) = sim
-        if (all(abs(d) <= 1e-8 for d in (p1[0] - b0, p1[1] - b1,
-                                          w[0] - b0, w[1] - b1))
+        if (abs(p1[0] - b0) <= 1e-8 and abs(p1[1] - b1) <= 1e-8
+                and abs(w[0] - b0) <= 1e-8 and abs(w[1] - b1) <= 1e-8
                 and abs(f0 - f1) <= 1e-10 and abs(f0 - fw) <= 1e-10):
             break
         c0, c1 = (b0 + p1[0]) / 2, (b1 + p1[1]) / 2
-
-        def vertex(s, t):  # s xbar + t w
-            p = (s * c0 + t * w[0], s * c1 + t * w[1])
-            return func(p), p
-
-        r = vertex(2, -1)
+        # s xbar + t w: reflection, expansion, outside and inside contraction
+        trial = [(s * c0 + t * w[0], s * c1 + t * w[1])
+                 for s, t in ((2, -1), (3, -2), (1.5, -0.5), (0.5, 0.5))]
+        r, e, oc, ic = zip((yield trial), trial)
         nfev += 1
         if r[0] < f0:
-            e = vertex(3, -2)
             nfev += 1
             sim[2] = e if e[0] < r[0] else r
         elif r[0] < f1:
             sim[2] = r
         else:
             outside = r[0] < fw
-            c = vertex(1.5, -0.5) if outside else vertex(0.5, 0.5)
+            c = oc if outside else ic
             nfev += 1
             if (c[0] <= r[0]) if outside else (c[0] < fw):
                 sim[2] = c
             else:
-                sim[1:] = [(func(p), p) for p in (
-                    (b0 + 0.5 * (q[0] - b0), b1 + 0.5 * (q[1] - b1))
-                    for _, q in sim[1:])]
+                shrunk = [(b0 + 0.5 * (q[0] - b0), b1 + 0.5 * (q[1] - b1))
+                          for _, q in sim[1:]]
+                sim[1:] = zip((yield shrunk), shrunk)
                 nfev += 2
         nit += 1
         sim.sort(key=itemgetter(0))
     return sim[0][1], sim[0][0], nit, nfev, nit < _MAX_ITER
 
 
-def _factor(x, within: float):
-    """(Cholesky factor of M or None, y'Wy - v'M^-1 v) from the nine map
-    rows x of a unit-scale system, in Python floats."""
-    chol = cholesky3(((x[0], x[1], x[2]), (x[1], x[3], x[3]), (x[2], x[3], x[4])))
-    if chol is None:
-        return None, 0.0
-    z0, z1, z2 = lower_solve3(chol, x[5:8])
-    return chol, x[8] + within - (z0 * z0 + z1 * z1 + z2 * z2)
+def _brent(lo: float, hi: float):
+    """SciPy 1.17's bounded Brent search on [lo, hi] as a search generator
+    on 1-tuples, returning the (x, fun, nit, nfev, success) of
+    `scipy.optimize.minimize_scalar(func, bounds=(lo, hi),
+    method="bounded")` with xatol 1e-8 and maxiter _MAX_ITER: the same
+    golden-section and parabolic steps in Python floats."""
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx, = yield [(xf,)]
+    num, fu = 1, math.inf
+    ffulc = fnfc = fx
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + 1e-8 / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_ITER or abs(xf - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu, = yield [(x,)]
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    success = num < _MAX_ITER and not any(map(math.isnan, (xf, fx, fu)))
+    return xf, fx, num, num, success
 
 
-def _profile(cells: CellStats, tw0: float, tb0: float):
-    """(Cholesky factor of M or None, y'Wy - v'M^-1 v, sum of block log-dets):
-    the unweighted `blocks.normal_equations` in Python floats."""
-    e, logdet = inverse_cell_terms(cells.k0, cells.k1, 1.0, tw0, tb0)
-    x = (cells.gls_map.reshape(9, -1) @ e.ravel()).tolist()
-    return (*_factor(x, cells.block_sums[2]), float(logdet.sum()))
+def _drive(rows: np.ndarray, searches: list, deviance) -> list:
+    """Run one search generator per row in lockstep, one call of
+    deviance(rows, points) per round; return the searches' results."""
+    results = [None] * len(searches)
+    pending = [(i, row, s, next(s)) for i, (row, s) in
+               enumerate(zip(rows.tolist(), searches))]
+    while pending:
+        points = [p for *_, pts in pending for p in pts]
+        values = iter(deviance(
+            np.array([row for _, row, _, pts in pending for _ in pts]),
+            np.fromiter(chain.from_iterable(points), np.float64).reshape(
+                len(points), -1)).tolist())
+        waiting = []
+        for i, row, search, pts in pending:
+            try:
+                waiting.append((i, row, search,
+                                search.send([next(values) for _ in pts])))
+            except StopIteration as done:
+                results[i] = done.value
+        pending = waiting
+    return results
 
 
-def _deviance(cells: CellStats, tw0: float, tb0: float) -> float:
+def _deviance(cells: CellStats, rows, tw0, tb0, parts: bool = False):
     """Profiled -2 restricted log-likelihood over variance ratios.
 
     Ratios are in residual-variance units: the covariance block is
-    sigma_w2 * (I + U M0 U') with M0 = [[tw0, tb0], [tb0, tw0]].  A
-    normal matrix that is not positive definite, or a profiled quadratic
-    that is not positive, gives inf.
+    sigma_w2 * (I + U M0 U') with M0 = [[tw0, tb0], [tb0, tw0]].  A normal
+    matrix that is not positive definite, or a profiled quadratic that is
+    not positive, gives inf.  With `parts`, also M, v, the quadratic
+    y'Wy - v'M^-1 v and whether M is positive definite.
     """
-    chol, quad, logdet_blocks = _profile(cells, tw0, tb0)
-    if chol is None or not quad > 0.0:
-        return float("inf")
-    dof = cells.n_obs - _N_PARAMS
-    return (logdet_blocks + 2.0 * math.log(chol[0] * chol[2] * chol[5])
-            + dof * math.log(quad))
+    m, v, yy, logdet = normal_equations(cells, tw0, tb0, rows=rows)
+    (l00, _, l11, _, _, l22), (z0, z1, z2) = cholesky_solve(m, v)
+    quad, pd = yy - (z0 * z0 + z1 * z1 + z2 * z2), l22 > 0.0
+    with np.errstate(all="ignore"):
+        dev = np.where(pd & (quad > 0.0), logdet + 2.0 * np.log(l00 * l11 * l22)
+                       + (cells.row_obs[rows] - _N_PARAMS) * np.log(quad), np.inf)
+    return (dev, m, v, quad, pd) if parts else dev
 
 
-def _gradient(cells: CellStats, tw0: float, tb0: float) -> np.ndarray:
-    """Gradient of `_deviance` in (tw0, tb0).
+def _profiled(cells: CellStats, rows, tw0, tb0):
+    """(M, v, y'Wy - v'M^-1 v) at each point, raising where `_deviance`
+    is inf."""
+    _, m, v, quad, pd = _deviance(cells, rows, tw0, tb0, parts=True)
+    if not pd.all():
+        raise EstimationError("singular normal equations")
+    bad = ~((0.0 < quad) & (quad < math.inf))
+    if bad.any():
+        raise EstimationError(
+            f"profiled residual sum of squares is {float(quad[bad][0])!r}: "
+            "the outcomes leave no residual variation to estimate "
+            "components from")
+    return m, v, quad
+
+
+def _sigma2(cells: CellStats, rows, tw0, tb0) -> np.ndarray:
+    """Profiled residual variance at the given ratios, one per point."""
+    return _profiled(cells, rows, tw0, tb0)[2] / (cells.row_obs[rows] - _N_PARAMS)
+
+
+def _gradient(cells: CellStats, rows, tw0, tb0) -> np.ndarray:
+    """Gradient of `_deviance` in (tw0, tb0), one row of two per point.
 
     For e = (1, tw0, tb0) / D and either ratio t, de/dt = u_t / D - a_t e
     with u_t its unit vector, a_w = (k0 + k1 + 2 k0 k1 tw0) / D and
-    a_b = -2 k0 k1 tb0 / D, so one product of the map with the columns 1/D,
-    a_w/D and a_b/D gives the system and both derivatives.  With
-    theta = M^-1 v, d log det M = tr(M^-1 dM) and the profiled quadratic
-    changes by d(y'Wy) - 2 theta'dv + theta'dM theta.
+    a_b = -2 k0 k1 tb0 / D, so the map's sums with de/dt give the
+    derivatives of the system.  With theta = M^-1 v, d log det M =
+    tr(M^-1 dM) and the profiled quadratic changes by
+    d(y'Wy) - 2 theta'dv + theta'dM theta.
     """
-    k, kk, within = cells.block_sums
-    e, _ = inverse_cell_terms(cells.k0, cells.k1, 1.0, tw0, tb0)
-    a = np.array((k + (2.0 * tw0) * kk, (-2.0 * tb0) * kk)) * e[0]
-    p = cells.gls_map @ np.vstack((e[0], a * e[0])).T
-    cp = np.array((1.0, tw0, tb0)) @ p
-    x = cp[:, 0].tolist()
-    chol, quad = _factor(x, within)
-    if chol is None:
-        raise EstimationError("singular normal equations")
-    l_inv = np.array([lower_solve3(chol, u) for u in np.eye(3).tolist()]).T
-    m_inv = l_inv.T @ l_inv
-    theta = m_inv @ x[5:8]
-    dx = (p[:, 1:, 0] - cp[:, 1:]).T  # the map rows' derivatives
-    dm = dx[:, M_ROWS].reshape(2, 3, 3)
-    dq = dx[:, 8] - 2.0 * dx[:, 5:8] @ theta + theta @ dm @ theta
-    return (a.sum(axis=1) + (m_inv * dm).sum(axis=(1, 2))
-            + (cells.n_obs - _N_PARAMS) * dq / _residual(quad))
+    m, v, quad = _profiled(cells, rows, tw0, tb0)
+    m_inv = np.linalg.inv(m)
+    theta = (m_inv * v[:, None, :]).sum(axis=-1)
+    k0, k1, keep = cells.k0, cells.k1, cells.keep(rows)
+    e, _ = inverse_cell_terms(k0, k1, 1.0, tw0[:, None], tb0[:, None])
+    a = np.stack((k0 + k1 + (2.0 * tw0[:, None]) * (k0 * k1),
+                  (-2.0 * tb0[:, None]) * (k0 * k1)), axis=1) * e[:, None, 0]
+    de = -a[:, :, None] * e[:, None]
+    de[:, 0, 1] += e[:, 0]
+    de[:, 1, 2] += e[:, 0]
+    dx = map_sums(cells.gls_map, de * keep[:, None, None])
+    dm = dx[..., M_ROWS].reshape(dx.shape[:-1] + (3, 3))
+    dq = (dx[..., 8] - 2.0 * (dx[..., 5:8] * theta[:, None]).sum(axis=-1)
+          + ((dm * theta[:, None, None]).sum(axis=-1)
+             * theta[:, None]).sum(axis=-1))
+    return ((a * keep[:, None]).sum(axis=-1)
+            + (m_inv[:, None] * dm).sum(axis=(-2, -1))
+            + ((cells.row_obs[rows] - _N_PARAMS) / quad)[:, None] * dq)
 
 
-def _sigma2(cells: CellStats, tw0: float, tb0: float) -> float:
-    """Profiled residual variance at the given ratios."""
-    chol, quad, _ = _profile(cells, tw0, tb0)
-    if chol is None:
-        raise EstimationError("singular normal equations")
-    return _residual(quad) / (cells.n_obs - _N_PARAMS)
+def _ratios(x: np.ndarray, cac=None):
+    """(q, c) at points x = (log q, logit c), or x = (log q,) with c = cac
+    per point; the variance ratios are (q, c q)."""
+    return np.exp(x[:, 0]), (_expit(x[:, 1]) if cac is None else cac)
 
 
-def _residual(quad: float) -> float:
-    """The profiled quadratic y'Wy - v'M^-1 v, which REML divides by."""
-    if not 0.0 < quad < math.inf:
-        raise EstimationError(
-            f"profiled residual sum of squares is {quad!r}: the outcomes "
-            "leave no residual variation to estimate components from")
-    return quad
+def _polish(cells: CellStats, rows, x, lo, hi, cac=None) -> np.ndarray:
+    """Newton steps on the analytic gradient from converged search points.
 
-
-def _polish(cells: CellStats, x, ratios, lo, hi) -> np.ndarray:
-    """Newton steps on the analytic gradient from a converged search point.
-
-    ratios(x) gives (tw0, tb0) and their Jacobian in the search
-    coordinates x, which stay within [lo, hi].  The Hessian is a forward
-    difference of the gradient.  A step is taken only if the Hessian is
-    positive definite, no coordinate moves by more than _POLISH_MAX_STEP
-    and the deviance does not rise by more than its rounding error, so the
-    search's point is kept when Newton's method does not apply there.
+    x holds one point per row in the coordinates of `_ratios`, which stay
+    within [lo, hi]; the Hessian is a forward difference of the gradient.
+    A row steps only while its Hessian is positive definite, no coordinate
+    moves by more than _POLISH_MAX_STEP and the deviance does not rise by
+    more than its rounding error.
     """
-    def grad(x):
-        tw0, tb0, jac = ratios(x)
-        return jac.T @ _gradient(cells, tw0, tb0)
-
     x = np.array(x, dtype=np.float64)
-    dev = _deviance(cells, *ratios(x)[:2])
+    d = x.shape[1]
+    q, c = _ratios(x, cac)
+    dev = _deviance(cells, rows, q, c * q)
+    probes = np.vstack((np.zeros(d), _POLISH_H * np.eye(d)))
+    todo = np.arange(len(x))
     for _ in range(_POLISH_STEPS):
-        g = grad(x)
-        h = np.column_stack([(grad(x + d) - g) / _POLISH_H
-                             for d in _POLISH_H * np.eye(x.size)])
-        h = 0.5 * (h + h.T)
-        if np.linalg.eigvalsh(h)[0] <= 0.0:
+        q, c = _ratios((x[todo][:, None] + probes).reshape(-1, d),
+                       None if cac is None else np.repeat(cac[todo], d + 1))
+        g = _gradient(cells, np.repeat(rows[todo], d + 1), q, c * q)
+        # by the chain rule, in (log q, logit c)
+        g = np.stack((q * (g[:, 0] + c * g[:, 1]), q * c * (1.0 - c) * g[:, 1]),
+                     axis=-1)[:, :d].reshape(-1, d + 1, d)
+        h = np.swapaxes(g[:, 1:] - g[:, :1], 1, 2) / _POLISH_H
+        h = 0.5 * (h + np.swapaxes(h, 1, 2))
+        ok = np.linalg.eigvalsh(h)[:, 0] > 0.0
+        h[~ok] = np.eye(d)
+        step = -np.linalg.solve(h, g[:, 0, :, None])[..., 0]
+        x_new = x[todo] + step
+        ok &= ((np.abs(step).max(axis=1) <= _POLISH_MAX_STEP)
+               & (x_new >= lo).all(axis=1) & (x_new <= hi).all(axis=1))
+        dev_new = np.full(todo.size, np.inf)
+        if ok.any():
+            q, c = _ratios(x_new[ok], None if cac is None else cac[todo[ok]])
+            dev_new[ok] = _deviance(cells, rows[todo[ok]], q, c * q)
+        ok &= dev_new <= dev[todo] + _DEV_ROUNDING * np.abs(dev[todo])
+        x[todo[ok]], dev[todo[ok]] = x_new[ok], dev_new[ok]
+        todo = todo[ok]
+        if not todo.size:
             break
-        step = -np.linalg.solve(h, g)
-        x_new = x + step
-        if (np.abs(step).max() > _POLISH_MAX_STEP
-                or (x_new < lo).any() or (x_new > hi).any()):
-            break
-        dev_new = _deviance(cells, *ratios(x_new)[:2])
-        if not dev_new <= dev + _DEV_ROUNDING * abs(dev):
-            break
-        x, dev = x_new, dev_new
     return x
 
 
-def _snap_rho(rho: float) -> float:
-    return 0.0 if rho <= _RHO_MIN * 10 else rho
+def _snap_rho(rho: np.ndarray) -> np.ndarray:
+    return np.where(rho <= _RHO_MIN * 10, 0.0, rho)
 
 
-def _snap_cac(cac: float) -> float:
-    if cac <= _SNAP:
-        return 0.0
-    return 1.0 if cac >= 1.0 - _SNAP else cac
-
-
-def _ratios(x, cac=None):
-    """Ratios (q, cac q) and their Jacobian at x = (log q, logit cac), or at
-    x = (log q,) for a fixed cac (1: exchangeable, q = rho / (1 - rho))."""
-    q = math.exp(x[0])
-    if cac is not None:
-        return q, cac * q, np.array([[q], [cac * q]])
-    c = _expit(x[1])
-    return q, c * q, np.array([[q, 0.0], [c * q, q * c * (1.0 - c)]])
+def _snap_cac(cac: np.ndarray) -> np.ndarray:
+    return np.where(cac <= _SNAP, 0.0, np.where(cac >= 1.0 - _SNAP, 1.0, cac))
 
 
 def estimate_variance_components(trial: ObservedTrial | CellStats,
                                  structure: CorrelationStructure,
-                                 return_converged: bool = False):
+                                 return_converged: bool = False, rows=None):
     """REML variance components of the unweighted model for one structure.
 
     Returns a VarianceComponents (and a convergence flag when
-    return_converged is set).  Estimates are clamped to [0, inf) with the
-    ICC kept strictly below 1; non-convergence returns the best values
-    found with converged=False.  The search runs once per cell table and
-    structure; later calls return the memoised result.
+    return_converged is set); with `rows`, a list of (VarianceComponents,
+    converged) pairs, one per row of the table's jackknife stack
+    (`CellStats.keep`).  Estimates are clamped to [0, inf) with the ICC
+    kept strictly below 1; non-convergence returns the best values found
+    with converged=False.  Rows not yet memoised run in one lockstep drive.
     """
-    memo = trial.cells.reml_memo
-    if structure not in memo:
-        memo[structure] = _reml(trial.cells, structure)
-    vc, converged = memo[structure]
-    return (vc, converged) if return_converged else vc
+    cells = trial.cells
+    memo = cells.reml_memo.setdefault(structure, {})
+    want = [0] if rows is None else [int(r) for r in rows]
+    todo = [r for r in dict.fromkeys(want) if r not in memo]
+    if todo:
+        memo.update(zip(todo, _reml(cells, structure, np.array(todo))))
+    if rows is None:
+        return memo[0] if return_converged else memo[0][0]
+    return [memo[r] for r in want]
 
 
-def _reml(cells: CellStats,
-          structure: CorrelationStructure) -> tuple[VarianceComponents, bool]:
+def _reml(cells: CellStats, structure: CorrelationStructure,
+          rows: np.ndarray) -> list[tuple[VarianceComponents, bool]]:
     if structure is CorrelationStructure.INDEPENDENCE:
-        return VarianceComponents(_sigma2(cells, 0.0, 0.0)), True
+        return [(VarianceComponents(s), True)
+                for s in _sigma2(cells, rows, 0.0, 0.0).tolist()]
 
     lo, hi = _logit(_RHO_MIN), _logit(_RHO_MAX)
+    low, high = np.array([lo, _logit(_CAC_MIN)]), np.array([hi, _logit(_CAC_MAX)])
     if structure is CorrelationStructure.EXCHANGEABLE:
-        def objective(x: float) -> float:
-            rho = _expit(min(max(x, lo), hi))
-            r = rho / (1.0 - rho)
-            return _deviance(cells, r, r)
+        searches = [_brent(lo, hi) for _ in rows]
+    else:
+        big = (np.maximum(cells.k0, cells.k1) >= 2).astype(np.intp)
+        if (big.sum() - np.where(rows > 0, big[rows - 1], 0) == 0).any():
+            raise EstimationError(
+                "nested REML needs a cell with at least two records: with one "
+                "record per cell, sigma_w2 and tau_gamma2 are not identified")
+        searches = [_nelder_mead((_logit(0.05), _logit(0.5))) for _ in rows]
 
-        res = optimize.minimize_scalar(
-            objective, bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-8, "maxiter": _MAX_ITER})
-        x = float(res.x)
-        if res.success and _snap_rho(_expit(x)) > 0.0:
-            x = float(_polish(cells, [x], partial(_ratios, cac=1.0), lo, hi)[0])
-        rho = _snap_rho(_expit(x))
-        r = rho / (1.0 - rho)
-        sigma2 = _sigma2(cells, r, r)
-        return VarianceComponents(sigma2, tau_alpha2=sigma2 * r), bool(res.success)
+    def deviance(at, x):  # x = (logit rho, logit cac), or (logit rho,) at cac 1
+        p = _expit(np.minimum(np.maximum(x, low[:x.shape[1]]), high[:x.shape[1]]))
+        q = p[:, 0] / (1.0 - p[:, 0])
+        return _deviance(cells, at, q, (p[:, 1] if x.shape[1] == 2 else 1.0) * q)
 
-    if max(cells.k0.max(), cells.k1.max()) < 2:
-        raise EstimationError(
-            "nested REML needs a cell with at least two records: with one "
-            "record per cell, sigma_w2 and tau_gamma2 are not identified")
-
-    clo, chi = _logit(_CAC_MIN), _logit(_CAC_MAX)
-
-    def objective2(x) -> float:
-        rho_wp = _expit(min(max(x[0], lo), hi))
-        cac = _expit(min(max(x[1], clo), chi))
-        q = rho_wp / (1.0 - rho_wp)
-        return _deviance(cells, q, cac * q)
-
-    x, _, _, _, success = _nelder_mead(objective2, (_logit(0.05), _logit(0.5)))
-    x = [min(max(x[0], lo), hi), min(max(x[1], clo), chi)]
-    cac = _snap_cac(_expit(x[1]))
-    if success and _snap_rho(_expit(x[0])) > 0.0:
-        if cac in (0.0, 1.0):
-            x[0] = float(_polish(cells, x[:1], partial(_ratios, cac=cac), lo, hi)[0])
-        else:
-            x = list(_polish(cells, x, _ratios, [lo, clo], [hi, chi]))
-            cac = _snap_cac(_expit(x[1]))
-    rho_wp = _snap_rho(_expit(x[0]))
+    found = _drive(rows, searches, deviance)
+    x, success = np.array([f[0] for f in found]), [f[4] for f in found]
+    x = np.minimum(np.maximum(x.reshape(len(rows), -1), low[:x.ndim]), high[:x.ndim])
+    cac = _snap_cac(_expit(x[:, 1])) if x.shape[1] == 2 else np.ones(len(x))
+    polish = np.array(success) & (_snap_rho(_expit(x[:, 0])) > 0.0)
+    edge = polish & ((cac == 0.0) | (cac == 1.0))
+    if edge.any():
+        x[edge, 0] = _polish(cells, rows[edge], x[edge, :1], low[:1], high[:1],
+                             cac=cac[edge])[:, 0]
+    inner = polish & ~edge
+    if inner.any():
+        x[inner] = _polish(cells, rows[inner], x[inner], low, high)
+        cac[inner] = _snap_cac(_expit(x[inner, 1]))
+    rho_wp = _snap_rho(_expit(x[:, 0]))
     q = rho_wp / (1.0 - rho_wp)
-    sigma2 = _sigma2(cells, q, cac * q)
+    sigma2 = _sigma2(cells, rows, q, cac * q)
     total = sigma2 * q
-    vc = VarianceComponents(sigma2, tau_alpha2=cac * total,
-                            tau_gamma2=(1.0 - cac) * total)
-    return vc, success
+    return [(VarianceComponents(s, tau_alpha2=c * t, tau_gamma2=(1.0 - c) * t), ok)
+            for s, c, t, ok in zip(sigma2.tolist(), cac.tolist(), total.tolist(),
+                                   success)]

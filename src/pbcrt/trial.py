@@ -11,7 +11,7 @@ of squares.  `CellStats.reduce` is the one reduction of outcomes to such a
 table.  Individual records exist only at the boundary: `ObservedTrial`
 validates and codes them, then reduces them with it; simulated studies
 reduce their draws with it directly (`simulate.generate_cells`).  The
-jackknife refits on the table's arrays with one row deleted.
+jackknife's delete-one tables are rows of a keep-mask (`CellStats.keep`).
 """
 from __future__ import annotations
 
@@ -166,34 +166,31 @@ class CellStats:
         return int(self.k0.sum() + self.k1.sum())
 
     @cached_property
-    def deletions(self) -> list["CellStats"]:
-        """The delete-one-cluster tables of the jackknife, built once."""
-        return [self.drop(i) for i in range(self.n_clusters)]
-
-    @cached_property
     def gls_map(self) -> np.ndarray:
         """The normal-equation coefficients of `blocks.gls_map`, built once."""
         from .blocks import gls_map
-        return gls_map(self)
-
-    @cached_property
-    def block_sums(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """k0 + k1, k0 k1 and the within-cell sum of squares, built once."""
-        return self.k0 + self.k1, self.k0 * self.k1, float(self.within.sum())
+        m = gls_map(self)
+        m.flags.writeable = False
+        return m
 
     @cached_property
     def reml_memo(self) -> dict:
-        """REML results on this table by correlation structure."""
+        """REML results by correlation structure and row of `keep`."""
         return {}
+
+    def keep(self, rows) -> np.ndarray:
+        """Rows of the (I + 1, I) keep-mask: row j + 1 drops cluster j."""
+        return np.not_equal.outer(np.asarray(rows) - 1,
+                                  np.arange(self.n_clusters)).astype(np.float64)
+
+    @cached_property
+    def row_obs(self) -> np.ndarray:
+        """The number of records on each row of the jackknife's stack."""
+        return self.n_obs - np.concatenate(([0.0], self.k0 + self.k1))
 
     @property
     def equal_period_sizes(self) -> bool:
         return bool(np.array_equal(self.k0, self.k1))
-
-    def drop(self, i: int) -> "CellStats":
-        """The statistics without row i, at the same origin."""
-        return CellStats(*(np.delete(a, i) for a in self._arrays()),
-                         self.origin)
 
     @classmethod
     def reduce(cls, ids: np.ndarray, arm: np.ndarray, k: np.ndarray,
@@ -231,8 +228,11 @@ class CellStats:
         return cls(ids, arm, k[0::2], k[1::2], mean[0::2], mean[1::2],
                    ss[0::2] + ss[1::2], origin)
 
+    @cached_property
     def means(self) -> "CellStats":
-        """Cell-means statistics: each cell is one observation, its mean."""
+        """Cell-means statistics: each cell is one observation, its mean.
+
+        Built once, so the weighted fits and their refits share its map."""
         one = np.ones_like(self.k0)
         return CellStats(self.ids, self.sequence, one, one, self.mean0,
                          self.mean1, np.zeros_like(self.k0), self.origin)

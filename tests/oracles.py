@@ -10,7 +10,8 @@
   the oracles of the one-product assembly `blocks.normal_equations`.
 - `profiled_deviance`: the REML deviance and its gradient in numpy from
   `blocks.normal_equations` and the map's products with the derivatives
-  of e, the oracle of `reml._deviance` and `reml._gradient`.
+  of e, the oracle of the vectorised `reml._deviance` and
+  `reml._gradient`.
 - `generate_trial_records`: trial generation one cluster at a time with
   per-record Python lists, the stream `simulate.generate_trial` must
   reproduce bit for bit.
@@ -19,7 +20,11 @@
 - `cell_table`: the reduction of records to a cell table about a given
   origin, one record at a time, and `drop_cluster`, a subtrial re-indexed
   from the records of the kept clusters: the oracles of
-  `ObservedTrial.cells` and `CellStats.drop`.
+  `ObservedTrial.cells` and of the rows of `CellStats.keep`.
+- `deletion_tables` and `refit_replicates`: every delete-one table reduced
+  from the records `drop_cluster` keeps, at the trial's origin, and each
+  fitted on its own, the oracle of the jackknife's batched fit over the
+  keep-masked stack.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from pbcrt import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents, WeightingScheme
+from pbcrt import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents, WeightingScheme, fit
 from pbcrt.blocks import inverse_cell_terms, normal_equations, structure_taus
 from pbcrt.simulate import SimScenario, _subpop_assignment, _truncated_poisson
 
@@ -303,9 +308,26 @@ def cell_table(records, origin: float) -> CellStats:
 
 def drop_cluster(trial: ObservedTrial, cluster_id) -> ObservedTrial:
     """The subtrial omitting one full cluster, re-indexed from its records:
-    the oracle of `CellStats.drop`."""
+    the oracle of a delete-one row of `CellStats.keep`."""
     keep = trial.cluster_ids != str(cluster_id)
     if keep.all():
         raise KeyError(f"no cluster {cluster_id!r} in trial")
     return ObservedTrial(trial.cluster_ids[keep], trial.periods[keep],
                          trial.sequences[keep], trial.outcomes[keep])
+
+
+def deletion_tables(trial: ObservedTrial) -> list[CellStats]:
+    """Each delete-one table of the trial, in cluster order: the records
+    `drop_cluster` keeps, reduced one at a time at the trial's origin."""
+    tables = []
+    for cid in trial.cells.ids:
+        sub = drop_cluster(trial, cid)
+        records = list(zip(sub.cluster_ids, sub.periods.tolist(),
+                           sub.sequences.tolist(), sub.outcomes.tolist()))
+        tables.append(cell_table(records, trial.cells.origin))
+    return tables
+
+
+def refit_replicates(tables: list[CellStats], kind, options) -> np.ndarray:
+    """Jackknife replicates refitted one delete-one table at a time."""
+    return np.array([fit(t, kind, options).delta_hat for t in tables])

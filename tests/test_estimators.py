@@ -421,13 +421,17 @@ class TestInvariances:
         polish = reml._polish
         polished = []
 
-        def checked_polish(cells, x, ratios, lo, hi):
-            y = polish(cells, x, ratios, lo, hi)
-            before = reml._deviance(cells, *ratios(np.asarray(x))[:2])
-            tw0, tb0, jac = ratios(y)
-            grad = jac.T @ reml._gradient(cells, tw0, tb0)
-            polished.append(((reml._deviance(cells, tw0, tb0) - before)
-                             / abs(before), np.abs(grad).max()))
+        def checked_polish(cells, rows, x, lo, hi, cac=None):
+            y = polish(cells, rows, x, lo, hi, cac)
+            q, c = reml._ratios(x, cac)
+            before = reml._deviance(cells, rows, q, c * q)
+            q, c = reml._ratios(y, cac)
+            after = reml._deviance(cells, rows, q, c * q)
+            g = reml._gradient(cells, rows, q, c * q)
+            grad = np.column_stack((q * (g[:, 0] + c * g[:, 1]),
+                                    q * c * (1.0 - c) * g[:, 1]))[:, :y.shape[1]]
+            polished.extend(zip(((after - before) / np.abs(before)).tolist(),
+                                np.abs(grad).max(axis=1).tolist()))
             return y
 
         monkeypatch.setattr(reml, "_polish", checked_polish)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from pbcrt import (
+    CellStats,
+    CorrelationStructure,
     EstimationError,
     EstimatorKind,
     FitOptions,
@@ -14,12 +16,19 @@ from pbcrt import (
     VarianceComponents,
     VarianceSource,
     confidence_interval,
+    estimate_variance_components,
     fit,
     fit_with_inference,
     jackknife_variance,
     model_based_variance,
     wald_test,
 )
+from pbcrt.estimators import fit_rows
+from pbcrt.io import load_size_table
+from pbcrt.simulate import SimScenario, generate_trial
+from pbcrt.estimands import PopulationMixture
+
+from oracles import deletion_tables, refit_replicates
 
 
 def four_cluster_trial():
@@ -79,9 +88,11 @@ class TestJackknife:
         t = four_cluster_trial()
         reml = est.estimate_variance_components
 
-        def one_refit_fails(trial, structure, return_converged=False):
-            vc, converged = reml(trial, structure, return_converged=True)
-            return vc, converged and trial.cells is not t.cells.deletions[2]
+        def one_refit_fails(trial, structure, return_converged=False, rows=None):
+            # Row 3 of the table's stack is the table without cluster 2.
+            found = reml(trial, structure, return_converged, rows)
+            return [(vc, converged and row != 3)
+                    for row, (vc, converged) in zip(rows, found)]
 
         monkeypatch.setattr(est, "estimate_variance_components",
                             one_refit_fails)
@@ -121,6 +132,114 @@ def test_jackknife_equals_brute_force_refits(seed, n_clusters, equal_sizes):
                      [r for r in records if r[0] != cid]), kind, opts).delta_hat
                  for cid in t.cells.ids]
         assert reps == pytest.approx(brute, abs=1e-10), kind
+
+
+def equal_size_trial():
+    """The trial of operation 25 of the I=10 jackknife study benchmark,
+    whose full-table nested search stops at the iteration cap."""
+    sc = SimScenario(n_clusters=10,
+                     mixture=PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5),
+                     vc=VarianceComponents(1.0, 0.053, 0.013), reps=1,
+                     master_seed=20260823 * 100_000 + 25, fixed_split=True)
+    return generate_trial(sc, 0)
+
+
+def jiah_trial(seed=36):
+    """Random outcomes on the bundled unequal cluster-period sizes (I=28)."""
+    rng = np.random.default_rng(seed)
+    cids, pers, seqs, ys = [], [], [], []
+    for cid, seq, k0, k1 in load_size_table():
+        alpha = 0.2 * rng.standard_normal()
+        g0, g1 = 0.1 * rng.standard_normal(2)
+        cids += [cid] * (k0 + k1)
+        pers += [0] * k0 + [1] * k1
+        seqs += [seq] * (k0 + k1)
+        ys += list(1.0 + alpha + g0 + rng.standard_normal(k0))
+        ys += list(1.2 + 0.35 * seq + alpha + g1 + rng.standard_normal(k1))
+    return ObservedTrial(cids, pers, seqs, ys)
+
+
+TRIALS = {"equal": equal_size_trial, "jiah": jiah_trial}
+
+
+def fresh(cells):
+    """A copy of a cell table with nothing memoised on it."""
+    return CellStats(*cells._arrays(), cells.origin)
+
+
+def kinds_for(trial):
+    return [k for k in EstimatorKind
+            if trial.equal_period_sizes or not (k.weighted and k.mixed)]
+
+
+class TestBatchedRows:
+    """Every row of the keep-masked stack is fitted as if on its own."""
+
+    @pytest.mark.parametrize("name", TRIALS)
+    def test_rows_do_not_depend_on_the_drive(self, name):
+        # Searches, components and fits of each row are equal (==) driven
+        # with all I + 1 rows or alone, so `fit` is row 0 of
+        # `fit_with_inference` and `jackknife_variance` its jackknife.
+        trial = TRIALS[name]()
+        cells, rows = trial.cells, range(trial.n_clusters + 1)
+        alone = fresh(cells)
+        for structure in (CorrelationStructure.EXCHANGEABLE,
+                          CorrelationStructure.NESTED_EXCHANGEABLE):
+            each = [estimate_variance_components(alone, structure, rows=[r])[0]
+                    for r in rows]
+            assert estimate_variance_components(
+                fresh(cells), structure, rows=rows) == each
+        for kind in kinds_for(trial):
+            full = fit_with_inference(fresh(cells), kind)
+            one = fit(fresh(cells), kind)
+            assert ((one.delta_hat, one.model_based_var, one.vc_hat)
+                    == (full.delta_hat, full.model_based_var, full.vc_hat)), kind
+            var, reps = jackknife_variance(fresh(cells), kind)
+            assert var == full.jackknife_var and np.array_equal(
+                reps, full.jackknife_replicates), kind
+            refits = [fit_rows(alone, kind, FitOptions(), [r])[0] for r in rows]
+            assert [r.delta_hat for r in refits[1:]] == reps.tolist(), kind
+            assert refits[0].delta_hat == full.delta_hat, kind
+
+    @pytest.mark.parametrize("name", TRIALS)
+    def test_replicates_equal_per_table_refits(self, name):
+        # To 1e-10 for fits without REML or with plug-in components, and
+        # to 1e-6 for REML fits, relative to the larger of 1 and the value.
+        trial = TRIALS[name]()
+        tables = deletion_tables(trial)
+        plug_in = FitOptions(vc=VarianceComponents(1.0, 0.05, 0.02))
+        for kind in kinds_for(trial):
+            for options in (FitOptions(), plug_in):
+                reps = fit_with_inference(fresh(trial.cells), kind,
+                                          options).jackknife_replicates
+                want = refit_replicates(tables, kind, options)
+                tol = 1e-6 if kind.mixed and options.vc is None else 1e-10
+                assert (np.abs(reps - want)
+                        <= tol * np.maximum(1.0, np.abs(want))).all(), kind
+
+    def test_refused_deletions_keep_their_messages(self):
+        # A deletion that leaves one arm, a nested REML deletion with one
+        # record per cell, and a saturated fixed-effects table.
+        t = ObservedTrial.from_cell_means([
+            ("only_treated", 1, 2, 2, 1.0, 2.0), ("c1", 0, 2, 2, 1.0, 1.5),
+            ("c2", 0, 2, 2, 0.9, 1.4)])
+        with pytest.raises(EstimationError,
+                           match="dropping cluster 'only_treated' leaves a single-arm"):
+            fit_with_inference(t, EstimatorKind.FE)
+        rng = np.random.default_rng(5)
+        rows = [(f"c{i}", i % 2, 1, 1, *rng.standard_normal(2)) for i in range(8)]
+        records = [(c, p, s, y) for c, s, _, _, m0, m1 in rows
+                   for p, y in ((0, m0), (1, m1))]
+        records += [("c0", 0, 0, 0.3), ("c0", 1, 0, -0.4)]
+        t = ObservedTrial.from_records(records)
+        assert fit(t, EstimatorKind.NEME).vc_hat is not None
+        with pytest.raises(EstimationError, match="nested REML needs a cell"):
+            fit_with_inference(t, EstimatorKind.NEME)
+        t = ObservedTrial.from_cell_means([("a", 0, 1, 1, 1.0, 2.0),
+                                           ("b", 1, 1, 1, 0.5, 3.0)])
+        for kind in (EstimatorKind.FE, EstimatorKind.FEW):
+            with pytest.raises(EstimationError, match="saturated design"):
+                fit_with_inference(t, kind)
 
 
 class TestConfidenceInterval:

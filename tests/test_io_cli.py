@@ -225,7 +225,7 @@ class TestCli:
                 reml = est.estimate_variance_components
                 monkeypatch.setattr(
                     est, "estimate_variance_components",
-                    lambda *a, **kw: (reml(*a, **kw)[0], False))
+                    lambda *a, **kw: [(vc, False) for vc, _ in reml(*a, **kw)])
             assert main(argv) == 0
             runs.append((capsys.readouterr(),
                          json.loads(json_path.read_text())))

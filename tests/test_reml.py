@@ -130,10 +130,10 @@ class TestNestedExchangeable:
         cells = benchmark_cells(25)
         vc = estimate_variance_components(
             cells, CorrelationStructure.NESTED_EXCHANGEABLE)
-        found = reml._deviance(cells, (vc.tau_alpha2 + vc.tau_gamma2) / vc.sigma_w2,
-                               vc.tau_alpha2 / vc.sigma_w2)
+        found = deviance(cells, (vc.tau_alpha2 + vc.tau_gamma2) / vc.sigma_w2,
+                         vc.tau_alpha2 / vc.sigma_w2)
         at_cac_1 = optimize.minimize_scalar(
-            lambda x: reml._deviance(cells, math.exp(x), math.exp(x)),
+            lambda x: deviance(cells, math.exp(x), math.exp(x)),
             bounds=(-10.0, 5.0), method="bounded", options={"xatol": 1e-10})
         assert found <= at_cac_1.fun + 1e-6
 
@@ -142,6 +142,22 @@ class TestNestedExchangeable:
         from pbcrt import ObservedTrial, TrialValidationError
         with pytest.raises(TrialValidationError):
             ObservedTrial.from_cell_means(cells)
+
+
+def deviance(cells, tw0, tb0, row=0):
+    """The vectorised deviance kernel at one point of one table row."""
+    return float(reml._deviance(cells, np.array([row]), np.array([tw0]),
+                                np.array([tb0]))[0])
+
+
+def run(search, func):
+    """Drive a search generator alone on a scalar function of one point."""
+    request = next(search)
+    while True:
+        try:
+            request = search.send([func(p) for p in request])
+        except StopIteration as done:
+            return done.value
 
 
 def scipy_nelder_mead(func, x0):
@@ -153,52 +169,128 @@ def scipy_nelder_mead(func, x0):
     return tuple(res.x), res.fun, res.nit, res.nfev, res.success
 
 
+def scipy_brent(func, lo, hi):
+    """The exchangeable search as SciPy runs it, in the port's return form.
+
+    SciPy's numpy scalars warn on inf - inf where the port's floats do not.
+    """
+    with np.errstate(invalid="ignore"):
+        res = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                       options={"xatol": 1e-8,
+                                                "maxiter": reml._MAX_ITER})
+    return res.x, res.fun, res.nit, res.nfev, res.success
+
+
+def drives(structure, ops):
+    """Every drive of `structure` over the full and delete-one tables of
+    the given I=10 benchmark operations: (row, the search's result alone,
+    a scalar objective of the row) for each of its searches."""
+    runs = []
+
+    def recorded(rows, searches, objective):
+        found = drive(rows, searches, objective)
+        runs.extend((found[i], (lambda p, r=r: float(objective(
+            np.array([r]), np.array([p]))[0])))
+            for i, r in enumerate(rows.tolist()))
+        return found
+
+    drive = reml._drive
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reml, "_drive", recorded)
+        for j in ops:
+            cells = benchmark_cells(j)
+            estimate_variance_components(cells, structure,
+                                         rows=range(cells.n_clusters + 1))
+    return runs
+
+
+NESTED_X0 = (reml._logit(0.05), reml._logit(0.5))
+RHO_BOUNDS = (reml._logit(reml._RHO_MIN), reml._logit(reml._RHO_MAX))
+
+
 class TestNelderMead:
-    """`reml._nelder_mead` returns exactly what SciPy's Nelder-Mead does."""
+    """`reml._nelder_mead`, driven alone on a scalar function, returns
+    exactly what SciPy's Nelder-Mead does."""
 
     @pytest.mark.parametrize("x0", [(-1.2, 1.0), (0.0, 0.0), (2.0, -1.5),
                                     (0.0, 3.0), (-2.944, 0.0)])
     def test_rosenbrock(self, x0):
         def f(x):
             return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-        assert reml._nelder_mead(f, x0) == scipy_nelder_mead(f, x0)
+        assert run(reml._nelder_mead(x0), f) == scipy_nelder_mead(f, x0)
 
-    @pytest.mark.parametrize("x0", [(0.0, 0.0), (-3.0, 2.0)])
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (-3.0, 2.0), (0.45, 0.1)])
     def test_infinite_half_plane(self, x0):
+        # From (0.45, 0.1) the speculative expansion points of the first
+        # iterations land in the infinite half-plane.
         def f(x):
             return (math.inf if x[0] > 0.5
                     else (x[0] - 1.0) ** 2 + (x[1] + 0.3) ** 2)
-        assert reml._nelder_mead(f, x0) == scipy_nelder_mead(f, x0)
+        assert run(reml._nelder_mead(x0), f) == scipy_nelder_mead(f, x0)
 
     @pytest.mark.parametrize("x0", [(0.1, 0.2), (1.5, -0.7)])
     def test_plateau_with_ties(self, x0):
         # Steps of height 1: vertices tie, so their order decides each move.
         def f(x):
             return float(math.floor(4.0 * (x[0] ** 2 + abs(x[1]))))
-        assert reml._nelder_mead(f, x0) == scipy_nelder_mead(f, x0)
+        assert run(reml._nelder_mead(x0), f) == scipy_nelder_mead(f, x0)
 
-    def test_nested_reml_searches(self, monkeypatch):
+    def test_nested_reml_searches(self):
         # Every nested search, full and delete-one tables, of operations
         # 21-28 of the I=10 jackknife study benchmark, among them op 25's
-        # full table, which stops at the iteration cap.
-        port = reml._nelder_mead
-        searches = []
+        # full table, which stops at the iteration cap.  Each result of
+        # the lockstep drive equals the search run alone on its row's
+        # deviance, and SciPy's.
+        runs = drives(CorrelationStructure.NESTED_EXCHANGEABLE, range(21, 29))
+        assert len(runs) == 8 * 11
+        for found, f in runs:
+            assert found == run(reml._nelder_mead(NESTED_X0), f)
+            assert found == scipy_nelder_mead(f, NESTED_X0)
+        assert not runs[4 * 11][0][4]
+        assert sum(not found[4] for found, _ in runs) >= 2
 
-        def recorded(func, x0):
-            searches.append((func, x0))
-            return port(func, x0)
 
-        monkeypatch.setattr(reml, "_nelder_mead", recorded)
-        for j in range(21, 29):
-            cells = benchmark_cells(j)
-            for c in [cells, *cells.deletions]:
-                estimate_variance_components(
-                    c, CorrelationStructure.NESTED_EXCHANGEABLE)
-        assert len(searches) == 8 * 11
-        results = [port(func, x0) for func, x0 in searches]
-        assert results == [scipy_nelder_mead(func, x0) for func, x0 in searches]
-        assert not results[4 * 11][4]
-        assert sum(not r[4] for r in results) >= 2
+class TestBrent:
+    """`reml._brent`, driven alone on a scalar function, returns exactly
+    SciPy's bounded `minimize_scalar` x, fun, nfev and success."""
+
+    @staticmethod
+    def check(f, lo, hi):
+        x, fun, _, nfev, success = run(reml._brent(lo, hi), lambda p: f(p[0]))
+        want = scipy_brent(f, lo, hi)
+        assert (x, fun, nfev, success) == (want[0], want[1], want[3], want[4])
+
+    @pytest.mark.parametrize("lo,hi", [(-27.6, 13.8), (-1.0, 1.0), (0.5, 7.0)])
+    def test_smooth(self, lo, hi):
+        self.check(lambda x: math.cosh(x - 0.7) + 0.1 * x ** 3, lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(-3.0, 3.0), (-10.0, 0.3)])
+    def test_plateau(self, lo, hi):
+        self.check(lambda x: float(math.floor(3.0 * abs(x + 0.4))), lo, hi)
+
+    def test_minimum_at_each_bound(self):
+        self.check(lambda x: (x - 5.0) ** 2, -2.0, 1.0)
+        self.check(lambda x: (x + 5.0) ** 2, -2.0, 1.0)
+
+    def test_infinite_region(self):
+        self.check(lambda x: math.inf if x > 0.2 else (x - 1.0) ** 2, -4.0, 2.0)
+        self.check(lambda x: math.inf if x < -1.0 else x * x, -4.0, 2.0)
+
+    def test_exchangeable_reml_searches(self):
+        # Every exchangeable search, full and delete-one tables, of
+        # operations 21-28 of the I=10 jackknife study benchmark.
+        runs = drives(CorrelationStructure.EXCHANGEABLE, range(21, 29))
+        assert len(runs) == 8 * 11
+        for found, f in runs:
+            assert found == run(reml._brent(*RHO_BOUNDS), f)
+            want = scipy_brent(lambda x: f((x,)), *RHO_BOUNDS)
+            assert found[:2] + found[3:] == want[:2] + want[3:]
+
+
+def gradient(cells, tw0, tb0, row=0):
+    """The vectorised gradient kernel at one point of one table row."""
+    return reml._gradient(cells, np.array([row]), np.array([tw0]),
+                          np.array([tb0]))[0]
 
 
 def benchmark_cells(j):
@@ -214,7 +306,6 @@ class TestProfiledLikelihood:
     def test_matches_dense_reml_objective(self):
         # Profiled -2 restricted log-likelihood agrees (up to a constant in
         # the data) with the direct dense evaluation at the profiled sigma2.
-        from pbcrt.reml import _deviance, _sigma2
         from oracles import dense_block
         from scipy.linalg import block_diag
 
@@ -222,7 +313,8 @@ class TestProfiledLikelihood:
         t = simulate(vc, 9, n_clusters=6, k=4)
         tw0 = (vc.tau_alpha2 + vc.tau_gamma2) / vc.sigma_w2
         tb0 = vc.tau_alpha2 / vc.sigma_w2
-        s2 = _sigma2(t.cells, tw0, tb0)
+        s2 = float(reml._sigma2(t.cells, np.array([0]), np.array([tw0]),
+                                np.array([tb0]))[0])
 
         # Dense restricted likelihood at (s2, s2*tw0, s2*tb0)
         vc_hat = VarianceComponents(s2, s2 * tb0, s2 * (tw0 - tb0))
@@ -249,7 +341,7 @@ class TestProfiledLikelihood:
         dense_val = ld_w + ld_m + float(resid @ winv @ resid)
 
         n = t.n_obs
-        prof_val = _deviance(t.cells, tw0, tb0)
+        prof_val = deviance(t.cells, tw0, tb0)
         # value() is expressed in ratio units: translate to the dense scale.
         expect = prof_val + (n - 3) + (n - 3) * np.log(1.0 / (n - 3))
         assert dense_val == pytest.approx(expect, abs=1e-6)
@@ -263,7 +355,27 @@ class TestProfiledLikelihood:
         assert not cells.mean0.any() and not cells.within.any()
         for f in (reml._gradient, reml._sigma2):
             with pytest.raises(EstimationError, match="residual"):
-                f(cells, 0.2, 0.1)
+                f(cells, np.array([0]), np.array([0.2]), np.array([0.1]))
+
+    def test_not_positive_definite_points_are_infinite(self):
+        # One call with a row whose design is singular (its one treated
+        # cluster dropped) gives inf there, without a RuntimeWarning, and
+        # leaves the other points as they are alone; a table without
+        # residual variation gives inf at every point.
+        rng = np.random.default_rng(3)
+        t = ObservedTrial.from_records(
+            [(c, p, s, y) for c, s, k in (("t", 1, 3), ("c1", 0, 4), ("c2", 0, 2))
+             for p in (0, 1) for y in rng.standard_normal(k)])
+        got = reml._deviance(t.cells, np.array([0, 1, 2, 1]),
+                             np.array([0.2, 0.2, 0.5, 3.0]),
+                             np.array([0.1, 0.0, 0.5, 1.0]))
+        assert np.isinf(got[[1, 3]]).all()
+        assert got[0] == deviance(t.cells, 0.2, 0.1)
+        assert got[2] == deviance(t.cells, 0.5, 0.5, row=2)
+        flat = ObservedTrial(t.cluster_ids, t.periods, t.sequences,
+                             0.0 * t.outcomes + 3.7).cells
+        assert np.isinf(reml._deviance(flat, np.arange(4), np.full(4, 0.2),
+                                       np.full(4, 0.1))).all()
 
     def test_kernel_matches_normal_equations(self):
         # The Python-float kernel against the numpy evaluation on
@@ -276,8 +388,8 @@ class TestProfiledLikelihood:
         for c in (equal_size_cells(35, 1.0), jiah_size_cells(36, 1.0)):
             for tw0, tb0 in ((0.05, 0.0), (0.2, 0.1), (0.3, 0.3), (4.0, 2.0)):
                 dev, grad = profiled_deviance(c, tw0, tb0)
-                assert reml._deviance(c, tw0, tb0) == pytest.approx(dev, rel=1e-14)
-                assert reml._gradient(c, tw0, tb0) == pytest.approx(grad, rel=3e-14)
+                assert deviance(c, tw0, tb0) == pytest.approx(dev, rel=1e-14)
+                assert gradient(c, tw0, tb0) == pytest.approx(grad, rel=3e-14)
 
     def test_gradient_matches_central_differences(self):
         # The analytic gradient of the profiled deviance in (tw0, tb0)
@@ -288,10 +400,10 @@ class TestProfiledLikelihood:
                  jiah_size_cells(34, 1.0)]
         for c in cells:
             for tw0, tb0 in ((0.05, 0.0), (0.2, 0.1), (0.3, 0.3), (4.0, 2.0)):
-                got = reml._gradient(c, tw0, tb0)
+                got = gradient(c, tw0, tb0)
                 h = 1e-6 * tw0
-                want = [(reml._deviance(c, tw0 + h, tb0)
-                         - reml._deviance(c, tw0 - h, tb0)) / (2 * h),
-                        (reml._deviance(c, tw0, tb0 + h)
-                         - reml._deviance(c, tw0, tb0 - h)) / (2 * h)]
+                want = [(deviance(c, tw0 + h, tb0)
+                         - deviance(c, tw0 - h, tb0)) / (2 * h),
+                        (deviance(c, tw0, tb0 + h)
+                         - deviance(c, tw0, tb0 - h)) / (2 * h)]
                 assert got == pytest.approx(want, rel=1e-5, abs=1e-4)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbcrt import (
+    CellStats,
     ObservedTrial,
     TrialValidationError,
     VarianceComponents,
@@ -75,7 +76,7 @@ class TestIndexing:
         assert c.origin == pytest.approx(3.2)
         assert c.mean1[1] + c.origin == pytest.approx(5.0)
         assert list(c.within) == pytest.approx([0.0, 2.0])
-        m = c.means()
+        m = c.means
         assert (m.k1[1], m.mean1[1], m.within[1]) == (1.0, c.mean1[1], 0.0)
         assert m.origin == c.origin
 
@@ -106,7 +107,7 @@ class TestIndexing:
         with pytest.raises(ValueError, match="read-only"):
             c.mean0[0] = 9.0
         with pytest.raises(ValueError, match="read-only"):
-            c.deletions[0].k1[0] = 9.0
+            c.gls_map[0, 0, 0] = 9.0
 
     def test_from_cell_means(self):
         t = ObservedTrial.from_cell_means([
@@ -198,13 +199,21 @@ class TestIndexing:
                 np.var(y0) * len(y0) + np.var(y1) * len(y1), abs=1e-9)
 
 
+def stack_row(cells, row):
+    """The clusters that row `row` of the table's keep-mask keeps, as a table."""
+    kept = cells.keep([row])[0] == 1.0
+    return CellStats(*(a[kept] for a in cells._arrays()), cells.origin)
+
+
 class TestDropCluster:
     def check_drops(self, t, recs, depth):
-        # Each deletion equals the kept records reduced at the parent's
-        # origin, and the re-indexed subtrial the same reduction at its own.
+        # Each delete-one row of the keep-mask holds the kept records
+        # reduced at the parent's origin, and the re-indexed subtrial the
+        # same reduction at its own.
+        assert stack_row(t.cells, 0) == t.cells
         for i, cid in enumerate(t.cells.ids):
             kept = [r for r in recs if r[0] != cid]
-            assert t.cells.deletions[i] == cell_table(kept, t.cells.origin)
+            assert stack_row(t.cells, i + 1) == cell_table(kept, t.cells.origin)
             try:
                 sub = drop_cluster(t, cid)
             except TrialValidationError as exc:

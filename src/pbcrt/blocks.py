@@ -7,10 +7,11 @@ period.  Because entries only depend on cell membership, each block is a
 rank-2 update of sigma_w2 * I, and every quadratic form the estimators
 need is linear in three per-cluster numbers, e = (s, tw, tb) / D with D
 the determinant of the 2x2 cell system.  `gls_map` holds those linear
-coefficients for one cell table, so `normal_equations` assembles the 3x3
-GLS system shared by REML and the independence and mixed fits, for any
-list of (ratios, row of the table's keep-masked jackknife stack) points
-in one vectorised call.  `cholesky_solve` factors those systems.
+coefficients for one cell table, basis by basis, so `normal_equations`
+assembles the 3x3 GLS system shared by REML and every fit, for any list of
+(ratios, row of the table's keep-masked jackknife stack) points, as one
+contraction of the clusters' weights keep / D with the map.
+`cholesky_solve` factors those systems from their upper triangles.
 """
 from __future__ import annotations
 
@@ -25,13 +26,8 @@ __all__ = [
     "inverse_cell_terms",
     "gls_map",
     "normal_equations",
-    "map_sums",
     "cholesky_solve",
 ]
-
-# Entries of the symmetric M among the first five rows of the map: the
-# design (1, s*p, p) for period p makes M[1, 1] = M[1, 2].
-M_ROWS = np.array([0, 1, 2, 1, 3, 3, 2, 3, 4])
 
 
 def structure_taus(structure: CorrelationStructure, vc: VarianceComponents) -> tuple[float, float]:
@@ -43,16 +39,17 @@ def structure_taus(structure: CorrelationStructure, vc: VarianceComponents) -> t
     return vc.tau_alpha2 + vc.tau_gamma2, vc.tau_alpha2
 
 
-def inverse_cell_terms(k0, k1, sigma_w2: float, tau_within: float, tau_between: float):
-    """Inverse-block basis and log-determinant for arbitrary cell sizes.
+def inverse_cell_terms(k, kk, sigma_w2: float, tau_within: float, tau_between: float):
+    """Determinant of the 2x2 cell system and block log-determinant for
+    arbitrary cell sizes, from k = k0 + k1 and kk = k0 k1.
 
     With U the (k0+k1) x 2 cell-indicator matrix and
     M = [[tw, tb], [tb, tw]], the block is R = s*I + U M U' with
 
         D = det(s*I + diag(k0, k1) M)
-          = s (s + (k0 + k1) tw) + k0 k1 (tw - tb)(tw + tb),
+          = s (s + k tw) + kk (tw - tb)(tw + tb),
         R^{-1} = (1/s) (I - U C U'),   C = M (s*I + diag(k0, k1) M)^{-1},
-        log det R = (k0 + k1 - 2) log s + log D.
+        log det R = (k - 2) log s + log D.
 
     Every entry of C is linear in e = (s, tw, tb) / D:
 
@@ -61,30 +58,22 @@ def inverse_cell_terms(k0, k1, sigma_w2: float, tau_within: float, tau_between: 
 
     D is a sum of nonnegative terms whenever tw >= tb >= 0, as every
     structure here gives.  Vectorized over clusters and, with tw and tb of
-    shape (..., 1), over points: returns (e, logdet), e of shape (..., 3, n).
+    shape (..., 1), over points: returns (D, log det R).
     """
-    k0 = np.asarray(k0, dtype=np.float64)
-    k1 = np.asarray(k1, dtype=np.float64)
     s, tw, tb = sigma_w2, tau_within, tau_between
-    k = k0 + k1
-    det = k * (s * tw) + s * s + (k0 * k1) * ((tw - tb) * (tw + tb))
-    inv = 1.0 / np.atleast_1d(det)
-    e = np.empty(inv.shape[:-1] + (3, inv.shape[-1]))
-    for i, c in enumerate((s, tw, tb)):
-        np.multiply(c, inv, out=e[..., i, :])
-    return e, np.log(det) if s == 1.0 else (k - 2.0) * math.log(s) + np.log(det)
+    det = k * (s * tw) + s * s + kk * ((tw - tb) * (tw + tb))
+    return det, np.log(det) if s == 1.0 else (k - 2.0) * math.log(s) + np.log(det)
 
 
 def gls_map(cells: CellStats) -> np.ndarray:
-    """The (9, 3, I) coefficients of the unit-scale normal equations on e.
+    """The (3, 9, I) coefficients of the unit-scale normal equations on e.
 
-    With e the (3, I) inverse-block basis of `inverse_cell_terms` at unit
-    residual scale, the sum of this map times e over its last two axes
-    gives, in order,
-    M[0, 0], M[0, 1], M[0, 2], M[1, 1] (= M[1, 2]), M[2, 2], the three
-    entries of v, and y'W y less the within-cell sums of squares.  Per
-    cluster, with cell means m0, m1 and kk = k0 k1, the inverse-block
-    aggregates are
+    With e the (3, I) inverse-block basis (1, tw, tb) / D of
+    `inverse_cell_terms` at unit residual scale, the sum of this map times
+    e over its first and last axes gives, in order, M[0, 0], M[0, 1],
+    M[0, 2], M[1, 1] (= M[1, 2]), M[2, 2], the three entries of v, and
+    y'W y less the within-cell sums of squares.  Per cluster, with cell
+    means m0, m1 and kk = k0 k1, the inverse-block aggregates are
 
         w0 = k0 (1 + k1 tw) / D,  w1 = k1 (1 + k0 tw) / D,  wx = -kk tb / D,
         q0 = (k0 m0 (1 + k1 tw) - kk tb m1) / D,
@@ -112,7 +101,7 @@ def gls_map(cells: CellStats) -> np.ndarray:
         (k0 * m0 * m0 + k1 * m1 * m1, kk * (m0 * m0 + m1 * m1),
          -2.0 * kk * m0 * m1),
     ]
-    return np.array(rows)
+    return np.ascontiguousarray(np.swapaxes(rows, 0, 1))
 
 
 def normal_equations(cells: CellStats, tau_within, tau_between, weight=None,
@@ -120,50 +109,47 @@ def normal_equations(cells: CellStats, tau_within, tau_between, weight=None,
     """GLS normal equations of the (mu, delta, phi1) design at unit residual scale.
 
     The block of each cluster is I + U M U' with M = [[tw, tb], [tb, tw]]
-    in residual-variance units.  With a weight (one value per cluster),
-    each cluster's terms are divided by it.  The ratios and each point's
-    row of `CellStats.keep` may be arrays of points.  Returns (M, v,
-    y'W y, sum of block log-determinants) with the points' shape leading,
-    where W is the weighted inverse covariance; the log-determinants
-    ignore the weight.
+    in residual-variance units.  The ratios and each point's row of
+    `CellStats.keep` may be arrays of points.  Each cluster's weight is
+    its keep-mask entry over D, divided also by `weight` (one value per
+    cluster) when given; one `einsum` contracts the weights with the map,
+    without BLAS, so no point's sums depend on the other points, and the
+    nine sums are y_1 + tw y_tw + tb y_tb over the map's three bases.
+    Returns (M, v, y'W y, sum of block log-determinants) with the points'
+    shape trailing, M as its upper triangle (M00, M01, M02, M11, M12, M22)
+    and v of shape (3, ...), where W is the weighted inverse covariance;
+    the log-determinants ignore the weight.
     """
-    tw, tb = (t[..., None] if isinstance(t, np.ndarray) else t
-              for t in (tau_within, tau_between))
-    e, logdet = inverse_cell_terms(cells.k0, cells.k1, 1.0, tw, tb)
-    within = cells.within
-    if weight is not None:
-        e, within = e / weight, within / weight
+    tw, tb = tau_within, tau_between
+    d, logdet = inverse_cell_terms(*cells.block_sizes, 1.0, *(
+        (tw[..., None], tb[..., None]) if isinstance(tw, np.ndarray) else (tw, tb)))
     keep = cells.keep(rows)
-    x = map_sums(cells.gls_map, e * keep[..., None, :])
-    return (x[..., M_ROWS].reshape(x.shape[:-1] + (3, 3)), x[..., 5:8],
-            x[..., 8] + np.einsum("...i,...i->...", keep, within),
+    w, within = keep / d, cells.within
+    if weight is not None:
+        w, within = w / weight, within / weight
+    y = np.einsum("...i,kri->kr...", w, cells.gls_map)
+    x = y[0] + tw * y[1] + tb * y[2]
+    return ((x[0], x[1], x[2], x[3], x[3], x[4]), x[5:8],
+            x[8] + np.einsum("...i,i->...", keep, within),
             np.einsum("...i,...i->...", keep, logdet))
 
 
-def map_sums(gls_map: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The map's nine sums over clusters with each basis e[..., 3, I]: one
-    `einsum` without BLAS, so no sum depends on the other bases."""
-    return np.einsum("...k,rk->...r", e.reshape(e.shape[:-2] + (-1,)),
-                     gls_map.reshape(9, -1))
-
-
-def cholesky_solve(m: np.ndarray, v: np.ndarray):
+def cholesky_solve(m, v: np.ndarray):
     """Closed-form Cholesky factors of symmetric 3x3 matrices and L^-1 v.
 
-    m has shape (..., 3, 3) and v (..., 3).  Returns the factor's entries
-    (l00, l10, l11, l20, l21, l22) and those of z = L^-1 v.  M is positive
-    definite exactly where l22 > 0; elsewhere the entries are NaN,
-    infinite or zero, and no warning is raised.
+    m holds the upper triangle (M00, M01, M02, M11, M12, M22) and v has
+    shape (3, ...).  Returns the factor's entries (l00, l10, l11, l20,
+    l21, l22) and those of z = L^-1 v.  M is positive definite exactly
+    where l22 > 0; elsewhere the entries are NaN, infinite or zero, and
+    numpy warns unless the caller silences it.
     """
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, f, g = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
-    with np.errstate(all="ignore"):
-        l00 = np.sqrt(a)
-        l10, l20 = b / l00, c / l00
-        l11 = np.sqrt(d - l10 * l10)
-        l21 = (f - l20 * l10) / l11
-        l22 = np.sqrt(g - l20 * l20 - l21 * l21)
-        z0 = v[..., 0] / l00
-        z1 = (v[..., 1] - l10 * z0) / l11
-        z2 = (v[..., 2] - l20 * z0 - l21 * z1) / l22
+    a, b, c, d, f, g = m
+    l00 = np.sqrt(a)
+    l10, l20 = b / l00, c / l00
+    l11 = np.sqrt(d - l10 * l10)
+    l21 = (f - l20 * l10) / l11
+    l22 = np.sqrt(g - l20 * l20 - l21 * l21)
+    z0 = v[0] / l00
+    z1 = (v[1] - l10 * z0) / l11
+    z2 = (v[2] - l20 * z0 - l21 * z1) / l22
     return (l00, l10, l11, l20, l21, l22), (z0, z1, z2)

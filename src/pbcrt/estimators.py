@@ -138,10 +138,11 @@ def fit_rows(cells: CellStats, kind: EstimatorKind, options: FitOptions,
         *(a.reshape(-1).tolist() for a in (delta, n_clusters, var)), vcs, converged)]
 
 
-def _solve_normal(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_normal(m, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """M^-1 v and the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for
-    the Cholesky factor L of M."""
-    (l00, l10, l11, l20, l21, l22), (z0, z1, z2) = cholesky_solve(m, v)
+    the Cholesky factor L of M, given by its upper triangle."""
+    with np.errstate(all="ignore"):
+        (l00, l10, l11, l20, l21, l22), (z0, z1, z2) = cholesky_solve(m, v)
     if not (l22 > 0.0).all():
         raise EstimationError("singular normal equations")
     t2 = z2 / l22
@@ -149,22 +150,26 @@ def _solve_normal(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     t0 = (z0 - l10 * t1 - l20 * t2) / l00
     e1 = 1.0 / l11
     e2 = -(l21 * e1) / l22
-    return np.array((t0, t1, t2)).T, e1 * e1 + e2 * e2
+    return np.array((t0, t1, t2)), e1 * e1 + e2 * e2
+
+
+def _gls(cells: CellStats, rows: np.ndarray, tw=0.0, tb=0.0, weight=None):
+    """delta_hat, the (delta, delta) entry of M^-1 and the residual mean
+    square (y'W y - theta'v) / (n - 3) on each row (a valid trial has two
+    clusters with both cells filled, so n - 3 >= 1)."""
+    m, v, yy, _ = normal_equations(cells, tw, tb, weight, rows)
+    theta, inv_dd = _solve_normal(m, v)
+    return (theta[1], inv_dd, np.maximum(yy - (theta * v).sum(axis=0), 0.0)
+            / (cells.row_obs[rows] - 3))
 
 
 # ---------------------------------------------------------------------------
 # independence-structure fits: (delta_hat, model variance, residual variance)
 
 def _independence(cells: CellStats, rows: np.ndarray):
-    """OLS with treatment and period effects, residual variance RSS / (n - 3).
-
-    A valid trial has at least two clusters with both cells filled, so
-    n - 3 >= 1.
-    """
-    m, v, yy, _ = normal_equations(cells, 0.0, 0.0, rows=rows)
-    theta, inv_dd = _solve_normal(m, v)
-    sigma2 = np.maximum(yy - (theta * v).sum(axis=-1), 0.0) / (cells.row_obs[rows] - 3)
-    return theta[..., 1], sigma2 * inv_dd, sigma2
+    """OLS with treatment and period effects, residual variance RSS / (n - 3)."""
+    delta, inv_dd, sigma2 = _gls(cells, rows)
+    return delta, sigma2 * inv_dd, sigma2
 
 
 def _fixed_effects(cells: CellStats, rows: np.ndarray):
@@ -237,14 +242,9 @@ def _mixed(cells: CellStats, kind: EstimatorKind, options: FitOptions,
         found = [(options.vc, True)] * rows.size
         tw, tb = _unit_ratios(kind.structure, options.vc)
     vcs = [vc for vc, _ in found]
-    m, v, yqy, _ = normal_equations(cells, tw, tb, weight, rows)
-    theta, inv_dd = _solve_normal(m, v)
-    if kind.weighted:
-        # Weighted estimating equations are defined up to the weight scale;
-        # a residual dispersion factor restores the variance to the scale of
-        # the data, as in survey-weighted pseudo-likelihood software.
-        scale = (np.maximum(yqy - (theta * v).sum(axis=-1), 0.0)
-                 / (cells.row_obs[rows] - 3))
-    else:
-        scale = np.array([vc.sigma_w2 for vc in vcs])
-    return theta[..., 1], scale * inv_dd, vcs, [ok for _, ok in found]
+    delta, inv_dd, dispersion = _gls(cells, rows, tw, tb, weight)
+    # Weighted estimating equations are defined up to the weight scale; a
+    # residual dispersion factor restores the variance to the scale of the
+    # data, as in survey-weighted pseudo-likelihood software.
+    scale = dispersion if kind.weighted else np.array([vc.sigma_w2 for vc in vcs])
+    return delta, scale * inv_dd, vcs, [ok for _, ok in found]

@@ -5,6 +5,8 @@ import csv
 import json
 from importlib import resources
 
+import numpy as np
+
 from .simulate import SimScenario
 from .trial import ObservedTrial, TrialValidationError
 
@@ -22,42 +24,49 @@ _COLUMNS = ("cluster_id", "period", "sequence", "outcome")
 def parse_trial_csv(path) -> ObservedTrial:
     """Read a long-form trial file; every row is one individual outcome.
 
-    Header must be cluster_id,period,sequence,outcome.  Errors carry the
-    offending line number.
+    The header must name the columns cluster_id, period, sequence and
+    outcome; other columns are ignored, and so are blank lines.  The
+    columns are converted whole; a file that fails is read again row by
+    row, so that an error of one row carries its line number.
     """
-    cids, pers, seqs, ys = [], [], [], []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise TrialValidationError(f"{path}: empty file")
-        missing = [c for c in _COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in _COLUMNS if c not in header]
         if missing:
             raise TrialValidationError(
                 f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            line = reader.line_num
-            try:
-                per = int(row["period"])
-                seq = int(row["sequence"])
-                y = float(row["outcome"])
-            except (TypeError, ValueError) as exc:
-                raise TrialValidationError(f"{path}:{line}: {exc}") from exc
-            if per not in (0, 1):
-                raise TrialValidationError(
-                    f"{path}:{line}: period must be 0 or 1, got {per}")
-            if seq not in (0, 1):
-                raise TrialValidationError(
-                    f"{path}:{line}: sequence must be 0 or 1, got {seq}")
-            cids.append(row["cluster_id"])
-            pers.append(per)
-            seqs.append(seq)
-            ys.append(y)
-    if not cids:
+        rows = [row for row in reader if row]
+    if not rows:
         raise TrialValidationError(f"{path}: no data rows")
+    column = {name: i for i, name in enumerate(header)}
+    cid, per, seq, y = (column[c] for c in _COLUMNS)
     try:
-        return ObservedTrial(cids, pers, seqs, ys)
-    except TrialValidationError as exc:
+        pers, seqs = (np.array([int(r[i]) for r in rows]) for i in (per, seq))
+        return ObservedTrial(np.array([r[cid] for r in rows]), pers, seqs,
+                             np.array([float(r[y]) for r in rows]))
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+        _raise_bad_row(path)
         raise TrialValidationError(f"{path}: {exc}") from exc
+
+
+def _raise_bad_row(path) -> None:
+    """Raise the error of the file's first bad data row, with its line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            try:
+                values = (int(row["period"]), int(row["sequence"]),
+                          float(row["outcome"]))
+            except (TypeError, ValueError) as exc:
+                raise TrialValidationError(f"{where}: {exc}") from exc
+            for name, value in zip(("period", "sequence"), values):
+                if value not in (0, 1):
+                    raise TrialValidationError(
+                        f"{where}: {name} must be 0 or 1, got {value}")
 
 
 def emit_trial_csv(trial: ObservedTrial, path) -> None:

@@ -7,19 +7,20 @@ a one-dimensional search over the ICC for the exchangeable structure
 structure, both SciPy's algorithms step for step as generators that yield
 the points they need.  `_drive` advances the searches of every requested
 row of a table's jackknife stack (`CellStats.keep`) in lockstep, with one
-vectorised likelihood evaluation per round.  Newton steps on the analytic
-gradient polish converged optima, for all rows at once.  Results are
-memoised per table, structure and row.
+vectorised likelihood evaluation per round: one `normal_equations`
+contraction for all the round's points and a closed-form 3x3 Cholesky.
+Newton steps on the analytic gradient, which contracts the same map,
+polish converged optima, for all rows at once.  Results are memoised per
+table, structure and row.
 """
 from __future__ import annotations
 
 import math
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
-from .blocks import M_ROWS, map_sums, cholesky_solve, inverse_cell_terms, normal_equations
+from .blocks import cholesky_solve, inverse_cell_terms, normal_equations
 from .trial import (CellStats, CorrelationStructure, EstimationError,
                     ObservedTrial, VarianceComponents)
 
@@ -162,18 +163,19 @@ def _drive(rows: np.ndarray, searches: list, deviance) -> list:
     pending = [(i, row, s, next(s)) for i, (row, s) in
                enumerate(zip(rows.tolist(), searches))]
     while pending:
-        points = [p for *_, pts in pending for p in pts]
-        values = iter(deviance(
-            np.array([row for _, row, _, pts in pending for _ in pts]),
-            np.fromiter(chain.from_iterable(points), np.float64).reshape(
-                len(points), -1)).tolist())
-        waiting = []
+        points, at = [], []
+        for _, row, _, pts in pending:
+            points += pts
+            at += [row] * len(pts)
+        values = deviance(np.array(at), np.array(points)).tolist()
+        waiting, j = [], 0
         for i, row, search, pts in pending:
+            n = j + len(pts)
             try:
-                waiting.append((i, row, search,
-                                search.send([next(values) for _ in pts])))
+                waiting.append((i, row, search, search.send(values[j:n])))
             except StopIteration as done:
                 results[i] = done.value
+            j = n
         pending = waiting
     return results
 
@@ -188,9 +190,9 @@ def _deviance(cells: CellStats, rows, tw0, tb0, parts: bool = False):
     y'Wy - v'M^-1 v and whether M is positive definite.
     """
     m, v, yy, logdet = normal_equations(cells, tw0, tb0, rows=rows)
-    (l00, _, l11, _, _, l22), (z0, z1, z2) = cholesky_solve(m, v)
-    quad, pd = yy - (z0 * z0 + z1 * z1 + z2 * z2), l22 > 0.0
     with np.errstate(all="ignore"):
+        (l00, _, l11, _, _, l22), (z0, z1, z2) = cholesky_solve(m, v)
+        quad, pd = yy - (z0 * z0 + z1 * z1 + z2 * z2), l22 > 0.0
         dev = np.where(pd & (quad > 0.0), logdet + 2.0 * np.log(l00 * l11 * l22)
                        + (cells.row_obs[rows] - _N_PARAMS) * np.log(quad), np.inf)
     return (dev, m, v, quad, pd) if parts else dev
@@ -219,31 +221,29 @@ def _sigma2(cells: CellStats, rows, tw0, tb0) -> np.ndarray:
 def _gradient(cells: CellStats, rows, tw0, tb0) -> np.ndarray:
     """Gradient of `_deviance` in (tw0, tb0), one row of two per point.
 
-    For e = (1, tw0, tb0) / D and either ratio t, de/dt = u_t / D - a_t e
-    with u_t its unit vector, a_w = (k0 + k1 + 2 k0 k1 tw0) / D and
-    a_b = -2 k0 k1 tb0 / D, so the map's sums with de/dt give the
-    derivatives of the system.  With theta = M^-1 v, d log det M =
-    tr(M^-1 dM) and the profiled quadratic changes by
-    d(y'Wy) - 2 theta'dv + theta'dM theta.
+    With theta = M^-1 v, d log det M = tr(M^-1 dM) and the profiled
+    quadratic changes by d(y'Wy) - 2 theta'dv + theta'dM theta, so the
+    deviance changes by the nine sums' derivatives times fixed weights
+    from A = M^-1 + (n - 3) / quad theta theta', plus the log-determinants'
+    sum of a_t = dD/dt / D.  The map times those weights gives each
+    cluster's coefficients g_k on the basis e = (1, tw0, tb0) / D, and
+    de/dt = u_t / D - a_t e with u_t the unit vector of ratio t.
     """
-    m, v, quad = _profiled(cells, rows, tw0, tb0)
-    m_inv = np.linalg.inv(m)
-    theta = (m_inv * v[:, None, :]).sum(axis=-1)
-    k0, k1, keep = cells.k0, cells.k1, cells.keep(rows)
-    e, _ = inverse_cell_terms(k0, k1, 1.0, tw0[:, None], tb0[:, None])
-    a = np.stack((k0 + k1 + (2.0 * tw0[:, None]) * (k0 * k1),
-                  (-2.0 * tb0[:, None]) * (k0 * k1)), axis=1) * e[:, None, 0]
-    de = -a[:, :, None] * e[:, None]
-    de[:, 0, 1] += e[:, 0]
-    de[:, 1, 2] += e[:, 0]
-    dx = map_sums(cells.gls_map, de * keep[:, None, None])
-    dm = dx[..., M_ROWS].reshape(dx.shape[:-1] + (3, 3))
-    dq = (dx[..., 8] - 2.0 * (dx[..., 5:8] * theta[:, None]).sum(axis=-1)
-          + ((dm * theta[:, None, None]).sum(axis=-1)
-             * theta[:, None]).sum(axis=-1))
-    return ((a * keep[:, None]).sum(axis=-1)
-            + (m_inv[:, None] * dm).sum(axis=(-2, -1))
-            + ((cells.row_obs[rows] - _N_PARAMS) / quad)[:, None] * dq)
+    (a, b, c, d, f, g), v, quad = _profiled(cells, rows, tw0, tb0)
+    m_inv = np.linalg.inv(np.stack((a, b, c, b, d, f, c, f, g), -1).reshape(-1, 3, 3))
+    theta = (m_inv * v.T[:, None, :]).sum(axis=-1)
+    s = (cells.row_obs[rows] - _N_PARAMS) / quad
+    t = m_inv + s[:, None, None] * theta[:, :, None] * theta[:, None, :]
+    weights = np.column_stack((t[:, 0, 0], 2.0 * t[:, 0, 1], 2.0 * t[:, 0, 2],
+                               t[:, 1, 1] + 2.0 * t[:, 1, 2], t[:, 2, 2],
+                               -2.0 * s[:, None] * theta, s))
+    tw, tb = tw0[:, None], tb0[:, None]
+    (k, kk), keep = cells.block_sizes, cells.keep(rows)
+    det, _ = inverse_cell_terms(k, kk, 1.0, tw, tb)
+    at = np.stack((k + (2.0 * tw) * kk, (-2.0 * tb) * kk)) / det
+    gk = np.einsum("pr,kri->kpi", weights, cells.gls_map)
+    return (keep * (at + (gk[1:] - at * (gk[0] + tw * gk[1] + tb * gk[2])) / det)
+            ).sum(axis=-1).T
 
 
 def _ratios(x: np.ndarray, cac=None):
@@ -344,9 +344,9 @@ def _reml(cells: CellStats, structure: CorrelationStructure,
         searches = [_nelder_mead((_logit(0.05), _logit(0.5))) for _ in rows]
 
     def deviance(at, x):  # x = (logit rho, logit cac), or (logit rho,) at cac 1
-        p = _expit(np.minimum(np.maximum(x, low[:x.shape[1]]), high[:x.shape[1]]))
-        q = p[:, 0] / (1.0 - p[:, 0])
-        return _deviance(cells, at, q, (p[:, 1] if x.shape[1] == 2 else 1.0) * q)
+        x = np.minimum(np.maximum(x, low[:x.shape[1]]), high[:x.shape[1]])
+        q = np.exp(x[:, 0])
+        return _deviance(cells, at, q, _expit(x[:, 1]) * q if x.shape[1] == 2 else q)
 
     found = _drive(rows, searches, deviance)
     x, success = np.array([f[0] for f in found]), [f[4] for f in found]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats as sps
@@ -143,10 +144,14 @@ def _draw(scenario: SimScenario, replicate_index: int):
     rng = np.random.default_rng([scenario.master_seed, replicate_index])
     n = scenario.n_clusters
     subpop = _subpop_assignment(scenario, rng)
-    sizes = np.empty(n, dtype=int)
-    for i, u in enumerate(subpop):
-        mean = scenario.mixture.subpops[u].k0
-        sizes[i] = mean if scenario.fixed_sizes else _truncated_poisson(rng, mean)
+    means = np.array([s.k0 for s in scenario.mixture.subpops])[subpop]
+    # One array draw consumes the stream as the per-cluster draws do; only
+    # a zero, which the per-cluster loop redraws, needs the loop.
+    state = rng.bit_generator.state
+    sizes = means.astype(int) if scenario.fixed_sizes else rng.poisson(means)
+    if not sizes.all():
+        rng.bit_generator.state = state
+        sizes = np.array([_truncated_poisson(rng, m) for m in means.tolist()])
     seq = np.zeros(n, dtype=int)
     seq[rng.permutation(n)[: n // 2]] = 1
 
@@ -169,16 +174,21 @@ def _draw(scenario: SimScenario, replicate_index: int):
     return k, seq, cell, cell_mean[cell] + sd_e * e
 
 
-def _labels(n: int) -> np.ndarray:
-    """The cluster labels, fixed-width so `ObservedTrial` codes them by runs."""
-    return np.array([f"c{i:04d}" for i in range(n)])
+@lru_cache(maxsize=16)
+def _labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cluster labels, built once per n: fixed-width, so that
+    `ObservedTrial` codes them by runs, and as str objects, for ids."""
+    labels = np.array([f"c{i:04d}" for i in range(n)])
+    ids = labels.astype(object)
+    labels.flags.writeable = ids.flags.writeable = False
+    return labels, ids
 
 
 def generate_cells(scenario: SimScenario, replicate_index: int) -> CellStats:
     """The cell table of `generate_trial(scenario, replicate_index)`,
     reduced from the same draws without building its records."""
     k, seq, cell, y = _draw(scenario, replicate_index)
-    return CellStats.reduce(_labels(scenario.n_clusters).astype(object),
+    return CellStats.reduce(_labels(scenario.n_clusters)[1],
                             seq.astype(np.float64), k.astype(np.float64),
                             cell, y)
 
@@ -186,7 +196,7 @@ def generate_cells(scenario: SimScenario, replicate_index: int) -> CellStats:
 def generate_trial(scenario: SimScenario, replicate_index: int) -> ObservedTrial:
     """One simulated trial, deterministic given (master_seed, replicate_index)."""
     _, seq, cell, y = _draw(scenario, replicate_index)
-    return ObservedTrial(_labels(scenario.n_clusters)[cell // 2], cell % 2,
+    return ObservedTrial(_labels(scenario.n_clusters)[0][cell // 2], cell % 2,
                          seq[cell // 2], y)
 
 

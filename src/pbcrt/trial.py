@@ -174,14 +174,25 @@ class CellStats:
         return m
 
     @cached_property
+    def block_sizes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k0 + k1, k0 k1) per cluster, as `inverse_cell_terms` reads them."""
+        return self.k0 + self.k1, self.k0 * self.k1
+
+    @cached_property
     def reml_memo(self) -> dict:
         """REML results by correlation structure and row of `keep`."""
         return {}
 
     def keep(self, rows) -> np.ndarray:
-        """Rows of the (I + 1, I) keep-mask: row j + 1 drops cluster j."""
-        return np.not_equal.outer(np.asarray(rows) - 1,
-                                  np.arange(self.n_clusters)).astype(np.float64)
+        """Rows of the (I + 1, I) keep-mask: row j + 1 drops cluster j (the
+        full table alone, a scalar row 0, without building the mask)."""
+        if np.ndim(rows) == 0 and rows == 0:
+            return np.ones(self.n_clusters)
+        return self._keep_mask[rows]
+
+    @cached_property
+    def _keep_mask(self) -> np.ndarray:
+        return 1.0 - np.eye(self.n_clusters + 1, self.n_clusters, k=-1)
 
     @cached_property
     def row_obs(self) -> np.ndarray:

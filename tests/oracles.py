@@ -148,7 +148,8 @@ def inverse_cell_terms_elementwise(k0, k1, sigma_w2: float, tau_within: float,
 
 def normal_equations_elementwise(cells: CellStats, tau_within: float,
                                  tau_between: float, weight=None):
-    """(M, v, y'W y, sum of log-dets), summed from per-cluster aggregates."""
+    """(M, v, y'W y, sum of log-dets), summed from per-cluster aggregates,
+    with M as its upper triangle."""
     k0, k1, s = cells.k0, cells.k1, cells.sequence
     t0, t1 = k0 * cells.mean0, k1 * cells.mean1
     c00, c01, c11, logdet = inverse_cell_terms_elementwise(
@@ -162,14 +163,18 @@ def normal_equations_elementwise(cells: CellStats, tau_within: float,
          - (c00 * t0 * t0 + 2.0 * c01 * t0 * t1 + c11 * t1 * t1))
     if weight is not None:
         w0, w1, wx, q0, q1, r = (x / weight for x in (w0, w1, wx, q0, q1, r))
-    m = np.empty((3, 3))
-    m[0, 0] = np.sum(w0 + w1 + 2.0 * wx)
-    m[0, 1] = m[1, 0] = np.sum(s * (w1 + wx))
-    m[0, 2] = m[2, 0] = np.sum(w1 + wx)
-    m[1, 1] = m[1, 2] = m[2, 1] = np.sum(s * w1)
-    m[2, 2] = np.sum(w1)
+    m11 = np.sum(s * w1)
+    m = (np.sum(w0 + w1 + 2.0 * wx), np.sum(s * (w1 + wx)), np.sum(w1 + wx),
+         m11, m11, np.sum(w1))
     v = np.array([np.sum(q0 + q1), np.sum(s * q1), np.sum(q1)])
     return m, v, float(np.sum(r)), float(np.sum(logdet))
+
+
+def symmetric(m) -> np.ndarray:
+    """The 3x3 matrix of an upper triangle (M00, M01, M02, M11, M12, M22),
+    as `blocks.normal_equations` returns M."""
+    a, b, c, d, f, g = m
+    return np.array([[a, b, c], [b, d, f], [c, f, g]])
 
 
 def normal_equations_exact(cells: CellStats, tau_within: float,
@@ -218,8 +223,10 @@ def profiled_deviance(cells: CellStats, tau_within: float, tau_between: float):
     d(y'Wy), and d log det M = tr(M^-1 dM).
     """
     m, v, yy, logdet = normal_equations(cells, tau_within, tau_between)
+    m = symmetric(m)
     k0, k1 = cells.k0, cells.k1
-    e, _ = inverse_cell_terms(k0, k1, 1.0, tau_within, tau_between)
+    d, _ = inverse_cell_terms(k0 + k1, k0 * k1, 1.0, tau_within, tau_between)
+    e = np.array([1.0, tau_within, tau_between])[:, None] / d
     a_w = (k0 + k1) * e[0] + 2.0 * k0 * k1 * e[1]
     a_b = -2.0 * k0 * k1 * e[2]
     m_inv = np.linalg.inv(m)
@@ -230,7 +237,7 @@ def profiled_deviance(cells: CellStats, tau_within: float, tau_between: float):
     for j, a in ((1, a_w), (2, a_b)):
         de = -a * e
         de[j] += e[0]
-        x = cells.gls_map.reshape(9, -1) @ de.ravel()
+        x = np.einsum("kri,ki->r", cells.gls_map, de)
         dm = x[[0, 1, 2, 1, 3, 3, 2, 3, 4]].reshape(3, 3)
         grad.append(a.sum() + np.sum(m_inv * dm) + dof * (
             x[8] - 2.0 * theta @ x[5:8] + theta @ dm @ theta) / quad)

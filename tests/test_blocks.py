@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from pbcrt import (CorrelationStructure, ObservedTrial, PopulationMixture,
                    SimScenario, VarianceComponents, WeightingScheme, generate_trial)
 from pbcrt.blocks import inverse_cell_terms, normal_equations, structure_taus
+from pbcrt.trial import CellStats
 from pbcrt.io import load_size_table
 
 from oracles import (block_logdet, dense_block, eme_block_terms, neme_block_terms,
-                     normal_equations_elementwise, normal_equations_exact)
+                     normal_equations_elementwise, normal_equations_exact,
+                     symmetric)
 
 STRUCTS = [CorrelationStructure.EXCHANGEABLE,
            CorrelationStructure.NESTED_EXCHANGEABLE]
@@ -26,8 +28,10 @@ def random_vc(rng):
 
 def cell_terms(k0, k1, s, tw, tb):
     """(c00, c01, c11, logdet) of R^-1 = (1/s)(I - U C U'), from the basis
-    e = (s, tw, tb) / D that `inverse_cell_terms` returns."""
-    (e_s, e_w, e_b), logdet = inverse_cell_terms(k0, k1, s, tw, tb)
+    e = (s, tw, tb) / D of the D that `inverse_cell_terms` returns."""
+    k0, k1 = (np.asarray(k, dtype=np.float64) for k in (k0, k1))
+    d, logdet = inverse_cell_terms(k0 + k1, k0 * k1, s, tw, tb)
+    e_s, e_w, e_b = (c / np.atleast_1d(d) for c in (s, tw, tb))
     return ((1.0 - s * (e_s + k1 * e_w)) / k0, s * e_b,
             (1.0 - s * (e_s + k0 * e_w)) / k1, logdet)
 
@@ -243,6 +247,7 @@ class TestAssemblyAccuracy:
     @staticmethod
     def errors(assemble, cells, tw, tb, weight, exact):
         m, v, yy, _ = assemble(cells, tw, tb, weight)
+        m = symmetric(m)
         m_x, _, _, quad_x = exact
         scale = max(abs(x) for row in m_x for x in row)
         err_m = max(abs(Fraction(float(m[i, j])) - m_x[i][j])
@@ -284,3 +289,55 @@ class TestAssemblyAccuracy:
                 got = normal_equations(cells, ratio, cac * ratio)[3]
                 want = normal_equations_elementwise(cells, ratio, cac * ratio)[3]
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_batch_of_points_and_rows_matches_exact(self, weighted):
+        # One call on a batch of (ratios, row) points against exact
+        # arithmetic on each point's delete-one table, at the tolerances
+        # above, and the deviance to 1e-12 relative.  Cluster 3 is the only
+        # treated cluster, so row 4, which drops it, has a singular M and
+        # an infinite deviance.
+        from pbcrt import reml
+        from pbcrt.blocks import cholesky_solve
+
+        c = equal_size_cells(38, 1.0)
+        seq = np.zeros_like(c.sequence)
+        seq[3] = 1.0
+        cells = CellStats(c.ids, seq, c.k0, c.k1, c.mean0, c.mean1, c.within,
+                          c.origin)
+        weight = cells.k0 if weighted else None
+        rows = np.array([0, 1, 2, 4, 6, 9, 10, 0, 5])
+        tw = np.array(self.RATIOS)
+        tb = tw * np.array([0.0, 0.5, 1.0] * 3)
+        m, v, yy, logdet = normal_equations(cells, tw, tb, weight, rows)
+        with np.errstate(all="ignore"):
+            (*_, l22), z = cholesky_solve(m, v)
+        quad = yy - (z[0] ** 2 + z[1] ** 2 + z[2] ** 2)
+        dev = reml._deviance(cells, rows, tw, tb)
+        for p, row in enumerate(rows.tolist()):
+            if row == 4:
+                assert not l22[p] > 0.0 and np.isinf(dev[p])
+                continue
+            kept = cells.keep(row) == 1.0
+            sub = CellStats(*(a[kept] for a in cells._arrays()), cells.origin)
+            m_x, _, _, quad_x = normal_equations_exact(
+                sub, tw[p], tb[p], None if weight is None else sub.k0)
+            got = symmetric([x[p] for x in m])
+            scale = max(abs(x) for r in m_x for x in r)
+            assert max(abs(Fraction(float(got[i, j])) - m_x[i][j])
+                       for i in range(3) for j in range(3)) <= 1e-15 * scale
+            y_y = np.sum((sub.within + sub.k0 * sub.mean0**2
+                          + sub.k1 * sub.mean1**2)
+                         / (1.0 if weight is None else sub.k0))
+            assert abs(Fraction(float(quad[p])) - quad_x) <= 4 * self.EPS * y_y
+            if weighted:
+                continue
+            t, s = Fraction(tw[p]), Fraction(tb[p])
+            log_d = sum(math.log((1 + k0 * t) * (1 + k1 * t) - k0 * k1 * s * s)
+                        for k0, k1 in zip(map(Fraction, sub.k0.tolist()),
+                                          map(Fraction, sub.k1.tolist())))
+            (a, b, c_), (_, d, f), (_, _, g) = m_x
+            det = a * (d * g - f * f) - b * (b * g - f * c_) + c_ * (b * f - d * c_)
+            want = log_d + math.log(det) + (sub.n_obs - 3) * math.log(quad_x)
+            assert logdet[p] == pytest.approx(log_d, rel=1e-12)
+            assert dev[p] == pytest.approx(want, rel=1e-12)

@@ -560,9 +560,9 @@ class TestFitResult:
 
         a = np.random.default_rng(116).standard_normal((3, 3))
         m, v = a @ a.T + 0.1 * np.eye(3), np.array([1.0, -2.0, 0.5])
-        theta, inv_dd = _solve_normal(m, v)
+        theta, inv_dd = _solve_normal(m[np.triu_indices(3)], v)
         inv = np.linalg.inv(m)
         assert theta == pytest.approx(inv @ v, rel=1e-12)
         assert inv_dd == pytest.approx(inv[1, 1], rel=1e-12)
         with pytest.raises(EstimationError, match="singular"):
-            _solve_normal(np.ones((3, 3)), v)
+            _solve_normal(np.ones(6), v)

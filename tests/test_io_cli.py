@@ -79,6 +79,23 @@ class TestTrialCsv:
         with pytest.raises(TrialValidationError, match="'a'"):
             parse_trial_csv(path)
 
+    def test_columns_by_name_extra_columns_and_blank_lines(self, tmp_path):
+        # Columns are found by header name, extra columns are ignored and
+        # blank lines skipped; a short row's error names its own line.
+        path = tmp_path / "t.csv"
+        path.write_text("note,outcome,sequence,period,cluster_id\n"
+                        "x,1.5,0,0,a\n\ny,2.5,0,1,a\nz,3.0,1,0,b\n"
+                        "\nw,4.0,1,1,b,extra\n")
+        t = parse_trial_csv(path)
+        assert list(t.cluster_ids) == ["a", "a", "b", "b"]
+        assert t.periods.tolist() == [0, 1, 0, 1]
+        assert t.sequences.tolist() == [0, 0, 1, 1]
+        assert t.outcomes.tolist() == [1.5, 2.5, 3.0, 4.0]
+        with open(path, "a") as fh:
+            fh.write("\nv,5.0,1\n")
+        with pytest.raises(TrialValidationError, match=":9: int"):
+            parse_trial_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbcrt import (
@@ -121,6 +121,10 @@ class TestGeneration:
            taus=st.tuples(st.sampled_from([0.0, 0.053]),
                           st.sampled_from([0.0, 0.013])),
            fixed_sizes=st.booleans(), fixed_split=st.booleans())
+    # Poisson means of 1 draw a zero size in some cluster of 40 all but
+    # surely, so the draws restart one cluster at a time.
+    @example(half=20, seed=1, rep=0, means=(1, 1), prob=0.5,
+             taus=(0.0, 0.0), fixed_sizes=False, fixed_split=False)
     def test_matches_record_oracle(self, half, seed, rep, means, prob, taus,
                                    fixed_sizes, fixed_split):
         # Whole-array draws reproduce the per-cluster stream bit for bit,

@@ -55,10 +55,10 @@ class PopulationMixture:
     def __init__(self, subpops):
         parsed = []
         for p, k, d in subpops:
-            if isinstance(k, (tuple, list)):
-                k0, k1 = int(k[0]), int(k[1])
-            else:
-                k0 = k1 = int(k)
+            sizes = k if isinstance(k, (tuple, list)) else (k, k)
+            if not all(float(x).is_integer() for x in sizes):
+                raise ValueError(f"cluster-period sizes must be whole numbers, got {k!r}")
+            k0, k1 = int(sizes[0]), int(sizes[1])
             if k0 < 1 or k1 < 1:
                 raise ValueError("cluster-period sizes must be >= 1")
             if not p > 0:

@@ -12,7 +12,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .estimators import EstimationError, EstimatorKind, FitOptions, FitResult, fit, fit_rows
 from .trial import CellStats, ObservedTrial
@@ -48,7 +48,10 @@ def _df(n_clusters: int) -> int:
 
 
 # A study asks for the same quantile once per estimator and variance source.
-_t_quantile = lru_cache(maxsize=64)(stats.t.ppf)
+# `stdtrit` is what `scipy.stats.t.ppf` evaluates, without loading scipy.stats.
+@lru_cache(maxsize=64)
+def _t_quantile(q: float, df: int) -> float:
+    return special.stdtrit(df, q)
 
 
 def model_based_variance(trial: ObservedTrial, kind: EstimatorKind,

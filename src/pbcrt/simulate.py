@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as sps
 
 from .estimands import PopulationMixture, true_cate, true_pate
 from .estimators import EstimationError, EstimatorKind, FitOptions
@@ -41,6 +41,27 @@ _ALL_KINDS = tuple(EstimatorKind)
 
 class StudyError(RuntimeError):
     """Too many replicates failed for the summary to be trustworthy."""
+
+
+def _is_number(v) -> bool:
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+# The JSON type each scenario key takes, as (expected type, test); `bool`
+# is not an `int` here, as JSON's true and false are not numbers.
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_FLAG = ("true or false", lambda v: type(v) is bool)
+_NUMBER = ("a finite number", _is_number)
+_JSON_TYPES = {
+    "n_clusters": _INTEGER, "reps": _INTEGER, "master_seed": _INTEGER,
+    "jackknife": _FLAG, "fixed_sizes": _FLAG, "fixed_split": _FLAG,
+    "mu": _NUMBER, "phi1": _NUMBER, "ci_level": _NUMBER,
+    "vc": ("an object of finite numbers",
+           lambda v: type(v) is dict and all(map(_is_number, v.values()))),
+    "mixture": ("a list of [p, K, delta] rows", lambda v: type(v) is list
+                and all(type(r) is list and len(r) == 3 for r in v)),
+    "estimators": ("a list of estimator names", lambda v: type(v) is list),
+}
 
 
 @dataclass(frozen=True)
@@ -100,9 +121,15 @@ class SimScenario:
 
         n_clusters, mixture and vc.sigma_w2 are required; every other
         field keeps its default when absent.  A mixture row is
-        [p, K, delta] or [p, [k0, k1], delta].  Unknown keys, at the top
-        level or in vc, raise ValueError naming them.
+        [p, K, delta] or [p, [k0, k1], delta].  A value of the wrong JSON
+        type, and unknown keys, at the top level or in vc, raise ValueError
+        naming them.
         """
+        if type(doc) is not dict:
+            raise ValueError(f"a scenario must be a JSON object, got {doc!r}")
+        for key, (expected, ok) in _JSON_TYPES.items():
+            if key in doc and not ok(doc[key]):
+                raise ValueError(f"{key} must be {expected}, got {doc[key]!r}")
         vc = doc["vc"]
         known = ({f.name for f in fields(cls)}
                  | {f"vc.{f.name}" for f in fields(VarianceComponents)})
@@ -208,6 +235,7 @@ def expand_truncated_poisson(mix: PopulationMixture, tail: float = 1e-12) -> Pop
     `tail` and renormalizing.  Lets the limit oracle evaluate Poisson-size
     scenarios exactly.
     """
+    from scipy import stats as sps  # off the import path of studies and fits
     atoms = []
     for s in mix.subpops:
         mean = float(s.k0)

@@ -185,9 +185,9 @@ class CellStats:
 
     def keep(self, rows) -> np.ndarray:
         """Rows of the (I + 1, I) keep-mask: row j + 1 drops cluster j (the
-        full table alone, a scalar row 0, without building the mask)."""
-        if np.ndim(rows) == 0 and rows == 0:
-            return np.ones(self.n_clusters)
+        full table alone, rows that are all 0, without building the mask)."""
+        if not np.count_nonzero(rows):
+            return np.ones(np.shape(rows) + (self.n_clusters,))
         return self._keep_mask[rows]
 
     @cached_property

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from pbcrt import (
     wald_test,
 )
 from pbcrt.estimators import fit_rows
+from pbcrt.inference import _t_quantile
 from pbcrt.io import load_size_table
 from pbcrt.simulate import SimScenario, generate_trial
 from pbcrt.estimands import PopulationMixture
@@ -277,6 +282,15 @@ class TestConfidenceInterval:
         assert ci.lower.tolist() == [c.lower for c in scalar]
         assert ci.upper.tolist() == [c.upper for c in scalar]
 
+    def test_t_quantile_is_scipy_stats_t_ppf(self):
+        # The cached quantile reads `special.stdtrit`, which is what
+        # `stats.t.ppf` evaluates: equal by `==` at every df a trial of up
+        # to 801 clusters has, at the levels a study asks for.
+        for level in (0.8, 0.9, 0.95, 0.99, 0.999):
+            for q in (level, 0.5 + level / 2.0):
+                for df in range(2, 800):
+                    assert _t_quantile(q, df) == stats.t.ppf(q, df)
+
 
 class TestWaldTest:
     def test_matches_incomplete_beta(self):
@@ -318,3 +332,16 @@ class TestWaldTest:
 
     def test_larger_effect_smaller_p(self):
         assert wald_test(1.0, 0.04, 10) < wald_test(0.2, 0.04, 10)
+
+
+def test_import_path_loads_no_scipy_stats():
+    # `scipy.stats` alone loads scipy.optimize, linalg, spatial and fft and
+    # triples the import time of pbcrt; only the limit oracle
+    # `expand_truncated_poisson` may load it, on first call.
+    code = ("import sys, pbcrt, pbcrt.cli, pbcrt.io\n"
+            "print(' '.join(m for m in sys.modules if m.startswith("
+            "('scipy.stats', 'scipy.optimize', 'scipy.linalg'))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

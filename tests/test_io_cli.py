@@ -290,6 +290,32 @@ class TestCli:
         assert "unknown scenario keys: rep" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"reps": 1.5}, "reps must be an integer, got 1.5"),
+        ({"n_clusters": 10.0}, "n_clusters must be an integer, got 10.0"),
+        ({"n_clusters": "10"}, "n_clusters must be an integer, got '10'"),
+        ({"master_seed": True}, "master_seed must be an integer, got True"),
+        ({"jackknife": "no"}, "jackknife must be true or false, got 'no'"),
+        ({"vc": 5}, "vc must be an object of finite numbers, got 5"),
+        ({"mu": float("nan")}, "mu must be a finite number, got nan"),
+        ({"mixture": [[1.0, 5]]},
+         "mixture must be a list of [p, K, delta] rows, got [[1.0, 5]]"),
+        ({"fixed_sizes": True, "mixture": [[1.0, 20.5, 0.3]]},
+         "cluster-period sizes must be whole numbers, got 20.5"),
+    ])
+    def test_simulate_typed_json(self, tmp_path, capsys, change, message):
+        # A value of the wrong JSON type is one `error:` line naming the
+        # key and the type, not a traceback or a silent reading.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_clusters": 4, "mixture": [[1.0, 5, 0.3]],
+                                   "vc": {"sigma_w2": 1.0}, "reps": 1, **change}))
+        rc = main(["simulate", str(cfg), "--csv", str(tmp_path / "s.csv"),
+                   "--json", str(tmp_path / "s.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {cfg}: bad scenario config: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_simulate_byte_identical(self, tmp_path, capsys):
         doc = {"n_clusters": 6, "mixture": [[1.0, 5, 0.3]],
                "vc": {"sigma_w2": 1.0, "tau_alpha2": 0.05},

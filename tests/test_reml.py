@@ -143,6 +143,21 @@ class TestNestedExchangeable:
         with pytest.raises(TrialValidationError):
             ObservedTrial.from_cell_means(cells)
 
+    def test_full_table_fit_builds_no_keep_mask(self):
+        # A full-table search takes the all-ones path at I=400 instead of
+        # gathering row 0 of the (401, 400) keep-mask; `masked` runs its
+        # full-table searches as row 0 of a two-row stack, through the mask.
+        vc = VarianceComponents.from_iccs(1.0, 0.05, 0.6)
+        cells = simulate(vc, 4, n_clusters=400, k=6).cells
+        masked = simulate(vc, 4, n_clusters=400, k=6).cells
+        for s in (CorrelationStructure.EXCHANGEABLE,
+                  CorrelationStructure.NESTED_EXCHANGEABLE):
+            estimate_variance_components(masked, s, rows=[0, 1])
+        assert "_keep_mask" in masked.__dict__
+        for kind in (EstimatorKind.EME, EstimatorKind.NEME):
+            assert fit(cells, kind) == fit(masked, kind)
+        assert "_keep_mask" not in cells.__dict__
+
 
 def deviance(cells, tw0, tb0, row=0):
     """The vectorised deviance kernel at one point of one table row."""

@@ -23,7 +23,7 @@ import numpy as np
 from .estimands import PopulationMixture, true_cate, true_pate
 from .estimators import EstimationError, EstimatorKind, FitOptions
 from .inference import confidence_interval, fit_with_inference, wald_test
-from .trial import CellStats, ObservedTrial, VarianceComponents
+from .trial import CellStats, ObservedTrial, VarianceComponents, _scratch
 
 __all__ = [
     "SimScenario",
@@ -62,6 +62,10 @@ _JSON_TYPES = {
                 and all(type(r) is list and len(r) == 3 for r in v)),
     "estimators": ("a list of estimator names", lambda v: type(v) is list),
 }
+# Ranges, tested after every type: numpy sizes are below 2**63; seeds >= 0.
+_BELOW_2_63 = ("below 2**63", lambda v: v < 2**63)
+_BOUNDS = {"n_clusters": _BELOW_2_63, "reps": _BELOW_2_63,
+           "master_seed": ("non-negative", lambda v: v >= 0)}
 
 
 @dataclass(frozen=True)
@@ -121,13 +125,13 @@ class SimScenario:
 
         n_clusters, mixture and vc.sigma_w2 are required; every other
         field keeps its default when absent.  A mixture row is
-        [p, K, delta] or [p, [k0, k1], delta].  A value of the wrong JSON
-        type, and unknown keys, at the top level or in vc, raise ValueError
-        naming them.
+        [p, K, delta] or [p, [k0, k1], delta].  Values of the wrong JSON
+        type or out of range, and unknown keys, raise ValueError naming
+        them.
         """
         if type(doc) is not dict:
             raise ValueError(f"a scenario must be a JSON object, got {doc!r}")
-        for key, (expected, ok) in _JSON_TYPES.items():
+        for key, (expected, ok) in (*_JSON_TYPES.items(), *_BOUNDS.items()):
             if key in doc and not ok(doc[key]):
                 raise ValueError(f"{key} must be {expected}, got {doc[key]!r}")
         vc = doc["vc"]
@@ -137,6 +141,11 @@ class SimScenario:
         if unknown:
             raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
         kw = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+        for i, (p, k, d) in enumerate(doc["mixture"]):
+            ks = k if type(k) is list and len(k) == 2 else [k]
+            if not all(map(_is_number, (p, d, *ks))):
+                raise ValueError(f"mixture row {i} must be [p, K, delta] or [p, [k0, "
+                                 f"k1], delta] of finite numbers, got {[p, k, d]!r}")
         kw["mixture"] = PopulationMixture([(p, k, d) for p, k, d in doc["mixture"]])
         kw["vc"] = VarianceComponents(**vc)
         if "estimators" in doc:
@@ -185,9 +194,17 @@ def _draw(scenario: SimScenario, replicate_index: int):
     # One batch of normals, consumed in the order of per-cluster draws:
     # alpha, g0, g1, then k period-0 and k period-1 residuals.
     draws = 3 + 2 * sizes
-    z = rng.standard_normal(int(draws.sum()))
+    z = rng.standard_normal(out=_scratch(0, int(draws.sum())))
     start = np.cumsum(draws) - draws
-    e = np.delete(z, np.concatenate((start, start + 1, start + 2)))
+    k = np.repeat(sizes, 2)
+    # Slots of `_scratch` (kept results are copies; `CellStats.reduce` then
+    # reuses 3 and 0): 0 z, then means by record; 1 y; 2 cells; 3 positions.
+    at, cell = (_scratch(i, int(k.sum())).view(np.int64) for i in (3, 2))
+    at.fill(1)
+    at[start - 3 * np.arange(n)] = 3 + (start > 0)  # past alpha, g0 and g1
+    cell.fill(0)
+    cell[np.cumsum(k[:-1])] = 1  # at each cell's first record
+    e = np.take(z, np.cumsum(at, out=at), out=_scratch(1, at.size), mode="clip")
     vc = scenario.vc
     sd_e = np.sqrt(vc.sigma_w2)
     sd_g = np.sqrt(vc.tau_gamma2)
@@ -196,9 +213,9 @@ def _draw(scenario: SimScenario, replicate_index: int):
     cell_mean = np.column_stack((
         base + sd_g * z[start + 1],
         base + scenario.phi1 + seq * delta + sd_g * z[start + 2])).ravel()
-    k = np.repeat(sizes, 2)
-    cell = np.repeat(np.arange(2 * n), k)
-    return k, seq, cell, cell_mean[cell] + sd_e * e
+    e *= sd_e
+    e += np.take(cell_mean, np.cumsum(cell, out=cell), out=z[:e.size], mode="clip")
+    return k, seq, cell, e
 
 
 @lru_cache(maxsize=16)
@@ -224,7 +241,7 @@ def generate_trial(scenario: SimScenario, replicate_index: int) -> ObservedTrial
     """One simulated trial, deterministic given (master_seed, replicate_index)."""
     _, seq, cell, y = _draw(scenario, replicate_index)
     return ObservedTrial(_labels(scenario.n_clusters)[0][cell // 2], cell % 2,
-                         seq[cell // 2], y)
+                         seq[cell // 2], y.copy())
 
 
 def expand_truncated_poisson(mix: PopulationMixture, tail: float = 1e-12) -> PopulationMixture:

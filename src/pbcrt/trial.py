@@ -16,6 +16,7 @@ jackknife's delete-one tables are rows of a keep-mask (`CellStats.keep`).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -34,6 +35,17 @@ __all__ = [
 ]
 
 _TINY = float(np.finfo(np.float64).tiny)
+_buffers = threading.local()
+
+
+def _scratch(slot: int, size: int) -> np.ndarray:
+    """`size` entries of this thread's float64 buffer `slot` (0-3), grown to
+    exactly the largest size asked, so that replicates fault in no new pages
+    (`np.take` writes into one unbuffered only with mode="clip")."""
+    bufs = _buffers.__dict__.setdefault("slots", [np.empty(0)] * 4)
+    if bufs[slot].size < size:
+        bufs[slot] = np.empty(size)
+    return bufs[slot][:size]
 
 
 class TrialValidationError(ValueError):
@@ -219,11 +231,11 @@ class CellStats:
         # The mean is refined once, so constant outcomes centre to zero.
         with np.errstate(all="ignore"):
             origin = float(y.mean())
-            r = y - origin
+            r = np.subtract(y, origin, out=_scratch(3, y.size))
             origin += float(r.mean())
             np.subtract(y, origin, out=r)
             mean = np.bincount(cell, weights=r, minlength=k.size) / k
-            r -= mean[cell]
+            r -= np.take(mean, cell, out=_scratch(0, y.size), mode="clip")
             ss = np.bincount(cell, weights=np.square(r, out=r), minlength=k.size)
             spread = float(np.sum(k * mean * mean) + ss.sum())
         if not (math.isfinite(origin) and math.isfinite(spread)):

@@ -166,6 +166,16 @@ class TestScenarioJson:
         path.write_text(json.dumps(doc))
         assert load_scenario_json(path).to_dict() == sc.to_dict()
 
+    def test_large_seed_accepted(self, tmp_path):
+        # SeedSequence takes any non-negative integer, 2**63 and above too.
+        doc = {"n_clusters": 4, "mixture": [[1.0, 5, 0.3]],
+               "vc": {"sigma_w2": 1.0}, "reps": 1, "master_seed": 10**20}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        sc = load_scenario_json(path)
+        assert sc.master_seed == 10**20 and sc.to_dict()["master_seed"] == 10**20
+        assert generate_trial(sc, 0).n_obs > 0
+
     def test_unknown_keys_rejected(self, tmp_path):
         # A misspelt key is an error naming every unknown key, at the top
         # level and in vc, not a silent default.
@@ -302,6 +312,19 @@ class TestCli:
          "mixture must be a list of [p, K, delta] rows, got [[1.0, 5]]"),
         ({"fixed_sizes": True, "mixture": [[1.0, 20.5, 0.3]]},
          "cluster-period sizes must be whole numbers, got 20.5"),
+        ({"n_clusters": 10**20},
+         "n_clusters must be below 2**63, got 100000000000000000000"),
+        ({"reps": 10**20}, "reps must be below 2**63, got 100000000000000000000"),
+        ({"master_seed": -1}, "master_seed must be non-negative, got -1"),
+        ({"mixture": [[0.5, 5, 0.2], ["0.5", "20", 0.2]]},
+         "mixture row 1 must be [p, K, delta] or [p, [k0, k1], delta] of "
+         "finite numbers, got ['0.5', '20', 0.2]"),
+        ({"mixture": [[0.5, True, 0.2], [0.5, 5, 0.2]]},
+         "mixture row 0 must be [p, K, delta] or [p, [k0, k1], delta] of "
+         "finite numbers, got [0.5, True, 0.2]"),
+        ({"mixture": [[0.5, [20, "20"], 0.2], [0.5, 5, 0.2]]},
+         "mixture row 0 must be [p, K, delta] or [p, [k0, k1], delta] of "
+         "finite numbers, got [0.5, [20, '20'], 0.2]"),
     ])
     def test_simulate_typed_json(self, tmp_path, capsys, change, message):
         # A value of the wrong JSON type is one `error:` line naming the

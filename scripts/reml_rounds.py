@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Cost of the lockstep REML rounds on the benchmark's reference inputs.
+
+Runs the exchangeable and the nested REML search on every row (the full
+table and its delete-one tables) of the 48 `study_jackknife_i10` and the
+8 `analysis_unequal_i28` reference inputs of `bench/workloads.py`, one
+`reml._drive` per table and structure, as a benchmark operation does.
+Each drive is timed whole, and each of its rounds' deviance calls on its
+own: the kernel is the deviance (`normal_equations`, `cholesky_solve`
+and the profiled likelihood), the bookkeeping is the rest of the drive
+(the search generators and `_drive` itself).  Prints one JSON line with,
+per workload, the operations, rounds per operation, points per round
+and microseconds per round, total, kernel and bookkeeping, from the
+fastest of --passes passes over fresh tables.  The pbcrt under test is
+the one in this checkout's `src`.
+
+  python scripts/reml_rounds.py --passes 5
+"""
+import argparse
+import dataclasses
+import json
+import pathlib
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import pbcrt  # noqa: E402
+import pbcrt.reml as reml  # noqa: E402
+import workloads  # noqa: E402
+from pbcrt import CorrelationStructure, EstimatorKind, FitOptions  # noqa: E402
+
+
+def reference_tables() -> dict:
+    """The cell table of every reference input, by workload."""
+    study = workloads.make("study_jackknife_i10", workloads.DATA_SEED)
+    analysis = workloads.make("analysis_unequal_i28", workloads.DATA_SEED)
+    with tempfile.TemporaryDirectory() as workdir:
+        analysis.prepare(pathlib.Path(workdir))
+        files = [pbcrt.io.parse_trial_csv(p).cells for p in analysis.paths]
+    return {
+        "study_jackknife_i10": [
+            pbcrt.simulate.generate_cells(study._scenario(j), 0)
+            for j in range(study.n_reference)],
+        "analysis_unequal_i28": files,
+    }
+
+
+class Clock:
+    """Wraps `reml._drive`, adding up drive and deviance time and counts."""
+
+    def __init__(self):
+        self.drive_s = self.kernel_s = 0.0
+        self.rounds = self.points = 0
+        self._drive = reml._drive
+
+    def drive(self, rows, searches, deviance):
+        def timed(at, x):
+            t0 = time.perf_counter()
+            values = deviance(at, x)
+            self.kernel_s += time.perf_counter() - t0
+            self.rounds += 1
+            self.points += len(at)
+            return values
+
+        t0 = time.perf_counter()
+        found = self._drive(rows, searches, timed)
+        self.drive_s += time.perf_counter() - t0
+        return found
+
+
+def one_pass(tables) -> Clock:
+    """Both searches on every row of fresh copies of the tables.  The
+    table's map and keep-mask are built first, by a fit without REML,
+    as in an operation."""
+    clock = Clock()
+    reml._drive = clock.drive
+    try:
+        for cells in tables:
+            cells = dataclasses.replace(cells)
+            rows = range(cells.n_clusters + 1)
+            pbcrt.estimators.fit_rows(cells, EstimatorKind.IEE, FitOptions(), rows)
+            for structure in (CorrelationStructure.EXCHANGEABLE,
+                              CorrelationStructure.NESTED_EXCHANGEABLE):
+                pbcrt.estimate_variance_components(cells, structure, rows=rows)
+    finally:
+        reml._drive = clock._drive
+    return clock
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--passes", type=int, default=5)
+    args = ap.parse_args(argv)
+    out = {}
+    for name, tables in reference_tables().items():
+        best = min((one_pass(tables) for _ in range(args.passes)),
+                   key=lambda c: c.drive_s)
+        us = 1e6 / best.rounds
+        out[name] = {
+            "ops": len(tables),
+            "rounds_per_op": round(best.rounds / len(tables), 1),
+            "points_per_round": round(best.points / best.rounds, 1),
+            "us_per_round": round(best.drive_s * us, 1),
+            "kernel_us_per_round": round(best.kernel_s * us, 1),
+            "bookkeeping_us_per_round": round((best.drive_s - best.kernel_s) * us, 1),
+        }
+    out["passes"] = args.passes
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -61,7 +61,7 @@ def inverse_cell_terms(k, kk, sigma_w2: float, tau_within: float, tau_between: f
     shape (..., 1), over points: returns (D, log det R).
     """
     s, tw, tb = sigma_w2, tau_within, tau_between
-    det = k * (s * tw) + s * s + kk * ((tw - tb) * (tw + tb))
+    det = k * (tw if s == 1.0 else s * tw) + s * s + kk * ((tw - tb) * (tw + tb))
     return det, np.log(det) if s == 1.0 else (k - 2.0) * math.log(s) + np.log(det)
 
 

@@ -76,6 +76,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise ValueError(f"--level must lie in (0, 1), got {args.level!r}")
     trial = parse_trial_csv(args.trial)
     kind = EstimatorKind(args.estimator)
     result = fit_with_inference(trial, kind,

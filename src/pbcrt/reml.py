@@ -1,21 +1,20 @@
 """REML estimation of variance components for the unweighted mixed models.
 
-The restricted likelihood is profiled over the residual variance, leaving
-a one-dimensional search over the ICC for the exchangeable structure
-(SciPy's bounded Brent) and a two-dimensional Nelder-Mead search over
-(within-period ICC, cluster auto-correlation) for the nested-exchangeable
-structure, both SciPy's algorithms step for step as generators that yield
-the points they need.  `_drive` advances the searches of every requested
-row of a table's jackknife stack (`CellStats.keep`) in lockstep, with one
-vectorised likelihood evaluation per round: one `normal_equations`
-contraction for all the round's points and a closed-form 3x3 Cholesky.
-Newton steps on the analytic gradient, which contracts the same map,
-polish converged optima, for all rows at once.  Results are memoised per
-table, structure and row.
+The restricted likelihood is profiled over the residual variance.  The
+exchangeable structure searches the ICC with SciPy's bounded Brent, the
+nested one (within-period ICC, cluster auto-correlation) with SciPy's
+Nelder-Mead, both ported step for step in Python floats as generators
+that yield the points they need.  `_drive` advances the searches of all
+requested rows of a table's jackknife stack (`CellStats.keep`) in
+lockstep, one `_deviance` call per round for all its points: one
+`normal_equations` contraction and a closed-form 3x3 Cholesky.  Newton
+steps on the analytic gradient polish converged optima, for all rows at
+once.  Results are memoised per table, structure and row.
 """
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -65,43 +64,47 @@ def _nelder_mead(x0):
     fatol 1e-10 and maxiter _MAX_ITER, step for step in Python floats.
     Each iteration asks for its reflection, expansion and both
     contractions at once, and for its shrink points in a second request.
-    """
+    The simplex is nine floats, (f, x, y) of the best, next and worst
+    vertex, and a new vertex goes where `list.sort` would put it."""
     a, b = x0
-    start = [(a, b), (1.05 * a if a != 0.0 else 0.00025, b),
-             (a, 1.05 * b if b != 0.0 else 0.00025)]
-    sim = sorted(zip((yield start), start), key=itemgetter(0))
+    pts = [(a, b), (1.05 * a if a != 0.0 else 0.00025, b),
+           (a, 1.05 * b if b != 0.0 else 0.00025)]
+    values = yield pts
     nfev, nit = 3, 1
-    while nit < _MAX_ITER:
-        (f0, (b0, b1)), (f1, p1), (fw, w) = sim
-        if (abs(p1[0] - b0) <= 1e-8 and abs(p1[1] - b1) <= 1e-8
-                and abs(w[0] - b0) <= 1e-8 and abs(w[1] - b1) <= 1e-8
+    while True:
+        if pts:  # the start and each shrink sort all three vertices
+            (f0, (a0, b0)), (f1, (a1, b1)), (fw, (aw, bw)) = sorted(
+                zip(values, pts), key=itemgetter(0))
+        if nit >= _MAX_ITER or (
+                abs(a1 - a0) <= 1e-8 and abs(b1 - b0) <= 1e-8
+                and abs(aw - a0) <= 1e-8 and abs(bw - b0) <= 1e-8
                 and abs(f0 - f1) <= 1e-10 and abs(f0 - fw) <= 1e-10):
             break
-        c0, c1 = (b0 + p1[0]) / 2, (b1 + p1[1]) / 2
-        # s xbar + t w: reflection, expansion, outside and inside contraction
-        trial = [(s * c0 + t * w[0], s * c1 + t * w[1])
-                 for s, t in ((2, -1), (3, -2), (1.5, -0.5), (0.5, 0.5))]
-        r, e, oc, ic = zip((yield trial), trial)
-        nfev += 1
-        if r[0] < f0:
+        c0, c1 = (a0 + a1) / 2, (b0 + b1) / 2
+        r, e = (2.0 * c0 - aw, 2.0 * c1 - bw), (3.0 * c0 - 2.0 * aw, 3.0 * c1 - 2.0 * bw)
+        oc, ic = (1.5 * c0 - 0.5 * aw, 1.5 * c1 - 0.5 * bw), (0.5 * c0 + 0.5 * aw,
+                                                              0.5 * c1 + 0.5 * bw)
+        fr, fe, foc, fic = yield [r, e, oc, ic]
+        nfev, nit, pts = nfev + 1, nit + 1, None
+        if fr < f0:
             nfev += 1
-            sim[2] = e if e[0] < r[0] else r
-        elif r[0] < f1:
-            sim[2] = r
+            fn, (an, bn) = (fe, e) if fe < fr else (fr, r)
+        elif fr < f1:
+            fn, (an, bn) = fr, r
         else:
-            outside = r[0] < fw
-            c = oc if outside else ic
             nfev += 1
-            if (c[0] <= r[0]) if outside else (c[0] < fw):
-                sim[2] = c
-            else:
-                shrunk = [(b0 + 0.5 * (q[0] - b0), b1 + 0.5 * (q[1] - b1))
-                          for _, q in sim[1:]]
-                sim[1:] = zip((yield shrunk), shrunk)
-                nfev += 2
-        nit += 1
-        sim.sort(key=itemgetter(0))
-    return sim[0][1], sim[0][0], nit, nfev, nit < _MAX_ITER
+            fn, (an, bn) = (foc, oc) if fr < fw else (fic, ic)
+            if not ((fn <= fr) if fr < fw else (fn < fw)):
+                pts = [(a0, b0), (a0 + 0.5 * (a1 - a0), b0 + 0.5 * (b1 - b0)),
+                       (a0 + 0.5 * (aw - a0), b0 + 0.5 * (bw - b0))]
+                values, nfev = [f0, *(yield pts[1:])], nfev + 2
+                continue
+        # list.sort of (best, next, new), whose first two are in order
+        f0, a0, b0, f1, a1, b1, fw, aw, bw = (
+            (f0, a0, b0, f1, a1, b1, fn, an, bn) if not fn < f1 else
+            (fn, an, bn, f0, a0, b0, f1, a1, b1) if fn < f0 else
+            (f0, a0, b0, fn, an, bn, f1, a1, b1))
+    return (a0, b0), f0, nit, nfev, nit < _MAX_ITER
 
 
 def _brent(lo: float, hi: float):
@@ -159,23 +162,26 @@ def _brent(lo: float, hi: float):
 def _drive(rows: np.ndarray, searches: list, deviance) -> list:
     """Run one search generator per row in lockstep, one call of
     deviance(rows, points) per round; return the searches' results."""
-    results = [None] * len(searches)
-    pending = [(i, row, s, next(s)) for i, (row, s) in
-               enumerate(zip(rows.tolist(), searches))]
+    results, at = [None] * len(searches), rows
+    pending = [(i, s, next(s)) for i, s in enumerate(searches)]
     while pending:
-        points, at = [], []
-        for _, row, _, pts in pending:
+        points, counts = [], []
+        for _, _, pts in pending:
             points += pts
-            at += [row] * len(pts)
-        values = deviance(np.array(at), np.array(points)).tolist()
+            counts.append(len(pts))
+        x = np.fromiter(chain.from_iterable(points), np.float64,
+                        len(points) * len(points[0])).reshape(len(points), -1)
+        values = deviance(np.repeat(at, counts), x).tolist()
         waiting, j = [], 0
-        for i, row, search, pts in pending:
+        for i, search, pts in pending:
             n = j + len(pts)
             try:
-                waiting.append((i, row, search, search.send(values[j:n])))
+                waiting.append((i, search, search.send(values[j:n])))
             except StopIteration as done:
                 results[i] = done.value
             j = n
+        if len(waiting) < len(pending):
+            at = rows[[i for i, _, _ in waiting]]
         pending = waiting
     return results
 
@@ -184,18 +190,19 @@ def _deviance(cells: CellStats, rows, tw0, tb0, parts: bool = False):
     """Profiled -2 restricted log-likelihood over variance ratios.
 
     Ratios are in residual-variance units: the covariance block is
-    sigma_w2 * (I + U M0 U') with M0 = [[tw0, tb0], [tb0, tw0]].  A normal
-    matrix that is not positive definite, or a profiled quadratic that is
-    not positive, gives inf.  With `parts`, also M, v, the quadratic
-    y'Wy - v'M^-1 v and whether M is positive definite.
+    sigma_w2 * (I + U M0 U') with M0 = [[tw0, tb0], [tb0, tw0]].  A
+    profiled quadratic that is not positive gives inf; so does a normal
+    matrix that is not positive definite, which makes it NaN or -inf.
+    With `parts`, also M, v, the quadratic y'Wy - v'M^-1 v and whether M
+    is positive definite.
     """
     m, v, yy, logdet = normal_equations(cells, tw0, tb0, rows=rows)
     with np.errstate(all="ignore"):
         (l00, _, l11, _, _, l22), (z0, z1, z2) = cholesky_solve(m, v)
-        quad, pd = yy - (z0 * z0 + z1 * z1 + z2 * z2), l22 > 0.0
-        dev = np.where(pd & (quad > 0.0), logdet + 2.0 * np.log(l00 * l11 * l22)
+        quad = yy - (z0 * z0 + z1 * z1 + z2 * z2)
+        dev = np.where(quad > 0.0, logdet + 2.0 * np.log(l00 * l11 * l22)
                        + (cells.row_obs[rows] - _N_PARAMS) * np.log(quad), np.inf)
-    return (dev, m, v, quad, pd) if parts else dev
+        return (dev, m, v, quad, l22 > 0.0) if parts else dev
 
 
 def _profiled(cells: CellStats, rows, tw0, tb0):
@@ -331,26 +338,28 @@ def _reml(cells: CellStats, structure: CorrelationStructure,
         return [(VarianceComponents(s), True)
                 for s in _sigma2(cells, rows, 0.0, 0.0).tolist()]
 
+    nested = structure is CorrelationStructure.NESTED_EXCHANGEABLE
     lo, hi = _logit(_RHO_MIN), _logit(_RHO_MAX)
-    low, high = np.array([lo, _logit(_CAC_MIN)]), np.array([hi, _logit(_CAC_MAX)])
-    if structure is CorrelationStructure.EXCHANGEABLE:
-        searches = [_brent(lo, hi) for _ in rows]
-    else:
+    low = np.array([lo, _logit(_CAC_MIN)][:1 + nested])
+    high = np.array([hi, _logit(_CAC_MAX)][:1 + nested])
+    if nested:
         big = (np.maximum(cells.k0, cells.k1) >= 2).astype(np.intp)
         if (big.sum() - np.where(rows > 0, big[rows - 1], 0) == 0).any():
             raise EstimationError(
                 "nested REML needs a cell with at least two records: with one "
                 "record per cell, sigma_w2 and tau_gamma2 are not identified")
         searches = [_nelder_mead((_logit(0.05), _logit(0.5))) for _ in rows]
+    else:
+        searches = [_brent(lo, hi) for _ in rows]
 
     def deviance(at, x):  # x = (logit rho, logit cac), or (logit rho,) at cac 1
-        x = np.minimum(np.maximum(x, low[:x.shape[1]]), high[:x.shape[1]])
+        x = np.minimum(np.maximum(x, low), high)
         q = np.exp(x[:, 0])
-        return _deviance(cells, at, q, _expit(x[:, 1]) * q if x.shape[1] == 2 else q)
+        return _deviance(cells, at, q, _expit(x[:, 1]) * q if nested else q)
 
     found = _drive(rows, searches, deviance)
     x, success = np.array([f[0] for f in found]), [f[4] for f in found]
-    x = np.minimum(np.maximum(x.reshape(len(rows), -1), low[:x.ndim]), high[:x.ndim])
+    x = np.minimum(np.maximum(x.reshape(len(rows), -1), low), high)
     cac = _snap_cac(_expit(x[:, 1])) if x.shape[1] == 2 else np.ones(len(x))
     polish = np.array(success) & (_snap_rho(_expit(x[:, 0])) > 0.0)
     edge = polish & ((cac == 0.0) | (cac == 1.0))

@@ -62,10 +62,6 @@ _JSON_TYPES = {
                 and all(type(r) is list and len(r) == 3 for r in v)),
     "estimators": ("a list of estimator names", lambda v: type(v) is list),
 }
-# Ranges, tested after every type: numpy sizes are below 2**63; seeds >= 0.
-_BELOW_2_63 = ("below 2**63", lambda v: v < 2**63)
-_BOUNDS = {"n_clusters": _BELOW_2_63, "reps": _BELOW_2_63,
-           "master_seed": ("non-negative", lambda v: v >= 0)}
 
 
 @dataclass(frozen=True)
@@ -92,6 +88,11 @@ class SimScenario:
     fixed_split: bool = False
 
     def __post_init__(self):
+        for name in ("n_clusters", "reps"):  # numpy sizes are below 2**63
+            if getattr(self, name) >= 2**63:
+                raise ValueError(f"{name} must be below 2**63, got {getattr(self, name)!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed!r}")
         if self.n_clusters < 4 or self.n_clusters % 2:
             raise ValueError("n_clusters must be even and at least 4")
         if self.reps < 1:
@@ -131,7 +132,7 @@ class SimScenario:
         """
         if type(doc) is not dict:
             raise ValueError(f"a scenario must be a JSON object, got {doc!r}")
-        for key, (expected, ok) in (*_JSON_TYPES.items(), *_BOUNDS.items()):
+        for key, (expected, ok) in _JSON_TYPES.items():
             if key in doc and not ok(doc[key]):
                 raise ValueError(f"{key} must be {expected}, got {doc[key]!r}")
         vc = doc["vc"]

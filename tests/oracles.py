@@ -12,6 +12,9 @@
   `blocks.normal_equations` and the map's products with the derivatives
   of e, the oracle of the vectorised `reml._deviance` and
   `reml._gradient`.
+- `reml_round`: one lockstep round of REML deviances computed as before
+  the per-round kernel was trimmed, which the kernel must match bit for
+  bit.
 - `generate_trial_records`: trial generation one cluster at a time with
   per-record Python lists, the stream `simulate.generate_trial` must
   reproduce bit for bit.
@@ -243,6 +246,60 @@ def profiled_deviance(cells: CellStats, tau_within: float, tau_between: float):
             x[8] - 2.0 * theta @ x[5:8] + theta @ dm @ theta) / quad)
     return (logdet + np.linalg.slogdet(m)[1] + dof * math.log(quad),
             np.array(grad))
+
+
+def reml_round(cells: CellStats, at: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One lockstep round of the REML deviance as it was before its kernel
+    was trimmed, step for step: the deviance closure of `reml._reml` (x
+    clipped to the search bounds, then the ratios), the profiled deviance
+    and the normal equations, block terms and Cholesky factor it read.
+    The per-round kernel must give these values bit for bit."""
+    def logit(p):
+        return math.log(p / (1.0 - p))
+
+    low = np.array([logit(1e-12), logit(1e-12)])
+    high = np.array([logit(1.0 - 1e-6), logit(1.0 - 1e-12)])
+    x = np.minimum(np.maximum(x, low[:x.shape[1]]), high[:x.shape[1]])
+    q = np.exp(x[:, 0])
+    return _round_deviance(cells, at, q, 1.0 / (1.0 + np.exp(-x[:, 1])) * q
+                           if x.shape[1] == 2 else q)
+
+
+def _round_deviance(cells, rows, tw0, tb0):
+    m, v, yy, logdet = _round_normal_equations(cells, tw0, tb0, rows)
+    with np.errstate(all="ignore"):
+        (l00, _, l11, _, _, l22), (z0, z1, z2) = _round_cholesky(m, v)
+        quad, pd = yy - (z0 * z0 + z1 * z1 + z2 * z2), l22 > 0.0
+        return np.where(pd & (quad > 0.0), logdet + 2.0 * np.log(l00 * l11 * l22)
+                        + (cells.row_obs[rows] - 3) * np.log(quad), np.inf)
+
+
+def _round_normal_equations(cells, tw, tb, rows):
+    k, kk = cells.block_sizes
+    tw_, tb_ = ((tw[..., None], tb[..., None]) if isinstance(tw, np.ndarray)
+                else (tw, tb))
+    s = 1.0
+    d = k * (s * tw_) + s * s + kk * ((tw_ - tb_) * (tw_ + tb_))
+    logdet = np.log(d)
+    keep = cells.keep(rows)
+    y = np.einsum("...i,kri->kr...", keep / d, cells.gls_map)
+    x = y[0] + tw * y[1] + tb * y[2]
+    return ((x[0], x[1], x[2], x[3], x[3], x[4]), x[5:8],
+            x[8] + np.einsum("...i,i->...", keep, cells.within),
+            np.einsum("...i,...i->...", keep, logdet))
+
+
+def _round_cholesky(m, v):
+    a, b, c, d, f, g = m
+    l00 = np.sqrt(a)
+    l10, l20 = b / l00, c / l00
+    l11 = np.sqrt(d - l10 * l10)
+    l21 = (f - l20 * l10) / l11
+    l22 = np.sqrt(g - l20 * l20 - l21 * l21)
+    z0 = v[0] / l00
+    z1 = (v[1] - l10 * z0) / l11
+    z2 = (v[2] - l20 * z0 - l21 * z1) / l22
+    return (l00, l10, l11, l20, l21, l22), (z0, z1, z2)
 
 
 def generate_trial_records(scenario: SimScenario, replicate_index: int) -> ObservedTrial:

@@ -279,6 +279,36 @@ class TestCli:
         assert rc == 1
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+    def test_fit_level_checked_before_the_fit(self, tmp_path, capsys,
+                                              monkeypatch, level):
+        # A level outside (0, 1) is one `error:` line and exit 1, before
+        # the trial is read or fitted, with nothing on stdout.
+        import pbcrt.cli
+
+        def unread(path):
+            raise AssertionError("the trial was read")
+
+        monkeypatch.setattr(pbcrt.cli, "parse_trial_csv", unread)
+        rc = main(["fit", str(tmp_path / "t.csv"), "--estimator", "neme",
+                   "--variance", "both", "--level", level])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: --level must lie in (0, 1), got {float(level)!r}\n"
+
+    def test_simulate_negative_seed_override(self, tmp_path, capsys):
+        # --seed replaces the config's seed after its checks; the
+        # scenario's own check names the field, not numpy.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_clusters": 4, "mixture": [[1.0, 5, 0.3]],
+                                   "vc": {"sigma_w2": 1.0}, "reps": 1}))
+        rc = main(["simulate", str(cfg), "--seed", "-1", "--csv",
+                   str(tmp_path / "s.csv"), "--json", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: master_seed must be non-negative, got -1\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_fit_estimation_error_exit_code(self, tmp_path, capsys):
         # Weighted mixed fit on unequal cell sizes cannot be computed.
         t = ObservedTrial.from_cell_means([

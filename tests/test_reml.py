@@ -317,6 +317,39 @@ def benchmark_cells(j):
     return generate_trial(sc, 0).cells
 
 
+class TestRoundKernel:
+    def test_rounds_equal_the_untrimmed_kernel(self):
+        # Every request of every drive of both structures, over the full
+        # and delete-one rows of operations 21-28 of the I=10 jackknife
+        # study benchmark and of one JIAH-size table, gets the deviances
+        # that the kernel gave before its trim, equal by ==.
+        from oracles import reml_round
+        from test_blocks import jiah_size_cells
+
+        drive, rounds = reml._drive, []
+
+        def recorded(rows, searches, deviance):
+            def kept(at, x):
+                got = deviance(at, x)
+                rounds.append((cells, at.copy(), x.copy(), got.copy()))
+                return got
+            return drive(rows, searches, kept)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reml, "_drive", recorded)
+            for cells in [benchmark_cells(j) for j in range(21, 29)] + [
+                    jiah_size_cells(36, 1.0)]:
+                for structure in (CorrelationStructure.EXCHANGEABLE,
+                                  CorrelationStructure.NESTED_EXCHANGEABLE):
+                    estimate_variance_components(
+                        cells, structure, rows=range(cells.n_clusters + 1))
+        assert {x.shape[1] for _, _, x, _ in rounds} == {1, 2}
+        assert len(rounds) > 2000
+        for cells, at, x, got in rounds:
+            want = reml_round(cells, at, x)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestProfiledLikelihood:
     def test_matches_dense_reml_objective(self):
         # Profiled -2 restricted log-likelihood agrees (up to a constant in

@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Cost of the lockstep REML rounds on the benchmark's reference inputs.
+"""Cost of the REML searches on the benchmark's reference inputs.
 
 Runs the exchangeable and the nested REML search on every row (the full
 table and its delete-one tables) of the 48 `study_jackknife_i10` and the
 8 `analysis_unequal_i28` reference inputs of `bench/workloads.py`, one
-`reml._drive` per table and structure, as a benchmark operation does.
-Each drive is timed whole, and each of its rounds' deviance calls on its
-own: the kernel is the deviance (`normal_equations`, `cholesky_solve`
-and the profiled likelihood), the bookkeeping is the rest of the drive
-(the search generators and `_drive` itself).  Prints one JSON line with,
-per workload, the operations, rounds per operation, points per round
-and microseconds per round, total, kernel and bookkeeping, from the
-fastest of --passes passes over fresh tables.  The pbcrt under test is
-the one in this checkout's `src`.
+call per table and structure, as a benchmark operation does.
+
+The nested search is Nelder-Mead in lockstep under `reml._drive`: each
+drive is timed whole, and each of its rounds' deviance calls on its own.
+The kernel is the deviance (`normal_equations`, `cholesky_solve` and the
+profiled likelihood), the bookkeeping is the rest of the drive (the
+search generators and `_drive` itself).  The exchangeable search is timed
+per stack, with its calls of the deviance and gradient kernels
+(`reml._deviance`, `reml._gradient`) counted in a separate pass.  Prints
+one JSON line with, per workload, the operations, the nested rounds per
+operation, points per round and microseconds per round, total, kernel
+and bookkeeping, and the exchangeable kernel calls and microseconds per
+stack, mean and worst, from the fastest of --passes passes over fresh
+tables.  The pbcrt under test is the one in this checkout's `src`.
 
   python scripts/reml_rounds.py --passes 5
 """
@@ -71,23 +76,69 @@ class Clock:
         return found
 
 
-def one_pass(tables) -> Clock:
-    """Both searches on every row of fresh copies of the tables.  The
-    table's map and keep-mask are built first, by a fit without REML,
-    as in an operation."""
+def fresh(tables):
+    """Fresh copies of the tables with their map and keep-mask built, by a
+    fit without REML, as in an operation."""
+    for cells in tables:
+        cells = dataclasses.replace(cells)
+        rows = range(cells.n_clusters + 1)
+        pbcrt.estimators.fit_rows(cells, EstimatorKind.IEE, FitOptions(), rows)
+        yield cells, rows
+
+
+def nested_pass(tables) -> Clock:
+    """The nested search on every row of fresh copies of the tables."""
     clock = Clock()
     reml._drive = clock.drive
     try:
-        for cells in tables:
-            cells = dataclasses.replace(cells)
-            rows = range(cells.n_clusters + 1)
-            pbcrt.estimators.fit_rows(cells, EstimatorKind.IEE, FitOptions(), rows)
-            for structure in (CorrelationStructure.EXCHANGEABLE,
-                              CorrelationStructure.NESTED_EXCHANGEABLE):
-                pbcrt.estimate_variance_components(cells, structure, rows=rows)
+        for cells, rows in fresh(tables):
+            pbcrt.estimate_variance_components(
+                cells, CorrelationStructure.NESTED_EXCHANGEABLE, rows=rows)
     finally:
         reml._drive = clock._drive
     return clock
+
+
+def exchangeable_pass(tables) -> list:
+    """Seconds of the exchangeable search per stack of fresh tables."""
+    spent = []
+    for cells, rows in fresh(tables):
+        t0 = time.perf_counter()
+        pbcrt.estimate_variance_components(
+            cells, CorrelationStructure.EXCHANGEABLE, rows=rows)
+        spent.append(time.perf_counter() - t0)
+    return spent
+
+
+def exchangeable_calls(tables) -> list:
+    """Kernel calls of the exchangeable search per stack: calls of the
+    deviance and of the gradient, whose own deviance call is not counted."""
+    calls, depth = [0], [0]
+    kernels = {name: getattr(reml, name) for name in ("_deviance", "_gradient")}
+
+    def counted(kernel):
+        def run(*args, **kwargs):
+            calls[0] += not depth[0]
+            depth[0] += 1
+            try:
+                return kernel(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return run
+
+    per_stack = []
+    try:
+        for name, kernel in kernels.items():
+            setattr(reml, name, counted(kernel))
+        for cells, rows in fresh(tables):
+            calls[0] = 0
+            pbcrt.estimate_variance_components(
+                cells, CorrelationStructure.EXCHANGEABLE, rows=rows)
+            per_stack.append(calls[0])
+    finally:
+        for name, kernel in kernels.items():
+            setattr(reml, name, kernel)
+    return per_stack
 
 
 def main(argv=None) -> int:
@@ -97,16 +148,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     out = {}
     for name, tables in reference_tables().items():
-        best = min((one_pass(tables) for _ in range(args.passes)),
+        best = min((nested_pass(tables) for _ in range(args.passes)),
                    key=lambda c: c.drive_s)
         us = 1e6 / best.rounds
+        stack_s = min((exchangeable_pass(tables) for _ in range(args.passes)),
+                      key=sum)
+        calls = exchangeable_calls(tables)
         out[name] = {
             "ops": len(tables),
-            "rounds_per_op": round(best.rounds / len(tables), 1),
+            "nested_rounds_per_op": round(best.rounds / len(tables), 1),
             "points_per_round": round(best.points / best.rounds, 1),
             "us_per_round": round(best.drive_s * us, 1),
             "kernel_us_per_round": round(best.kernel_s * us, 1),
             "bookkeeping_us_per_round": round((best.drive_s - best.kernel_s) * us, 1),
+            "exchangeable_kernel_calls_per_stack": round(sum(calls) / len(calls), 1),
+            "exchangeable_kernel_calls_worst": max(calls),
+            "exchangeable_us_per_stack": round(1e6 * sum(stack_s) / len(stack_s), 1),
+            "exchangeable_us_worst": round(1e6 * max(stack_s), 1),
         }
     out["passes"] = args.passes
     print(json.dumps(out))

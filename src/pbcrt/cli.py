@@ -122,6 +122,11 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    if not 0.0 <= args.rho_max <= 1.0:
+        raise ValueError(f"--rho-max must lie in [0, 1], got {args.rho_max!r}")
+    if not (0.0 < args.step <= 1.0 and args.rho_max <= 1e6 * args.step):
+        raise ValueError("--step must lie in (0, 1] and give at most 1e6 grid "
+                         f"steps up to --rho-max, got {args.step!r}")
     mix = PopulationMixture.two_point(args.p1, args.k1, args.k2, 0.0, 0.0)
     grid = np.arange(0.0, args.rho_max + args.step / 2, args.step)
     with open(args.out, "w", newline="") as fh:

@@ -54,15 +54,16 @@ class PopulationMixture:
 
     def __init__(self, subpops):
         parsed = []
-        for p, k, d in subpops:
+        for i, (p, k, d) in enumerate(subpops):
             sizes = k if isinstance(k, (tuple, list)) else (k, k)
             if not all(float(x).is_integer() for x in sizes):
                 raise ValueError(f"cluster-period sizes must be whole numbers, got {k!r}")
             k0, k1 = int(sizes[0]), int(sizes[1])
             if k0 < 1 or k1 < 1:
                 raise ValueError("cluster-period sizes must be >= 1")
-            if not p > 0:
-                raise ValueError("subpopulation probabilities must be positive")
+            if not (0 < p < math.inf and math.isfinite(d)):
+                raise ValueError(f"subpopulation {i} needs a positive finite "
+                                 f"probability and a finite effect, got {p!r}, {d!r}")
             parsed.append(Subpopulation(float(p), k0, k1, float(d)))
         if not parsed:
             raise ValueError("mixture needs at least one subpopulation")

@@ -1,15 +1,11 @@
 """REML estimation of variance components for the unweighted mixed models.
 
-The restricted likelihood is profiled over the residual variance.  The
-exchangeable structure searches the ICC with SciPy's bounded Brent, the
-nested one (within-period ICC, cluster auto-correlation) with SciPy's
-Nelder-Mead, both ported step for step in Python floats as generators
-that yield the points they need.  `_drive` advances the searches of all
-requested rows of a table's jackknife stack (`CellStats.keep`) in
-lockstep, one `_deviance` call per round for all its points: one
-`normal_equations` contraction and a closed-form 3x3 Cholesky.  Newton
-steps on the analytic gradient polish converged optima, for all rows at
-once.  Results are memoised per table, structure and row.
+The restricted likelihood is profiled over the residual variance.  Each
+search runs all requested rows of a table's jackknife stack at once: the
+exchangeable ICC by projected Newton (`_newton`); the nested ICC and
+cluster auto-correlation by SciPy's Nelder-Mead, ported step for step and
+run in lockstep under `_drive`, then by `_newton` from converged optima.
+Results are memoised per table, structure and row.
 """
 from __future__ import annotations
 
@@ -26,7 +22,7 @@ from .trial import (CellStats, CorrelationStructure, EstimationError,
 __all__ = ["estimate_variance_components"]
 
 # Bounds keep rho away from 1 (a perfectly correlated cluster) and the
-# logistic map well-conditioned; the lower bound is indistinguishable from
+# logistic map well-conditioned; a rho within 10 times the lower bound is
 # an exact zero component.
 _RHO_MIN = 1e-12
 _RHO_MAX = 1.0 - 1e-6
@@ -37,15 +33,17 @@ _SNAP = 1e-10
 _N_PARAMS = 3  # mu, delta, phi1
 _MAX_ITER = 500  # optimizer iterations
 
-# Newton polish of a converged optimum: at most this many steps, each
-# moving no search coordinate by more than the maximum step, with a
-# forward-difference Hessian of the analytic gradient.
-_POLISH_STEPS = 3
-_POLISH_MAX_STEP = 1e-2
-_POLISH_H = 1e-6
-# Relative rounding error of a deviance evaluation: near the optimum a
-# Newton step changes the deviance by less than this, in either direction.
-_DEV_ROUNDING = 1e-13
+# The profiled quadratic y'Wy - v'M^-1 v is rounded to within 12 ulps of
+# y'Wy on trials that the design fits exactly.  With a margin of _ULPS, a
+# smaller quadratic leaves no residual variation, and a Newton step is no
+# rise within _ULPS ulps of the deviance's terms: |dev|, and (n - 3) log quad.
+_EPS = 2.0 ** -52
+_ULPS = 64
+# Newton: the difference step of the Hessian and the step lengths tried,
+# in search coordinates; the least share of q that a step in q keeps.
+_H = 1e-6
+_LADDER = (1.0, 0.25, 0.0625)
+_Q_CUT = 1e-4
 
 
 def _logit(p: float) -> float:
@@ -107,58 +105,6 @@ def _nelder_mead(x0):
     return (a0, b0), f0, nit, nfev, nit < _MAX_ITER
 
 
-def _brent(lo: float, hi: float):
-    """SciPy 1.17's bounded Brent search on [lo, hi] as a search generator
-    on 1-tuples, returning the (x, fun, nit, nfev, success) of
-    `scipy.optimize.minimize_scalar(func, bounds=(lo, hi),
-    method="bounded")` with xatol 1e-8 and maxiter _MAX_ITER: the same
-    golden-section and parabolic steps in Python floats."""
-    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = nfc = xf = a + golden_mean * (b - a)
-    rat = e = 0.0
-    fx, = yield [(xf,)]
-    num, fu = 1, math.inf
-    ffulc = fnfc = fx
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + 1e-8 / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAX_ITER or abs(xf - xm) <= tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p, q = (-p if q > 0.0 else p), abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu, = yield [(x,)]
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    success = num < _MAX_ITER and not any(map(math.isnan, (xf, fx, fu)))
-    return xf, fx, num, num, success
-
-
 def _drive(rows: np.ndarray, searches: list, deviance) -> list:
     """Run one search generator per row in lockstep, one call of
     deviance(rows, points) per round; return the searches' results."""
@@ -193,8 +139,8 @@ def _deviance(cells: CellStats, rows, tw0, tb0, parts: bool = False):
     sigma_w2 * (I + U M0 U') with M0 = [[tw0, tb0], [tb0, tw0]].  A
     profiled quadratic that is not positive gives inf; so does a normal
     matrix that is not positive definite, which makes it NaN or -inf.
-    With `parts`, also M, v, the quadratic y'Wy - v'M^-1 v and whether M
-    is positive definite.
+    With `parts`, also M, v, y'Wy, the quadratic y'Wy - v'M^-1 v and
+    whether M is positive definite.
     """
     m, v, yy, logdet = normal_equations(cells, tw0, tb0, rows=rows)
     with np.errstate(all="ignore"):
@@ -202,16 +148,16 @@ def _deviance(cells: CellStats, rows, tw0, tb0, parts: bool = False):
         quad = yy - (z0 * z0 + z1 * z1 + z2 * z2)
         dev = np.where(quad > 0.0, logdet + 2.0 * np.log(l00 * l11 * l22)
                        + (cells.row_obs[rows] - _N_PARAMS) * np.log(quad), np.inf)
-        return (dev, m, v, quad, l22 > 0.0) if parts else dev
+        return (dev, m, v, yy, quad, l22 > 0.0) if parts else dev
 
 
 def _profiled(cells: CellStats, rows, tw0, tb0):
-    """(M, v, y'Wy - v'M^-1 v) at each point, raising where `_deviance`
-    is inf."""
-    _, m, v, quad, pd = _deviance(cells, rows, tw0, tb0, parts=True)
+    """(M, v, y'Wy - v'M^-1 v) at each point, raising where M is singular
+    or the quadratic is not above its rounding error."""
+    _, m, v, yy, quad, pd = _deviance(cells, rows, tw0, tb0, parts=True)
     if not pd.all():
         raise EstimationError("singular normal equations")
-    bad = ~((0.0 < quad) & (quad < math.inf))
+    bad = ~((_ULPS * _EPS * yy < quad) & (quad < math.inf))
     if bad.any():
         raise EstimationError(
             f"profiled residual sum of squares is {float(quad[bad][0])!r}: "
@@ -253,56 +199,77 @@ def _gradient(cells: CellStats, rows, tw0, tb0) -> np.ndarray:
             ).sum(axis=-1).T
 
 
-def _ratios(x: np.ndarray, cac=None):
-    """(q, c) at points x = (log q, logit c), or x = (log q,) with c = cac
-    per point; the variance ratios are (q, c q)."""
-    return np.exp(x[:, 0]), (_expit(x[:, 1]) if cac is None else cac)
+def _newton(cells: CellStats, rows, x, lo, hi, cac=None):
+    """Projected Newton on the deviance for all rows at once, from and
+    into x: one point per row, (log q, logit c), or (log q,) at c = cac of
+    its row, within [lo, hi]; the variance ratios are (q, c q).
 
-
-def _polish(cells: CellStats, rows, x, lo, hi, cac=None) -> np.ndarray:
-    """Newton steps on the analytic gradient from converged search points.
-
-    x holds one point per row in the coordinates of `_ratios`, which stay
-    within [lo, hi]; the Hessian is a forward difference of the gradient.
-    A row steps only while its Hessian is positive definite, no coordinate
-    moves by more than _POLISH_MAX_STEP and the deviance does not rise by
-    more than its rounding error.
+    An iteration makes one `_gradient` call, at x and x + _H e_i for a
+    forward-difference Hessian, and one `_deviance` call at four projected
+    steps: Newton's in (q, logit c), which reaches small q where steps in
+    log q crawl, and the _LADDER of Newton's in the search coordinates.
+    Their Hessian is shifted up to a least eigenvalue of the gradient's
+    norm, so that they move at most 1; the former's only if not positive
+    definite.  A coordinate at a bound with the gradient pointing out
+    stays.  The step in q is taken if below the full step and x, else the
+    full step if below x or, with a positive definite Hessian, within
+    rounding, else the longest step below x.  A row converges when its
+    step predicts a decrease below one ulp of y'Wy in the deviance, free
+    of the outcomes' scale, and takes that step on the model alone; it
+    fails when it takes no step, or at _MAX_ITER.
     """
-    x = np.array(x, dtype=np.float64)
-    d = x.shape[1]
-    q, c = _ratios(x, cac)
-    dev = _deviance(cells, rows, q, c * q)
-    probes = np.vstack((np.zeros(d), _POLISH_H * np.eye(d)))
-    todo = np.arange(len(x))
-    for _ in range(_POLISH_STEPS):
-        q, c = _ratios((x[todo][:, None] + probes).reshape(-1, d),
-                       None if cac is None else np.repeat(cac[todo], d + 1))
+    def ratios(pts, ct):  # (q, c) at points of shape (rows, k, d)
+        return np.exp(pts[..., 0]).ravel(), (
+            _expit(pts[..., 1]).ravel() if ct is None else np.repeat(ct, pts.shape[1]))
+
+    def level(at, pts, ct):  # the deviance, and one ulp of y'Wy carried into it
+        q, c = ratios(pts, ct)
+        at = np.repeat(at, pts.shape[1])
+        dev, _, _, yy, quad, _ = _deviance(cells, at, q, c * q, parts=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # where dev is inf
+            ulp = (cells.row_obs[at] - _N_PARAMS) * _EPS * yy / quad
+        return dev.reshape(pts.shape[:2]), ulp.reshape(pts.shape[:2])
+
+    d, dim = x.shape[1], np.arange(x.shape[1])
+    probes = np.vstack((np.zeros(d), _H * np.eye(d)))
+    dev, ulp = (a[:, 0] for a in level(rows, x[:, None], cac))
+    converged, todo = np.zeros(len(x), dtype=bool), np.arange(len(x))
+    for _ in range(_MAX_ITER):
+        if not todo.size:
+            break
+        xt, ct = x[todo], None if cac is None else cac[todo]
+        q, c = ratios(xt[:, None] + probes, ct)
         g = _gradient(cells, np.repeat(rows[todo], d + 1), q, c * q)
         # by the chain rule, in (log q, logit c)
         g = np.stack((q * (g[:, 0] + c * g[:, 1]), q * c * (1.0 - c) * g[:, 1]),
                      axis=-1)[:, :d].reshape(-1, d + 1, d)
-        h = np.swapaxes(g[:, 1:] - g[:, :1], 1, 2) / _POLISH_H
-        h = 0.5 * (h + np.swapaxes(h, 1, 2))
-        ok = np.linalg.eigvalsh(h)[:, 0] > 0.0
-        h[~ok] = np.eye(d)
-        step = -np.linalg.solve(h, g[:, 0, :, None])[..., 0]
-        x_new = x[todo] + step
-        ok &= ((np.abs(step).max(axis=1) <= _POLISH_MAX_STEP)
-               & (x_new >= lo).all(axis=1) & (x_new <= hi).all(axis=1))
-        dev_new = np.full(todo.size, np.inf)
-        if ok.any():
-            q, c = _ratios(x_new[ok], None if cac is None else cac[todo[ok]])
-            dev_new[ok] = _deviance(cells, rows[todo[ok]], q, c * q)
-        ok &= dev_new <= dev[todo] + _DEV_ROUNDING * np.abs(dev[todo])
-        x[todo[ok]], dev[todo[ok]] = x_new[ok], dev_new[ok]
-        todo = todo[ok]
-        if not todo.size:
-            break
-    return x
-
-
-def _snap_rho(rho: np.ndarray) -> np.ndarray:
-    return np.where(rho <= _RHO_MIN * 10, 0.0, rho)
+        g, h = g[:, 0], (g[:, 1:] - g[:, :1]) / _H
+        out = ((xt <= lo) & (g > 0.0)) | ((xt >= hi) & (g < 0.0))
+        g = np.where(out, 0.0, g)
+        h = np.where(out[:, :, None] | out[:, None, :], np.eye(d),
+                     0.5 * (h + np.swapaxes(h, 1, 2)))
+        # in (log q, logit c), and in (q, logit c) in the same units
+        h = np.stack((h, h - g[:, :1, None] * np.diag(dim == 0)), axis=1)
+        least = np.linalg.eigvalsh(h)[..., 0]
+        shift = np.maximum(np.sqrt((g * g).sum(axis=1))[:, None] - least, 0.0)
+        shift[:, 1] *= least[:, 1] <= 0.0
+        h[..., dim, dim] += shift[..., None]
+        p = -np.linalg.solve(h, np.repeat(g[:, None, :, None], 2, axis=1))[..., 0]
+        p[:, 1, 0] = np.log(np.maximum(1.0 + p[:, 1, 0], _Q_CUT))
+        pts = np.clip(xt[:, None] + np.concatenate(
+            (p[:, 1:], np.array(_LADDER)[:, None] * p[:, :1]), axis=1), lo, hi)
+        new, new_ulp = level(rows[todo], pts, ct)
+        done = -0.5 * (g * p[:, 0]).sum(axis=1) <= ulp[todo]
+        rounding = _ULPS * (ulp[todo] + _EPS * np.abs(dev[todo]))
+        ok = new < dev[todo, None]
+        ok[:, 0] &= new[:, 0] < new[:, 1]
+        ok[:, 1] |= (least[:, 0] > 0.0) & (done | (new[:, 1] <= dev[todo] + rounding))
+        moved, pick = ok.any(axis=1), np.argmax(ok, axis=1)
+        take, at = (np.flatnonzero(moved), pick[moved]), todo[moved]
+        x[at], dev[at], ulp[at] = pts[take], new[take], new_ulp[take]
+        converged[todo[done]] = True
+        todo = todo[~done & moved]
+    return x, converged
 
 
 def _snap_cac(cac: np.ndarray) -> np.ndarray:
@@ -319,7 +286,7 @@ def estimate_variance_components(trial: ObservedTrial | CellStats,
     converged) pairs, one per row of the table's jackknife stack
     (`CellStats.keep`).  Estimates are clamped to [0, inf) with the ICC
     kept strictly below 1; non-convergence returns the best values found
-    with converged=False.  Rows not yet memoised run in one lockstep drive.
+    with converged=False.  Rows not yet memoised run in one search.
     """
     cells = trial.cells
     memo = cells.reml_memo.setdefault(structure, {})
@@ -338,42 +305,40 @@ def _reml(cells: CellStats, structure: CorrelationStructure,
         return [(VarianceComponents(s), True)
                 for s in _sigma2(cells, rows, 0.0, 0.0).tolist()]
 
-    nested = structure is CorrelationStructure.NESTED_EXCHANGEABLE
-    lo, hi = _logit(_RHO_MIN), _logit(_RHO_MAX)
-    low = np.array([lo, _logit(_CAC_MIN)][:1 + nested])
-    high = np.array([hi, _logit(_CAC_MAX)][:1 + nested])
-    if nested:
+    low = np.array([_logit(_RHO_MIN), _logit(_CAC_MIN)])
+    high = np.array([_logit(_RHO_MAX), _logit(_CAC_MAX)])
+    if structure is CorrelationStructure.EXCHANGEABLE:
+        cac = np.ones(len(rows))
+        x, success = _newton(cells, rows, np.full((len(rows), 1), _logit(0.05)),
+                             low[:1], high[:1], cac=cac)
+    else:
         big = (np.maximum(cells.k0, cells.k1) >= 2).astype(np.intp)
         if (big.sum() - np.where(rows > 0, big[rows - 1], 0) == 0).any():
             raise EstimationError(
                 "nested REML needs a cell with at least two records: with one "
                 "record per cell, sigma_w2 and tau_gamma2 are not identified")
-        searches = [_nelder_mead((_logit(0.05), _logit(0.5))) for _ in rows]
-    else:
-        searches = [_brent(lo, hi) for _ in rows]
 
-    def deviance(at, x):  # x = (logit rho, logit cac), or (logit rho,) at cac 1
-        x = np.minimum(np.maximum(x, low), high)
-        q = np.exp(x[:, 0])
-        return _deviance(cells, at, q, _expit(x[:, 1]) * q if nested else q)
+        def deviance(at, x):  # x = (logit rho, logit cac)
+            x = np.minimum(np.maximum(x, low), high)
+            q = np.exp(x[:, 0])
+            return _deviance(cells, at, q, _expit(x[:, 1]) * q)
 
-    found = _drive(rows, searches, deviance)
-    x, success = np.array([f[0] for f in found]), [f[4] for f in found]
-    x = np.minimum(np.maximum(x.reshape(len(rows), -1), low), high)
-    cac = _snap_cac(_expit(x[:, 1])) if x.shape[1] == 2 else np.ones(len(x))
-    polish = np.array(success) & (_snap_rho(_expit(x[:, 0])) > 0.0)
-    edge = polish & ((cac == 0.0) | (cac == 1.0))
-    if edge.any():
-        x[edge, 0] = _polish(cells, rows[edge], x[edge, :1], low[:1], high[:1],
-                             cac=cac[edge])[:, 0]
-    inner = polish & ~edge
-    if inner.any():
-        x[inner] = _polish(cells, rows[inner], x[inner], low, high)
+        found = _drive(rows, [_nelder_mead((_logit(0.05), _logit(0.5)))
+                              for _ in rows], deviance)
+        x = np.minimum(np.maximum(np.array([f[0] for f in found]), low), high)
+        success = np.array([f[4] for f in found])
+        cac = _snap_cac(_expit(x[:, 1]))
+        # Newton from converged points: in log q at cac snapped to 0 or 1
+        polish = success & (_expit(x[:, 0]) > _RHO_MIN * 10)
+        edge = polish & ((cac == 0.0) | (cac == 1.0))
+        x[edge, :1] = _newton(cells, rows[edge], x[edge, :1], low[:1], high[:1],
+                              cac=cac[edge])[0]
+        inner = polish & ~edge
+        x[inner] = _newton(cells, rows[inner], x[inner], low, high)[0]
         cac[inner] = _snap_cac(_expit(x[inner, 1]))
-    rho_wp = _snap_rho(_expit(x[:, 0]))
-    q = rho_wp / (1.0 - rho_wp)
+    q = np.where(_expit(x[:, 0]) > _RHO_MIN * 10, np.exp(x[:, 0]), 0.0)
     sigma2 = _sigma2(cells, rows, q, cac * q)
     total = sigma2 * q
     return [(VarianceComponents(s, tau_alpha2=c * t, tau_gamma2=(1.0 - c) * t), ok)
             for s, c, t, ok in zip(sigma2.tolist(), cac.tolist(), total.tolist(),
-                                   success)]
+                                   success.tolist())]

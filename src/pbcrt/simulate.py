@@ -135,7 +135,11 @@ class SimScenario:
         for key, (expected, ok) in _JSON_TYPES.items():
             if key in doc and not ok(doc[key]):
                 raise ValueError(f"{key} must be {expected}, got {doc[key]!r}")
-        vc = doc["vc"]
+        vc = doc.get("vc", {})
+        missing = [k for k in ("n_clusters", "mixture") if k not in doc]
+        missing += [] if "sigma_w2" in vc else ["vc.sigma_w2"]
+        if missing:
+            raise ValueError(f"missing scenario keys: {', '.join(missing)}")
         known = ({f.name for f in fields(cls)}
                  | {f"vc.{f.name}" for f in fields(VarianceComponents)})
         unknown = [k for k in (*doc, *(f"vc.{k}" for k in vc)) if k not in known]

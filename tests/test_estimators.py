@@ -415,26 +415,32 @@ class TestInvariances:
     def test_record_order_property(self, monkeypatch):
         # On 60 trials, eme and neme delta move by at most 1e-9 under a
         # record permutation whenever both REML searches converge; the
-        # non-converged cases are counted and reported.  Every polished
-        # optimum keeps the deviance within rounding of the search's and
-        # has a near-zero gradient in the polished coordinates.
-        polish = reml._polish
-        polished = []
+        # non-converged cases are counted and reported.  Every Newton
+        # search ends within rounding of where it started or below, and
+        # every converged optimum inside the search box has a near-zero
+        # gradient in the search coordinates.  A row at a bound keeps the
+        # gradient that points out of the box.
+        newton = reml._newton
+        ends = []
 
-        def checked_polish(cells, rows, x, lo, hi, cac=None):
-            y = polish(cells, rows, x, lo, hi, cac)
-            q, c = reml._ratios(x, cac)
+        def ratios(x, cac):
+            return np.exp(x[:, 0]), reml._expit(x[:, 1]) if cac is None else cac
+
+        def checked_newton(cells, rows, x, lo, hi, cac=None):
+            q, c = ratios(x, cac)
             before = reml._deviance(cells, rows, q, c * q)
-            q, c = reml._ratios(y, cac)
+            y, converged = newton(cells, rows, x, lo, hi, cac)
+            q, c = ratios(y, cac)
             after = reml._deviance(cells, rows, q, c * q)
             g = reml._gradient(cells, rows, q, c * q)
             grad = np.column_stack((q * (g[:, 0] + c * g[:, 1]),
                                     q * c * (1.0 - c) * g[:, 1]))[:, :y.shape[1]]
-            polished.extend(zip(((after - before) / np.abs(before)).tolist(),
-                                np.abs(grad).max(axis=1).tolist()))
-            return y
+            inside = converged & ((lo < y) & (y < hi)).all(axis=1)
+            ends.extend(zip(((after - before) / np.abs(before)).tolist(),
+                            np.where(inside, np.abs(grad).max(axis=1), 0.0).tolist()))
+            return y, converged
 
-        monkeypatch.setattr(reml, "_polish", checked_polish)
+        monkeypatch.setattr(reml, "_newton", checked_newton)
         moves, nonconverged = [], []
         for seed in range(100, 160):
             t = random_trial(seed)
@@ -447,14 +453,14 @@ class TestInvariances:
                     moves.append(abs(a.delta_hat - b.delta_hat))
                 else:
                     nonconverged.append((seed, kind.value))
-        rises, grads = np.array(polished).T
+        rises, grads = np.array(ends).T
         print(f"{len(moves)} converged pairs, largest move {max(moves):.2e}; "
               f"{len(nonconverged)} not converged: {nonconverged}; "
-              f"{len(polished)} polishes, largest relative deviance change "
-              f"{rises.max():.2e}, largest final gradient {grads.max():.2e}")
+              f"{len(ends)} searches, largest relative deviance change "
+              f"{rises.max():.2e}, largest interior gradient {grads.max():.2e}")
         assert max(moves) <= 1e-9
         assert len(moves) + len(nonconverged) == 120
-        assert rises.max() <= reml._DEV_ROUNDING
+        assert rises.max() <= 1e-13
         assert grads.max() <= 1e-10
 
 
@@ -479,6 +485,23 @@ class TestDegenerateOutcomes:
             r = fit_with_inference(t, kind, opts)
             assert np.isfinite([r.delta_hat, r.model_based_var,
                                 r.jackknife_var]).all()
+
+    def test_exact_fits_refused(self):
+        # On trials that the (mu, delta, phi1) design fits exactly, the
+        # profiled quadratic is rounding noise of either sign at every
+        # point; each mixed kind refuses all 30 with one message.
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n = 2 * int(rng.integers(2, 6))
+            k = rng.integers(1, 5, n).tolist()
+            mu, delta, phi1 = rng.standard_normal(3).tolist()
+            t = ObservedTrial.from_cell_means(
+                (f"c{i}", i % 2, k[i], k[i], mu, mu + phi1 + i % 2 * delta)
+                for i in range(n))
+            for kind in EstimatorKind:
+                if kind.mixed:
+                    with pytest.raises(EstimationError, match="no residual"):
+                        fit(t, kind)
 
     def test_residual_variance_not_floored(self):
         # iee and fe report no components at an exactly zero residual

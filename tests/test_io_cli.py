@@ -223,6 +223,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "optimal rho 0.0155653" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--step", "0"], "--step must lie in (0, 1]"),
+        (["--step", "nan"], "--step must lie in (0, 1]"),
+        (["--step", "1.5"], "--step must lie in (0, 1]"),
+        (["--step", "1e-300"], "--step must lie in (0, 1] and give at most 1e6"),
+        (["--rho-max", "inf"], "--rho-max must lie in [0, 1], got inf"),
+        (["--rho-max", "-0.1"], "--rho-max must lie in [0, 1], got -0.1"),
+    ])
+    def test_weights_grid_flags_checked(self, tmp_path, capsys, flags, message):
+        # A step or --rho-max that cannot make a grid is one `error:` line
+        # naming the flag, before the grid is built or the file opened.
+        out_csv = tmp_path / "w.csv"
+        rc = main(["weights", "--k1", "20", "--k2", "100", *flags,
+                   "--out", str(out_csv)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "" and not out_csv.exists()
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subpop, message", [
+        ("0.5,100,nan", "subpopulation 1 needs a positive finite probability "
+                        "and a finite effect, got 0.5, nan"),
+        ("inf,100,0.5", "subpopulation 1 needs a positive finite probability "
+                        "and a finite effect, got inf, 0.5"),
+    ])
+    def test_limits_non_finite_subpopulation(self, capsys, subpop, message):
+        rc = main(["limits", "--subpop", "0.5,20,0.2", "--subpop", subpop])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_fit_outputs_json(self, tmp_path, capsys):
         trial_path = tmp_path / "t.csv"
         emit_trial_csv(sim_trial(), trial_path)
@@ -368,6 +398,23 @@ class TestCli:
         assert rc == 1
         assert err == f"error: {cfg}: bad scenario config: {message}\n"
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("drop, vc, message", [
+        ("n_clusters", {"sigma_w2": 1.0}, "missing scenario keys: n_clusters"),
+        ("vc", None, "missing scenario keys: vc.sigma_w2"),
+        (None, {}, "missing scenario keys: vc.sigma_w2"),
+    ])
+    def test_simulate_missing_keys(self, tmp_path, capsys, drop, vc, message):
+        # A scenario without a required key names it.
+        doc = {"n_clusters": 4, "mixture": [[1.0, 5, 0.3]], "vc": vc, "reps": 1}
+        doc.pop(drop, None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["simulate", str(cfg), "--csv", str(tmp_path / "s.csv"),
+                   "--json", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: bad scenario config: {message}\n")
 
     def test_simulate_byte_identical(self, tmp_path, capsys):
         doc = {"n_clusters": 6, "mixture": [[1.0, 5, 0.3]],

@@ -64,6 +64,13 @@ class TestExchangeable:
         assert np.median(taus) <= 0.02
         assert min(taus) == 0.0
 
+    def test_converged_is_a_bool(self):
+        t = simulate(VarianceComponents.from_iccs(1.0, 0.1, 1.0), 1, n_clusters=10, k=5)
+        for s in (CorrelationStructure.EXCHANGEABLE,
+                  CorrelationStructure.NESTED_EXCHANGEABLE):
+            assert estimate_variance_components(t, s, return_converged=True)[1] is True
+        assert fit(t, EstimatorKind.EME).converged is True
+
     def test_interior_away_from_one(self):
         vc = VarianceComponents.from_iccs(1.0, 0.5, 1.0)
         t = simulate(vc, 7, n_clusters=40, k=10)
@@ -185,10 +192,8 @@ def scipy_nelder_mead(func, x0):
 
 
 def scipy_brent(func, lo, hi):
-    """The exchangeable search as SciPy runs it, in the port's return form.
-
-    SciPy's numpy scalars warn on inf - inf where the port's floats do not.
-    """
+    """SciPy's bounded Brent search of func on [lo, hi], with xatol 1e-8,
+    as (x, fun, nit, nfev, success).  Its numpy scalars warn on inf - inf."""
     with np.errstate(invalid="ignore"):
         res = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
                                        options={"xatol": 1e-8,
@@ -266,40 +271,78 @@ class TestNelderMead:
 
 
 class TestBrent:
-    """`reml._brent`, driven alone on a scalar function, returns exactly
-    SciPy's bounded `minimize_scalar` x, fun, nfev and success."""
+    """`reml._newton` on an exchangeable deviance ends where Brent's
+    bounded search, SciPy's `minimize_scalar(method="bounded")`, ends on
+    the same box of logit rho, or lower: the search it replaced."""
 
     @staticmethod
-    def check(f, lo, hi):
-        x, fun, _, nfev, success = run(reml._brent(lo, hi), lambda p: f(p[0]))
-        want = scipy_brent(f, lo, hi)
-        assert (x, fun, nfev, success) == (want[0], want[1], want[3], want[4])
+    def check(cells, lo, hi):
+        # from the search's start, logit 0.05, moved into the box
+        x, converged = reml._newton(
+            cells, np.array([0]), np.array([[min(max(reml._logit(0.05), lo), hi)]]),
+            np.array([lo]), np.array([hi]), cac=np.ones(1))
+        f = rho_deviance(cells, 0)
+        agree(x[0, 0], converged[0], f, scipy_brent(f, lo, hi), lo, hi)
 
     @pytest.mark.parametrize("lo,hi", [(-27.6, 13.8), (-1.0, 1.0), (0.5, 7.0)])
     def test_smooth(self, lo, hi):
-        self.check(lambda x: math.cosh(x - 0.7) + 0.1 * x ** 3, lo, hi)
+        # op 21's optimum is near logit rho -3, left of the last two boxes
+        self.check(benchmark_cells(21), lo, hi)
 
     @pytest.mark.parametrize("lo,hi", [(-3.0, 3.0), (-10.0, 0.3)])
     def test_plateau(self, lo, hi):
-        self.check(lambda x: float(math.floor(3.0 * abs(x + 0.4))), lo, hi)
+        # Without a cluster effect the deviance flattens as rho -> 0.
+        self.check(simulate(VarianceComponents(1.0), 2, n_clusters=20, k=8).cells,
+                   lo, hi)
 
     def test_minimum_at_each_bound(self):
-        self.check(lambda x: (x - 5.0) ** 2, -2.0, 1.0)
-        self.check(lambda x: (x + 5.0) ** 2, -2.0, 1.0)
-
-    def test_infinite_region(self):
-        self.check(lambda x: math.inf if x > 0.2 else (x - 1.0) ** 2, -4.0, 2.0)
-        self.check(lambda x: math.inf if x < -1.0 else x * x, -4.0, 2.0)
+        self.check(benchmark_cells(21), -2.0, 1.0)
+        high = simulate(VarianceComponents.from_iccs(1.0, 0.9, 1.0), 4).cells
+        self.check(high, -2.0, 1.0)
 
     def test_exchangeable_reml_searches(self):
         # Every exchangeable search, full and delete-one tables, of
         # operations 21-28 of the I=10 jackknife study benchmark.
-        runs = drives(CorrelationStructure.EXCHANGEABLE, range(21, 29))
+        runs = exchangeable_searches(range(21, 29))
         assert len(runs) == 8 * 11
-        for found, f in runs:
-            assert found == run(reml._brent(*RHO_BOUNDS), f)
-            want = scipy_brent(lambda x: f((x,)), *RHO_BOUNDS)
-            assert found[:2] + found[3:] == want[:2] + want[3:]
+        for x, converged, f in runs:
+            agree(x, converged, f, scipy_brent(f, *RHO_BOUNDS), *RHO_BOUNDS)
+
+
+def rho_deviance(cells, row):
+    """The exchangeable deviance of a table row at logit rho x."""
+    return lambda x: deviance(cells, math.exp(x), math.exp(x), row)
+
+
+def agree(x, converged, f, want, lo, hi):
+    """A converged Newton point x no higher than SciPy's bounded result
+    `want` on f, and at it unless both are on the flat at a bound."""
+    assert converged
+    assert f(x) <= want[1] + 1e-12 * abs(want[1])
+    assert x == pytest.approx(want[0], abs=1e-6) or (
+        min(x - lo, hi - x) == 0.0 and abs(f(x) - want[1]) <= 1e-12 * abs(want[1]))
+
+
+def exchangeable_searches(ops):
+    """Every exchangeable search over the full and delete-one tables of
+    the given I=10 benchmark operations: (x, converged, the deviance of
+    the row at logit rho) for each row."""
+    runs = []
+    newton = reml._newton
+
+    def recorded(cells, rows, x, lo, hi, cac=None):
+        x, converged = newton(cells, rows, x, lo, hi, cac)
+        runs.extend((float(x[i, 0]), bool(converged[i]), rho_deviance(cells, r))
+                    for i, r in enumerate(rows.tolist()))
+        return x, converged
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reml, "_newton", recorded)
+        for j in ops:
+            cells = benchmark_cells(j)
+            estimate_variance_components(cells, CorrelationStructure.EXCHANGEABLE,
+                                         rows=range(cells.n_clusters + 1))
+    return runs
 
 
 def gradient(cells, tw0, tb0, row=0):
@@ -319,10 +362,10 @@ def benchmark_cells(j):
 
 class TestRoundKernel:
     def test_rounds_equal_the_untrimmed_kernel(self):
-        # Every request of every drive of both structures, over the full
-        # and delete-one rows of operations 21-28 of the I=10 jackknife
-        # study benchmark and of one JIAH-size table, gets the deviances
-        # that the kernel gave before its trim, equal by ==.
+        # Every request of every drive, over the full and delete-one rows
+        # of operations 21-28 of the I=10 jackknife study benchmark and of
+        # one JIAH-size table, gets the deviances that the kernel gave
+        # before its trim, equal by ==.  Only the nested search drives.
         from oracles import reml_round
         from test_blocks import jiah_size_cells
 
@@ -343,7 +386,7 @@ class TestRoundKernel:
                                   CorrelationStructure.NESTED_EXCHANGEABLE):
                     estimate_variance_components(
                         cells, structure, rows=range(cells.n_clusters + 1))
-        assert {x.shape[1] for _, _, x, _ in rounds} == {1, 2}
+        assert {x.shape[1] for _, _, x, _ in rounds} == {2}
         assert len(rounds) > 2000
         for cells, at, x, got in rounds:
             want = reml_round(cells, at, x)

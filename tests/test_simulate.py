@@ -320,25 +320,31 @@ class TestStudy:
 
     def test_one_reml_search_per_table_and_structure(self, monkeypatch):
         # eme/emew and neme/nemew share one REML search on each trial and
-        # on each of its I delete-one tables.
+        # on each of its I delete-one tables: one row of a Newton search
+        # or of a Nelder-Mead search.
         import pbcrt.reml as reml
 
-        calls = {"_brent": 0, "_nelder_mead": 0}
+        rows = {s: 0 for s in (CorrelationStructure.EXCHANGEABLE,
+                               CorrelationStructure.NESTED_EXCHANGEABLE)}
+        searches = [0]
+        reml_stack, nelder_mead = reml._reml, reml._nelder_mead
 
-        def counted(name, search):
-            def run(*args, **kwargs):
-                calls[name] += 1
-                return search(*args, **kwargs)
-            return run
+        def counted_stack(cells, structure, todo):
+            rows[structure] += len(todo)
+            return reml_stack(cells, structure, todo)
 
-        for name in calls:
-            monkeypatch.setattr(reml, name, counted(name, getattr(reml, name)))
+        def counted_search(x0):
+            searches[0] += 1
+            return nelder_mead(x0)
+
+        monkeypatch.setattr(reml, "_reml", counted_stack)
+        monkeypatch.setattr(reml, "_nelder_mead", counted_search)
         sc = scenario(n_clusters=6, reps=2, jackknife=True,
                       estimators=(EstimatorKind.EME, EstimatorKind.EMEW,
                                   EstimatorKind.NEME, EstimatorKind.NEMEW))
         run_study(sc)
-        assert calls == {"_brent": sc.reps * (1 + 6),
-                         "_nelder_mead": sc.reps * (1 + 6)}
+        assert rows == {s: sc.reps * (1 + 6) for s in rows}
+        assert searches == [sc.reps * (1 + 6)]
 
     def test_rates_equal_per_replicate_helpers(self):
         # The vectorised coverage and power of a jackknife study equal the

@@ -217,7 +217,7 @@ class TestDropCluster:
             try:
                 sub = drop_cluster(t, cid)
             except TrialValidationError as exc:
-                assert "arm" in str(exc)
+                assert "arm" in str(exc) or "too close together" in str(exc)
                 continue
             assert sub.cells == cell_table(kept, sub.cells.origin)
             want = ObservedTrial.from_records(kept)
@@ -240,6 +240,21 @@ class TestDropCluster:
         t = ObservedTrial.from_records(recs)
         assert t.cells == cell_table(recs, t.cells.origin)
         self.check_drops(t, recs, depth=2)
+
+    def test_subtrial_refusals(self):
+        # A re-indexed subtrial is refused without a cluster in each arm,
+        # and when its outcomes' mean square is subnormal (dropping c2
+        # leaves one nonzero outcome of 2.7e-256); the stack's rows are
+        # compared either way.
+        recs = [("c0", 0, 0, 0.0), ("c0", 1, 0, 0.0), ("c1", 0, 1, 0.0),
+                ("c1", 1, 1, 2.67582702478153e-256), ("c2", 0, 0, 0.0),
+                ("c2", 1, 0, 1.0)]
+        t = ObservedTrial.from_records(recs)
+        with pytest.raises(TrialValidationError, match="arm"):
+            drop_cluster(t, "c1")
+        with pytest.raises(TrialValidationError, match="too close together"):
+            drop_cluster(t, "c2")
+        self.check_drops(t, recs, depth=1)
 
 
 class TestVarianceComponents:

@@ -1,18 +1,18 @@
 """Variance estimation, confidence intervals, and Wald tests.
 
-Two variance routes: the model-based GLS variance produced by each fit,
-and the leave-one-cluster-out jackknife, which refits the whole estimator
-(including variance components) on every delete-one table, as rows of
-one keep-masked stack.  All t-based inference uses I - 2 degrees of freedom.
+Two variance routes: the model-based GLS variance of each fit, and the
+leave-one-cluster-out jackknife, which refits the whole estimator (variance
+components included) on every delete-one table, as rows of one keep-masked
+stack.  t inference uses I - 2 degrees of freedom and its own t tail and quantile.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .estimators import EstimationError, EstimatorKind, FitOptions, FitResult, fit, fit_rows
 from .trial import CellStats, ObservedTrial
@@ -44,14 +44,73 @@ class IntervalEstimate:
 
 def _df(n_clusters: int) -> int:
     # Two cluster-level design parameters (intercept, treatment).
+    if n_clusters < 3:
+        raise ValueError("t inference has I - 2 degrees of freedom and needs "
+                         f"at least 3 clusters, got {n_clusters}")
     return n_clusters - 2
 
 
+@lru_cache(maxsize=64)
+def _inv_beta(df: int) -> float:
+    """1 / B(df/2, 1/2) from exact integer ratios, with m = df // 2."""
+    m = df // 2
+    c = math.comb(2 * m, m)
+    return 4**m / c / math.pi if df % 2 else m * c / 4**m
+
+
+def _beta_cf(p: float, q: float, z: float, w: float) -> float:
+    """F in I_z(p, q) = z^p w^q F / (p B(p, q)), w = 1 - z, by Lentz's method on
+    Numerical Recipes' betacf.  Near `_t_tail`'s switch odd terms d are near
+    -1: 1 + d is formed from exact parts, and each pair of steps as one quotient."""
+    def odd(m):  # d_{2m+1} and 1 + d_{2m+1}; E = R - P exactly
+        P, R = (p + m) * (p + q + m), (p + 2 * m) * (p + 2 * m + 1)
+        E = p * (2 * m + 1 - q) + m * (3 * m + 2 - q)
+        return -P * z / R, (E + P * w if E >= 0 else R - P * z) / R
+    g = c = odd(0)[1]
+    d = 1.0
+    for m in range(1, 10000):
+        de = m * (q - m) * z / ((p + 2 * m - 1) * (p + 2 * m))
+        e, c_dev = 1.0 + de * d, de / c
+        do, so = odd(m)
+        den = so * e - do * de * d
+        step = (so + c_dev) / den
+        d, c = e / den, (so + c_dev) / (1.0 + c_dev)
+        g *= step
+        if abs(step - 1.0) <= 1e-15:
+            break
+    return 1.0 / g
+
+
+def _t_tail(t: float, df: int) -> float:
+    """Two-sided P(|T| > t) of Student's t, t >= 0: I_x(df/2, 1/2) at
+    x = 1/(1 + t^2/df), or 1 - I_y(1/2, df/2) past the switch, with
+    y = 1 - x formed apart so that tiny and huge t keep their accuracy."""
+    a, u = df / 2.0, t * t / df
+    if not u > 0.0:
+        return 1.0 if u == 0.0 else u
+    x = 1.0 / (1.0 + u)
+    y = 1.0 - x if u > 1.0 else u / (1.0 + u)
+    front = math.exp(0.5 * math.log(y) - a * math.log1p(u)) * _inv_beta(df)
+    if x <= (a + 1.0) / (a + 2.5):
+        return front * _beta_cf(a, 0.5, x, y) / a
+    return 1.0 - 2.0 * front * _beta_cf(0.5, a, y, x)
+
+
 # A study asks for the same quantile once per estimator and variance source.
-# `stdtrit` is what `scipy.stats.t.ppf` evaluates, without loading scipy.stats.
 @lru_cache(maxsize=64)
 def _t_quantile(q: float, df: int) -> float:
-    return special.stdtrit(df, q)
+    """The q quantile of Student's t, 1/2 <= q <= 1, by Newton steps on `_t_tail`
+    from t = 0, which rise monotonically to the root as the tail is convex."""
+    p, t = 2.0 * (1.0 - q), 0.0
+    if p == 0.0:
+        return math.inf
+    for _ in range(100):  # about 60 at most, for df = 1 and q = 1 - 2^-53
+        f = math.exp(-(df + 1) / 2.0 * math.log1p(t * t / df)) * _inv_beta(df)
+        step = (_t_tail(t, df) - p) * math.sqrt(df) / (2.0 * f)
+        t += step
+        if step <= 1e-15 * t:
+            break
+    return t
 
 
 def model_based_variance(trial: ObservedTrial, kind: EstimatorKind,
@@ -98,9 +157,10 @@ def wald_test(delta_hat: float, variance: float, n_clusters: int) -> float:
     d, v = np.abs(delta_hat), np.asarray(variance, dtype=np.float64)
     if np.any(v < 0):
         raise ValueError("variance must be nonnegative")
+    df = _df(n_clusters)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(v == 0.0, d == 0.0,
-                     2.0 * special.stdtr(_df(n_clusters), -(d / np.sqrt(v))))
+        t = np.where(v == 0.0, 0.0, d / np.sqrt(v))
+    p = np.where(v == 0.0, d == 0.0, np.vectorize(_t_tail, otypes=[float])(t, df))
     return float(p) if p.ndim == 0 else p
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import special
 
 from pbcrt import (
     CellStats,
@@ -283,13 +283,26 @@ class TestConfidenceInterval:
         assert ci.upper.tolist() == [c.upper for c in scalar]
 
     def test_t_quantile_is_scipy_stats_t_ppf(self):
-        # The cached quantile reads `special.stdtrit`, which is what
-        # `stats.t.ppf` evaluates: equal by `==` at every df a trial of up
-        # to 801 clusters has, at the levels a study asks for.
-        for level in (0.8, 0.9, 0.95, 0.99, 0.999):
-            for q in (level, 0.5 + level / 2.0):
-                for df in range(2, 800):
-                    assert _t_quantile(q, df) == stats.t.ppf(q, df)
+        # The quantile is pbcrt's own: within 1e-14 of SciPy's `stdtrit`
+        # (what `stats.t.ppf` evaluates) at every df a trial of up to 802
+        # clusters has, at the quantiles the usual levels ask for.
+        for q in (0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995):
+            for df in range(1, 801):
+                assert _t_quantile(q, df) == pytest.approx(
+                    special.stdtrit(df, q), rel=1e-14, abs=0), (q, df)
+
+    def test_t_quantile_edges(self):
+        assert _t_quantile(0.5, 8) == 0.0
+        assert _t_quantile(1.0, 8) == math.inf
+        assert _t_quantile(0.75, 1) == pytest.approx(1.0, rel=1e-15)
+
+    def test_needs_three_clusters(self):
+        # df = I - 2 = 0 has no t reference: refused, not nan.
+        for n in (2, 1, 0):
+            with pytest.raises(ValueError, match=f"at least 3 clusters, got {n}"):
+                confidence_interval(0.3, 0.02, n)
+            with pytest.raises(ValueError, match=f"at least 3 clusters, got {n}"):
+                wald_test(0.3, 0.02, n)
 
 
 class TestWaldTest:
@@ -315,16 +328,28 @@ class TestWaldTest:
             wald_test(d, -v, 10)
 
     def test_equals_t_distribution_sf(self):
-        # The t tail comes straight from special.stdtr; it must equal the
-        # value of stats.t.sf, which wraps it in argument handling.
+        # The two-sided tail is pbcrt's own, checked against SciPy's
+        # `stdtr` for t from 1e-300 to 1e6: within 3e-14 relative where p
+        # >= 1e-4 (the worst measured is 2.4e-14, at df >= 100 where p is
+        # near 0.09 and found as 1 - I_y) and within 1e-12 down to 1e-300.
+        # At df = 1 the oracle is the Cauchy tail, 2 atan2(1, t) / pi, as
+        # `stdtr(1, t)` is off by up to 4e-9 near t = 0.
+        t = np.concatenate([10.0 ** np.linspace(-300, 6, 613),
+                            np.linspace(0.0, 8.0, 801)[1:]])
+        for df in (*range(1, 41), 50, 99, 100, 150, 200, 300, 398, 473, 800):
+            want = (np.arctan2(1.0, t) * 2.0 / np.pi if df == 1
+                    else 2.0 * special.stdtr(df, -t))
+            got = wald_test(t, 1.0, df + 2)
+            for floor, rel in ((1e-4, 3e-14), (1e-300, 1e-12)):
+                big = want >= floor
+                assert got[big] == pytest.approx(want[big], rel=rel, abs=0), df
+            assert np.all(got[want < 1e-300] < 1e-299)
         d = np.array([0.0, 0.3, -0.2, 0.0, 1.5, -2.0, 1e-300, 40.0])
         v = np.array([0.0, 0.0, 0.04, 0.5, 0.01, 3.0, 1.0, 1e-6])
-        for n in range(4, 401):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                want = np.where(v == 0.0, d == 0.0, 2.0 * stats.t.sf(
-                    np.abs(d) / np.sqrt(v), n - 2))
-            assert wald_test(d, v, n).tolist() == want.tolist(), n
-            assert [wald_test(x, y, n) for x, y in zip(d, v)] == want.tolist()
+        for n in (3, 4, 10, 30, 400):
+            p = wald_test(d, v, n)
+            assert p.tolist() == [wald_test(x, y, n) for x, y in zip(d, v)]
+            assert p[[0, 1, 3]].tolist() == [1.0, 0.0, 1.0]
 
     def test_symmetry(self):
         assert wald_test(0.4, 0.01, 8) == pytest.approx(
@@ -335,13 +360,20 @@ class TestWaldTest:
 
 
 def test_import_path_loads_no_scipy_stats():
-    # `scipy.stats` alone loads scipy.optimize, linalg, spatial and fft and
-    # triples the import time of pbcrt; only the limit oracle
-    # `expand_truncated_poisson` may load it, on first call.
-    code = ("import sys, pbcrt, pbcrt.cli, pbcrt.io\n"
-            "print(' '.join(m for m in sys.modules if m.startswith("
-            "('scipy.stats', 'scipy.optimize', 'scipy.linalg'))))")
+    # pbcrt needs no SciPy at all: not on import, and not lazily on the run
+    # path of a study, an interval or a test (SciPy is a test oracle only).
+    code = """import sys, pbcrt, pbcrt.cli, pbcrt.io
+from pbcrt import *
+loaded = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(*loaded())
+sc = SimScenario(n_clusters=6, mixture=PopulationMixture([(1.0, 10, 0.3)]),
+                 vc=VarianceComponents.from_iccs(1.0, 0.05), reps=2)
+run_study(sc)
+print(*loaded())
+confidence_interval(0.3, 0.02, 10), wald_test(0.3, 0.02, 10)
+print(*loaded())
+"""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == []
+    assert out.splitlines() == ["", "", ""]

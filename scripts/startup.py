@@ -11,9 +11,9 @@ of each of these and prints one JSON line of their medians:
   fe: the wall time of the whole process, interpreter start included.
 
 FILE is a JIAH-size trial (28 clusters with the bundled cluster-period
-sizes), drawn as the `analysis_unequal_i28` benchmark workload of
-`bench/workloads.py` draws its inputs; --file picks which of them.  Each
-run makes the import, then the four fits.
+sizes): input 0 of the `analysis_unequal_i28` benchmark workload of
+`bench/workloads.py`, drawn as that workload draws it.  Each run makes
+the import, then the four fits.
 
   python scripts/startup.py --runs 5
 """
@@ -38,21 +38,19 @@ print(t1 - t0, len(sys.modules),
 """
 
 
-def draw_file(path: pathlib.Path, index: int) -> None:
-    """Write the workload's input file `index` to `path`."""
+def draw_file(path: pathlib.Path) -> None:
+    """Write the workload's input file 0 to `path`."""
     code = ("import pathlib, sys; sys.path[:0] = sys.argv[1:3]\n"
             "import pbcrt.io, workloads\n"
             "wl = workloads.make('analysis_unequal_i28', workloads.DATA_SEED)\n"
-            "pbcrt.io.emit_trial_csv(wl._draw(int(sys.argv[3])), sys.argv[4])\n")
+            "pbcrt.io.emit_trial_csv(wl._draw(0), sys.argv[3])\n")
     subprocess.run([sys.executable, "-c", code, str(ROOT / "src"),
-                    str(ROOT / "bench"), str(index), str(path)], check=True)
+                    str(ROOT / "bench"), str(path)], check=True)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--file", type=int, default=0,
-                    help="index of the workload's input file to fit")
     args = ap.parse_args()
     if args.runs < 1:
         ap.error("--runs must be at least 1")
@@ -60,7 +58,7 @@ def main() -> int:
     imports, fits = [], {k: [] for k in KINDS}
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "trial.csv"
-        draw_file(path, args.file)
+        draw_file(path)
         for _ in range(args.runs):
             out = subprocess.run([sys.executable, "-c", IMPORT], env=env,
                                  check=True, capture_output=True, text=True)
@@ -74,7 +72,7 @@ def main() -> int:
                 fits[kind].append(time.perf_counter() - t0)
     import_s, modules, rss_mb = (statistics.median(col) for col in zip(*imports))
     print(json.dumps({
-        "runs": args.runs, "file": args.file,
+        "runs": args.runs,
         "import_s": round(import_s, 4), "modules": int(modules),
         "rss_mb_after_import": round(rss_mb, 1),
         "fit_both_s": {k: round(statistics.median(v), 4)

@@ -20,7 +20,7 @@ from .estimands import (
     true_pate,
 )
 from .estimators import EstimationError, EstimatorKind
-from .inference import confidence_interval, fit_with_inference, wald_test
+from .inference import _df, confidence_interval, fit_with_inference, wald_test
 from .io import load_scenario_json, parse_trial_csv
 from .simulate import StudyError, run_study
 from .trial import TrialValidationError, VarianceComponents
@@ -79,6 +79,7 @@ def _cmd_fit(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1), got {args.level!r}")
     trial = parse_trial_csv(args.trial)
+    _df(trial.n_clusters)  # t inference needs I >= 3, checked before any fit
     kind = EstimatorKind(args.estimator)
     result = fit_with_inference(trial, kind,
                                 jackknife=args.variance != "model")

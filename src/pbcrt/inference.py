@@ -58,42 +58,39 @@ def _inv_beta(df: int) -> float:
     return 4**m / c / math.pi if df % 2 else m * c / 4**m
 
 
-def _beta_cf(p: float, q: float, z: float, w: float) -> float:
-    """F in I_z(p, q) = z^p w^q F / (p B(p, q)), w = 1 - z, by Lentz's method on
-    Numerical Recipes' betacf.  Near `_t_tail`'s switch odd terms d are near
-    -1: 1 + d is formed from exact parts, and each pair of steps as one quotient."""
-    def odd(m):  # d_{2m+1} and 1 + d_{2m+1}; E = R - P exactly
-        P, R = (p + m) * (p + q + m), (p + 2 * m) * (p + 2 * m + 1)
-        E = p * (2 * m + 1 - q) + m * (3 * m + 2 - q)
-        return -P * z / R, (E + P * w if E >= 0 else R - P * z) / R
-    g = c = odd(0)[1]
-    d = 1.0
-    for m in range(1, 10000):
-        de = m * (q - m) * z / ((p + 2 * m - 1) * (p + 2 * m))
-        e, c_dev = 1.0 + de * d, de / c
-        do, so = odd(m)
-        den = so * e - do * de * d
-        step = (so + c_dev) / den
-        d, c = e / den, (so + c_dev) / (1.0 + c_dev)
-        g *= step
-        if abs(step - 1.0) <= 1e-15:
-            break
-    return 1.0 / g
+# p_n of DiDonato & Morris's (1992) BGRAT expansion at b = 1/2, their eq. 9.3.
+_BGRAT_P = [1.0]
+for _n in range(1, 30):
+    _BGRAT_P.append(sum((_m / 2 - _n) * _BGRAT_P[_n - _m] / math.factorial(2 * _m + 1)
+                        for _m in range(1, _n)) / _n - 0.5 / math.factorial(2 * _n + 1))
 
 
 def _t_tail(t: float, df: int) -> float:
-    """Two-sided P(|T| > t) of Student's t, t >= 0: I_x(df/2, 1/2) at
-    x = 1/(1 + t^2/df), or 1 - I_y(1/2, df/2) past the switch, with
-    y = 1 - x formed apart so that tiny and huge t keep their accuracy."""
+    """Two-sided P(|T| > t) of Student's t, t >= 0: I_x(a, 1/2) with a = df/2 and
+    x = 1/(1 + u), u = t^2/df, a sum of the positive terms x^a (1 - x)^(1/2) /
+    (a B(a, 1/2)) at a, a + 1, ...  Where x > 1/2 it steps to a >= 10 and adds
+    the rest by BGRAT's expansion for large a and small b (DiDonato & Morris 1992)."""
     a, u = df / 2.0, t * t / df
     if not u > 0.0:
         return 1.0 if u == 0.0 else u
-    x = 1.0 / (1.0 + u)
-    y = 1.0 - x if u > 1.0 else u / (1.0 + u)
-    front = math.exp(0.5 * math.log(y) - a * math.log1p(u)) * _inv_beta(df)
-    if x <= (a + 1.0) / (a + 2.5):
-        return front * _beta_cf(a, 0.5, x, y) / a
-    return 1.0 - 2.0 * front * _beta_cf(0.5, a, y, x)
+    x, lx = 1.0 / (1.0 + u), math.log1p(u)
+    p, term = 0.0, (math.sqrt(1.0 - x if u > 1.0 else u * x) * math.exp(-a * lx)
+                    * _inv_beta(df) / a)
+    while a < 10.0 or u >= 1.0 and term > 1e-17 * p:
+        p, term, a = p + term, term * x * (a + 0.5) / (a + 1.0), a + 1.0
+    if u >= 1.0:
+        return p
+    T, k = a - 0.25, _inv_beta(int(2.0 * a))
+    v = T * lx  # BGRAT's u; s is its prefix times J_n, w times (ln x / 2)^2n
+    s, w = (math.sqrt(math.pi / T) * k * math.erfc(math.sqrt(v)),
+            math.sqrt(v / T) * math.exp(-v) * k)
+    for n in range(30):
+        p += _BGRAT_P[n] * s
+        if abs(_BGRAT_P[n] * s) <= 1e-17 * p:
+            return p
+        s = ((2 * n + 0.5) * (2 * n + 1.5) * s + (v + 2 * n + 1.5) * w) / (4.0 * T * T)
+        w *= lx * lx / 4.0
+    return p
 
 
 # A study asks for the same quantile once per estimator and variance source.
@@ -158,8 +155,7 @@ def wald_test(delta_hat: float, variance: float, n_clusters: int) -> float:
     if np.any(v < 0):
         raise ValueError("variance must be nonnegative")
     df = _df(n_clusters)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(v == 0.0, 0.0, d / np.sqrt(v))
+    t = d / np.sqrt(np.where(v == 0.0, 1.0, v))
     p = np.where(v == 0.0, d == 0.0, np.vectorize(_t_tail, otypes=[float])(t, df))
     return float(p) if p.ndim == 0 else p
 

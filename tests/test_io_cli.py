@@ -309,19 +309,21 @@ class TestCli:
         assert rc == 1
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variance", ["model", "jackknife", "both"])
     @pytest.mark.parametrize("estimator", ["iee", "fe"])
     def test_fit_two_clusters_refuses_t_inference(self, tmp_path, capsys,
-                                                  estimator):
+                                                  estimator, variance):
         # With I = 2 the t reference has I - 2 = 0 degrees of freedom: one
-        # `error:` line and exit 1, not an interval and p-value of nan.
+        # `error:` line, exit 1 and nothing on stdout, whatever the variance,
+        # not an interval and p-value of nan.
         path = tmp_path / "two.csv"
         path.write_text("cluster_id,period,sequence,outcome\n"
                         "a,0,0,1.0\na,0,0,1.5\na,1,0,2.0\na,1,0,2.2\n"
                         "b,0,1,0.5\nb,0,1,0.9\nb,1,1,3.0\nb,1,1,3.3\n")
         rc = main(["fit", str(path), "--estimator", estimator,
-                   "--variance", "model"])
+                   "--variance", variance])
         out, err = capsys.readouterr()
-        assert rc == 1 and "nan" not in out
+        assert rc == 1 and out == ""
         assert err == ("error: t inference has I - 2 degrees of freedom and "
                        "needs at least 3 clusters, got 2\n")
 

@@ -67,9 +67,10 @@ for _n in range(1, 30):
 
 def _t_tail(t: float, df: int) -> float:
     """Two-sided P(|T| > t) of Student's t, t >= 0: I_x(a, 1/2) with a = df/2 and
-    x = 1/(1 + u), u = t^2/df, a sum of the positive terms x^a (1 - x)^(1/2) /
-    (a B(a, 1/2)) at a, a + 1, ...  Where x > 1/2 it steps to a >= 10 and adds
-    the rest by BGRAT's expansion for large a and small b (DiDonato & Morris 1992)."""
+    x = 1/(1 + u), u = t^2/df, and 1 - x formed apart for tiny and huge t.  It is
+    the sum of the positive terms x^a (1 - x)^(1/2) / (a B(a, 1/2)) at a, a + 1, ...
+    Where x > 1/2 it steps to a >= 10 and adds the rest by BGRAT's expansion for
+    large a and small b (DiDonato & Morris 1992); no 1 - I is taken."""
     a, u = df / 2.0, t * t / df
     if not u > 0.0:
         return 1.0 if u == 0.0 else u

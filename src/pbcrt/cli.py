@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -58,6 +59,9 @@ def _add_vc_flags(p: argparse.ArgumentParser):
 
 
 def _cmd_simulate(args) -> int:
+    for flag, path in (("--csv", args.csv), ("--json", args.json)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag}: the directory of {path!r} does not exist")
     scenario = load_scenario_json(args.config)
     if args.seed is not None:
         from dataclasses import replace
@@ -201,7 +205,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TrialValidationError, ValueError) as exc:
+    except (TrialValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except (EstimationError, StudyError) as exc:

@@ -1,12 +1,12 @@
 """Exact estimands and probability limits over finite cluster-size mixtures.
 
 The target population is a discrete mixture of subpopulations, each with
-a fixed cluster-period size and treatment effect.  Every estimator's
-large-I limit is a size-dependent reweighting of the subpopulation
-effects, so with a finite mixture the limits are exact finite sums.
-Also provides the worst-case configuration formulas: the ICC that
-maximizes the weight spread and the subpopulation mix that maximizes the
-bias of the weighted exchangeable estimator.
+fixed cluster-period sizes and a treatment effect.  Every estimator's
+large-I limit is its fit on a weighted table of the subpopulations, so
+with a finite mixture the limits are exact.  Also provides the paper's
+closed forms: the estimand weights of the weighted mixed estimators, the
+ICC that maximizes their spread and the subpopulation mix that maximizes
+the bias of the weighted exchangeable estimator.
 """
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorKind, UnsupportedWeightingError
-from .trial import VarianceComponents
+from .estimators import (EstimatorKind, UnsupportedWeightingError,
+                         _cluster_weight, _gls, _unit_ratios)
+from .trial import CellStats, VarianceComponents
 
 __all__ = [
     "PopulationMixture",
@@ -56,6 +57,8 @@ class PopulationMixture:
         parsed = []
         for i, (p, k, d) in enumerate(subpops):
             sizes = k if isinstance(k, (tuple, list)) else (k, k)
+            if len(sizes) != 2:
+                raise ValueError(f"subpopulation {i} needs one size or a (k0, k1) pair, got {k!r}")
             if not all(float(x).is_integer() for x in sizes):
                 raise ValueError(f"cluster-period sizes must be whole numbers, got {k!r}")
             k0, k1 = int(sizes[0]), int(sizes[1])
@@ -137,29 +140,26 @@ def _require_equal_periods(mix: PopulationMixture, kind: EstimatorKind):
 
 def plim(kind: EstimatorKind, mix: PopulationMixture,
          vc: VarianceComponents | None = None) -> float:
-    """Large-I limit of one estimator over the mixture.
-
-    Mixed-model kinds need variance components and equal period sizes.
-    """
-    p, k0, k1, d = mix.arrays()
-    if kind is EstimatorKind.IEE:
-        return true_pate(mix)
-    if kind in (EstimatorKind.IEEW, EstimatorKind.FEW):
-        return true_cate(mix)
-    if kind is EstimatorKind.FE:
-        # Each cluster enters with harmonic-mean-type weight K0*K1/(K0+K1).
-        h = k0 * k1 / (k0 + k1)
-        return float(np.sum(p * h * d) / np.sum(p * h))
-    if vc is None:
+    """Large-I limit of one estimator: its fit on the mixture's population
+    table, one cluster per (subpopulation, arm) weighted by its probability,
+    with cell means 0 and arm x delta.  Mixed kinds need variance components,
+    and the weighted ones refuse unequal period sizes as their fits do."""
+    p, k0, k1, d = (np.tile(a, 2) for a in mix.arrays())
+    arm = np.repeat((0.0, 1.0), len(mix))
+    table = CellStats(np.arange(arm.size), arm, k0, k1, np.zeros_like(d),
+                      arm * d, np.zeros_like(d), 0.0)
+    if kind.weighted and not kind.mixed:
+        table = table.means
+    if kind in (EstimatorKind.FE, EstimatorKind.FEW):
+        h = arm * p * table.k0 * table.k1 / (table.k0 + table.k1)
+        return float(h @ table.mean1 / h.sum())
+    if kind.mixed and vc is None:
         raise ValueError(f"{kind.value} limit needs variance components")
-    _require_equal_periods(mix, kind)
-    if kind in (EstimatorKind.EME, EstimatorKind.EMEW):
-        g = eme_weight(k0, vc.rho)
-    else:
-        g = neme_weight(k0, vc.rho_wp, vc.rho_bp)
-    if kind in (EstimatorKind.EME, EstimatorKind.NEME):
-        g = g * k0
-    return float(np.sum(p * g * d) / np.sum(p * g))
+    ratios = _unit_ratios(kind.structure, vc) if kind.mixed else (0.0, 0.0)
+    size = _cluster_weight(table, kind.weighting) if kind.mixed else None
+    with np.errstate(over="ignore"):  # a subnormal probability weighs 0
+        weight = (1.0 if size is None else size) / p
+    return float(_gls(table, 0, *ratios, weight)[0])
 
 
 def estimand_weights(scheme: str, mix: PopulationMixture,

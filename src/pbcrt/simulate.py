@@ -266,7 +266,7 @@ def expand_truncated_poisson(mix: PopulationMixture, tail: float = 1e-12) -> Pop
         above = np.append(np.cumsum(pk[:0:-1])[::-1], 0.0)
         kmax = int(np.argmax(above <= tail)) + 1
         for k, q in zip(ks[1:kmax + 1], pk[1:kmax + 1] / -math.expm1(-mean)):
-            if q > 0.0:
+            if s.prob * float(q) > 0.0:  # a subnormal q can underflow here
                 atoms.append((s.prob * float(q), int(k), s.delta))
     total = sum(a[0] for a in atoms)
     return PopulationMixture([(p / total, k, d) for p, k, d in atoms])

@@ -7,19 +7,22 @@ from hypothesis import strategies as st
 
 from pbcrt import (
     EstimatorKind,
+    FitOptions,
+    ObservedTrial,
     PopulationMixture,
     UnsupportedWeightingError,
     VarianceComponents,
     WeightScheme,
     emew_bias,
     estimand_weights,
+    fit,
     optimal_icc,
     optimal_sampling_prob,
     plim,
     true_cate,
     true_pate,
 )
-from pbcrt.estimands import eme_weight
+from pbcrt.estimands import eme_weight, neme_weight
 
 INFORMATIVE = PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5)
 VC = VarianceComponents(1.0, 0.053, 0.013)
@@ -39,6 +42,12 @@ class TestMixture:
             PopulationMixture([(1.0, 0, 0.2)])
         with pytest.raises(ValueError):
             PopulationMixture([(0.0, 5, 0.2), (1.0, 5, 0.3)])
+
+    @pytest.mark.parametrize("sizes", [(20,), [5], (20, 30, 40), []])
+    def test_rejects_malformed_size_pairs(self, sizes):
+        with pytest.raises(ValueError, match=r"subpopulation 1 needs one size "
+                                             r"or a \(k0, k1\) pair"):
+            PopulationMixture([(0.5, 10, 0.2), (0.5, sizes, 0.3)])
 
     def test_period_size_pairs(self):
         mix = PopulationMixture([(0.4, (10, 30), 0.2), (0.6, 5, 0.1)])
@@ -105,8 +114,63 @@ class TestPlims:
 
     def test_mixed_rejects_unequal_period_sizes(self):
         mix = PopulationMixture([(0.5, (10, 40), 0.2), (0.5, (60, 30), 0.5)])
-        with pytest.raises(UnsupportedWeightingError):
-            plim(EstimatorKind.EMEW, mix, VC)
+        for kind in (EstimatorKind.EMEW, EstimatorKind.NEMEW):
+            with pytest.raises(UnsupportedWeightingError):
+                plim(kind, mix, VC)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(0.01, 1.0), st.integers(1, 300),
+                                   st.floats(-2.0, 2.0)), min_size=1, max_size=5),
+           sigma_w2=st.floats(0.1, 10.0),
+           taus=st.tuples(*[st.just(0.0) | st.floats(1e-3, 5.0)] * 2))
+    def test_equal_periods_match_closed_forms(self, rows, sigma_w2, taus):
+        # With equal period sizes every limit is a weighted mean of the
+        # effects: pATE, cATE, the fe weights K0 K1 / (K0 + K1), or the
+        # paper's mixed-model cluster weights g, times K when unweighted.
+        total = sum(w for w, _, _ in rows)
+        mix = PopulationMixture([(w / total, k, d) for w, k, d in rows])
+        vc = VarianceComponents(sigma_w2, *taus)
+        p, k, _, d = mix.arrays()
+        g_eme = eme_weight(k, vc.rho)
+        g_neme = neme_weight(k, vc.rho_wp, vc.rho_bp)
+        weights = {EstimatorKind.IEE: k, EstimatorKind.IEEW: 1.0,
+                   EstimatorKind.FE: k / 2.0, EstimatorKind.FEW: 1.0,
+                   EstimatorKind.EME: g_eme * k, EstimatorKind.EMEW: g_eme,
+                   EstimatorKind.NEME: g_neme * k, EstimatorKind.NEMEW: g_neme}
+        for kind, g in weights.items():
+            g = p * g * np.ones_like(k)
+            assert plim(kind, mix, vc) == pytest.approx(
+                np.sum(g * d) / np.sum(g), abs=1e-12), kind
+        assert plim(EstimatorKind.IEE, mix) == pytest.approx(true_pate(mix), abs=1e-12)
+        assert plim(EstimatorKind.IEEW, mix) == pytest.approx(true_cate(mix), abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [
+        [(1, (20, 40), 0.2), (1, (100, 60), 0.5)],
+        [(1, 20, 0.2), (2, 100, 0.5)],
+        [(1, (5, 9), -0.4), (2, (12, 3), 0.7), (1, 30, 0.1)],
+        [(2, 3, 0.3), (1, 8, -0.2)],
+    ])
+    def test_limits_are_fits_on_exact_proportions(self, rows):
+        # A trial with n clusters per arm of each (n, sizes, delta) row,
+        # every record at its cell mean 0 or arm x delta, is the mixture
+        # with probabilities in proportion to n: each fit with the true
+        # components is the limit, up to rounding.
+        total = sum(n for n, _, _ in rows)
+        mix = PopulationMixture([(n / total, k, d) for n, k, d in rows])
+        trial = ObservedTrial.from_cell_means(
+            (f"c{i}-{arm}-{j}", arm, s.k0, s.k1, 0.0, arm * s.delta)
+            for i, s in enumerate(mix.subpops) for arm in (0, 1)
+            for j in range(rows[i][0]))
+        for kind in EstimatorKind:
+            try:
+                want = plim(kind, mix, VC)
+            except UnsupportedWeightingError:
+                assert not mix.equal_period_sizes and kind.weighted and kind.mixed
+                with pytest.raises(UnsupportedWeightingError):
+                    fit(trial, kind, FitOptions(vc=VC))
+                continue
+            got = fit(trial, kind, FitOptions(vc=VC)).delta_hat
+            assert got == pytest.approx(want, abs=1e-12), kind
 
     def test_direct_sum_evaluation(self):
         rho = VC.rho

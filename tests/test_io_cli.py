@@ -210,6 +210,51 @@ class TestCli:
         assert "cATE 0.35" in out
         assert "plim nemew" in out
 
+    def test_limits_unequal_period_sizes(self, capsys):
+        # eme and neme have limits with unequal period sizes; emew and
+        # nemew are refused as their fits are.
+        rc = main(["limits", "--subpop", "0.5,20:40,0.2", "--subpop",
+                   "0.5,100:60,0.5", "--tau-alpha2", "0.053",
+                   "--tau-gamma2", "0.013"])
+        refused = ("unsupported (inverse cluster-period size weights with a "
+                   "correlated structure require equal period sizes within "
+                   "every cluster)")
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "pATE 0.38", "cATE 0.35", "plim iee    0.38", "plim ieew   0.35",
+            "plim fe     0.421311", "plim few    0.35", "plim eme    0.400751",
+            f"plim emew   {refused}", "plim neme   0.378107",
+            f"plim nemew  {refused}"]
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "weights",
+                                         "simulate --csv"])
+    def test_file_errors_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        # A missing input or output path is one `error:` line naming it,
+        # and simulate checks its output directories before the study.
+        import pbcrt.cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_clusters": 4, "mixture": [[1.0, 5, 0.3]],
+                                   "vc": {"sigma_w2": 1.0}, "reps": 1}))
+        gone = str(tmp_path / "missing" / "x.csv")
+        argv, message = {
+            "fit": (["fit", gone, "--estimator", "iee"],
+                    f"[Errno 2] No such file or directory: {gone!r}"),
+            "simulate": (["simulate", gone, "--csv", str(tmp_path / "s.csv"),
+                          "--json", str(tmp_path / "s.json")],
+                         f"[Errno 2] No such file or directory: {gone!r}"),
+            "weights": (["weights", "--k1", "20", "--k2", "100", "--out", gone],
+                        f"[Errno 2] No such file or directory: {gone!r}"),
+            "simulate --csv": (["simulate", str(cfg), "--csv", gone, "--json",
+                                str(tmp_path / "s.json")],
+                               f"--csv: the directory of {gone!r} does not exist"),
+        }[command]
+        monkeypatch.setattr(pbcrt.cli, "run_study", lambda sc: pytest.fail("ran"))
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_weights_grid_and_optima(self, tmp_path, capsys):
         out_csv = tmp_path / "w.csv"
         rc = main(["weights", "--scheme", "emew", "--k1", "20", "--k2", "100",
@@ -246,6 +291,8 @@ class TestCli:
                         "and a finite effect, got 0.5, nan"),
         ("inf,100,0.5", "subpopulation 1 needs a positive finite probability "
                         "and a finite effect, got inf, 0.5"),
+        ("0.5,100:60:40,0.5", "subpopulation 1 needs one size or a (k0, k1) "
+                              "pair, got (100, 60, 40)"),
     ])
     def test_limits_non_finite_subpopulation(self, capsys, subpop, message):
         rc = main(["limits", "--subpop", "0.5,20,0.2", "--subpop", subpop])

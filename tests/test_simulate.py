@@ -247,6 +247,15 @@ class TestTruncatedPoissonExpansion:
         assert true_pate(ex) == pytest.approx(true_pate(MIX), abs=1e-6)
         assert true_cate(ex) == pytest.approx(true_cate(MIX), abs=1e-12)
 
+    def test_large_mean_drops_underflowing_atoms(self):
+        # Near K = 1 a mean of 1000 gives subnormal P(K = k), which times
+        # the subpopulation's probability can underflow to 0.
+        ex = expand_truncated_poisson(PopulationMixture.two_point(0.5, 1000, 13, 0.2, 0.5))
+        assert sum(s.prob for s in ex.subpops) == pytest.approx(1.0, abs=1e-12)
+        assert min(s.prob for s in ex.subpops) > 0.0
+        for kind in EstimatorKind:
+            assert np.isfinite(plim(kind, ex, VC)), kind
+
 
 class TestStudy:
     def test_deterministic_report(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from pbcrt import (
@@ -237,7 +237,13 @@ class TestDropCluster:
         recs = [(f"c{i}", j, i % 2, rnd.uniform(-10, 10))
                 for i, k in enumerate(sizes) for j in (0, 1) for _ in range(k[j])]
         rnd.shuffle(recs)
-        t = ObservedTrial.from_records(recs)
+        try:
+            t = ObservedTrial.from_records(recs)
+        except TrialValidationError as exc:
+            # The draws can be subnormal about their mean (say three zeros
+            # and 2.6e-264), which the trial refuses as drop_cluster does.
+            assert "too close together" in str(exc)
+            reject()
         assert t.cells == cell_table(recs, t.cells.origin)
         self.check_drops(t, recs, depth=2)
 

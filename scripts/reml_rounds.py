@@ -82,7 +82,7 @@ def fresh(tables):
     for cells in tables:
         cells = dataclasses.replace(cells)
         rows = range(cells.n_clusters + 1)
-        pbcrt.estimators.fit_rows(cells, EstimatorKind.IEE, FitOptions(), rows)
+        pbcrt.estimators.fit_rows(cells, (EstimatorKind.IEE,), FitOptions(), rows)
         yield cells, rows
 
 

@@ -82,26 +82,19 @@ def gls_map(cells: CellStats) -> np.ndarray:
     and the quadratic form of the cell means is
     (k0 m0^2 (1 + k1 tw) + k1 m1^2 (1 + k0 tw) - 2 kk tb m0 m1) / D.
     """
-    k0, k1, m0, m1, s = cells.k0, cells.k1, cells.mean0, cells.mean1, cells.sequence
+    k0, k1, m0, m1 = cells.k0, cells.k1, cells.mean0, cells.mean1
     kk = k0 * k1
-    zero = np.zeros_like(k0)
-    w1 = (k1, kk, zero)
-    w1x = (k1, kk, -kk)
-    q1 = (k1 * m1, kk * m1, -kk * m0)
     m01 = kk * (m0 + m1)
-    rows = [
-        (k0 + k1, 2.0 * kk, -2.0 * kk),
-        tuple(s * c for c in w1x),
-        w1x,
-        tuple(s * c for c in w1),
-        w1,
-        (k0 * m0 + k1 * m1, m01, -m01),
-        tuple(s * c for c in q1),
-        q1,
-        (k0 * m0 * m0 + k1 * m1 * m1, kk * (m0 * m0 + m1 * m1),
-         -2.0 * kk * m0 * m1),
-    ]
-    return np.ascontiguousarray(np.swapaxes(rows, 0, 1))
+    out = np.empty((3, 9, k0.size))
+    out[:, 0] = k0 + k1, 2.0 * kk, -2.0 * kk
+    out[:, 2] = k1, kk, -kk
+    out[:, 4] = k1, kk, np.zeros_like(kk)
+    out[:, 5] = k0 * m0 + k1 * m1, m01, -m01
+    out[:, 7] = k1 * m1, kk * m1, -kk * m0
+    out[:, 8] = (k0 * m0 * m0 + k1 * m1 * m1, kk * (m0 * m0 + m1 * m1),
+                 -2.0 * kk * m0 * m1)
+    out[:, (1, 3, 6)] = cells.sequence * out[:, (2, 4, 7)]
+    return out
 
 
 def normal_equations(cells: CellStats, tau_within, tau_between, weight=None,

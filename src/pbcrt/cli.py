@@ -59,9 +59,6 @@ def _add_vc_flags(p: argparse.ArgumentParser):
 
 
 def _cmd_simulate(args) -> int:
-    for flag, path in (("--csv", args.csv), ("--json", args.json)):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"{flag}: the directory of {path!r} does not exist")
     scenario = load_scenario_json(args.config)
     if args.seed is not None:
         from dataclasses import replace
@@ -204,6 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("csv", "json"):  # output directories, before any work
+            path = getattr(args, flag, None)
+            if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"--{flag}: the directory of {path!r} does not exist")
         return args.func(args)
     except (TrialValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

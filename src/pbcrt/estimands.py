@@ -11,12 +11,13 @@ the bias of the weighted exchangeable estimator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import (EstimatorKind, UnsupportedWeightingError,
-                         _cluster_weight, _gls, _unit_ratios)
+                         _cluster_weight, _solve, _unit_ratios)
 from .trial import CellStats, VarianceComponents
 
 __all__ = [
@@ -59,6 +60,9 @@ class PopulationMixture:
             sizes = k if isinstance(k, (tuple, list)) else (k, k)
             if len(sizes) != 2:
                 raise ValueError(f"subpopulation {i} needs one size or a (k0, k1) pair, got {k!r}")
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                       for x in (p, *sizes, d)):
+                raise ValueError(f"subpopulation {i} needs real numbers, got {(p, k, d)!r}")
             if not all(float(x).is_integer() for x in sizes):
                 raise ValueError(f"cluster-period sizes must be whole numbers, got {k!r}")
             k0, k1 = int(sizes[0]), int(sizes[1])
@@ -159,7 +163,7 @@ def plim(kind: EstimatorKind, mix: PopulationMixture,
     size = _cluster_weight(table, kind.weighting) if kind.mixed else None
     with np.errstate(over="ignore"):  # a subnormal probability weighs 0
         weight = (1.0 if size is None else size) / p
-    return float(_gls(table, 0, *ratios, weight)[0])
+    return float(_solve(table, *ratios, weight)[1])
 
 
 def estimand_weights(scheme: str, mix: PopulationMixture,

@@ -13,8 +13,8 @@ cluster-period size weights.  Every fit reads only the trial's
   fits on the cell means, and the weighted mixed fits divide each
   cluster's terms by its cell size.
 
-`fit_rows` fits any rows of a table's keep-masked jackknife stack in one
-batched solve, and `fit` is its one-row case.
+`fit_rows` fits any kinds on any rows of a table's keep-masked jackknife
+stack in one pass, and `fit` is its one-kind, one-row case.
 """
 from __future__ import annotations
 
@@ -114,63 +114,108 @@ class FitResult:
 def fit(trial: ObservedTrial | CellStats, kind: EstimatorKind,
         options: FitOptions = FitOptions()) -> FitResult:
     """Fit one estimator on a trial or its cell table: estimate and model variance."""
-    return fit_rows(trial.cells, kind, options, 0)[0]
+    return _result(fit_rows(trial.cells, (kind,), options, 0)[kind])[0]
 
 
-def fit_rows(cells: CellStats, kind: EstimatorKind, options: FitOptions,
-             rows) -> list[FitResult]:
-    """`fit` on each given row (or one row) of the table's jackknife stack,
-    `CellStats.keep`, in one solve.  No row's result depends on the other
-    rows, so `fit` is the one-row case.
-    """
-    rows = np.asarray(rows)
-    if kind.mixed:
-        delta, var, vcs, converged = _mixed(cells, kind, options, rows)
-    else:
-        table = cells.means if kind.weighted else cells
-        fe = kind in (EstimatorKind.FE, EstimatorKind.FEW)
-        delta, var, sigma2 = (_fixed_effects if fe else _independence)(table, rows)
-        vcs = [None if kind.weighted or s == 0.0 else VarianceComponents(s)
-               for s in sigma2.reshape(-1).tolist()]
-        converged = [True] * rows.size
-    n_clusters = np.where(rows > 0, cells.n_clusters - 1, cells.n_clusters)
-    return [FitResult(kind, d, n, v, vc, ok) for d, n, v, vc, ok in zip(
-        *(a.reshape(-1).tolist() for a in (delta, n_clusters, var)), vcs, converged)]
+def _result(found):
+    """One kind's entry of `fit_rows`, its error raised."""
+    if isinstance(found, EstimationError):
+        raise found
+    return found
 
 
-def _solve_normal(m, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M^-1 v and the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for
-    the Cholesky factor L of M, given by its upper triangle."""
+def fit_rows(cells: CellStats, kinds, options: FitOptions, rows) -> dict:
+    """Fit each kind on each given row (or one row) of the table's jackknife
+    stack, `CellStats.keep`, in one pass: per kind, its `FitResult`s in row
+    order or the `EstimationError` that stopped it.  No kind's or row's
+    result depends on the others, so `fit` is the one-kind, one-row case.
+    fe and few are closed forms; the other kinds are GLS points of
+    `_solve_gls`."""
+    rows = np.array(rows, ndmin=1)
+    found, groups = {}, ([], [], [])
+    for kind in kinds:
+        try:
+            if kind in (EstimatorKind.FE, EstimatorKind.FEW):
+                found[kind] = (*(a.tolist() for a in _fixed_effects(
+                    cells.means if kind.weighted else cells, rows)), None, None)
+            else:
+                group = 2 if kind is EstimatorKind.IEEW else int(kind.weighted)
+                groups[group].append((kind, *_ratios(cells, kind, options, rows)))
+        except EstimationError as exc:
+            found[kind] = exc
+    if any(groups):
+        found.update(_solve_gls(cells, rows, groups))
+    n_clusters = np.where(rows > 0, cells.n_clusters - 1, cells.n_clusters).tolist()
+    for kind, fits in found.items():
+        if not isinstance(fits, EstimationError):
+            delta, var, sigma2, vcs, converged = fits
+            # The residual variance of an unweighted independence-structure
+            # or fixed-effects fit stands for its components.
+            vcs = vcs or [None if kind.weighted or s == 0.0 else VarianceComponents(s)
+                          for s in sigma2]
+            found[kind] = [FitResult(kind, *f) for f in zip(
+                delta, n_clusters, var, vcs, converged or [True] * rows.size)]
+    return {kind: found[kind] for kind in kinds}
+
+
+def _solve_normal(m, v: np.ndarray):
+    """M^-1 v, the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for the
+    Cholesky factor L of M, given by its upper triangle, and where M is
+    positive definite (elsewhere the other two are not finite)."""
     with np.errstate(all="ignore"):
         (l00, l10, l11, l20, l21, l22), (z0, z1, z2) = cholesky_solve(m, v)
-    if not (l22 > 0.0).all():
+        t2 = z2 / l22
+        t1 = (z1 - l21 * t2) / l11
+        t0 = (z0 - l10 * t1 - l20 * t2) / l00
+        e1 = 1.0 / l11
+        e2 = -(l21 * e1) / l22
+    return np.array((t0, t1, t2)), e1 * e1 + e2 * e2, l22 > 0.0
+
+
+def _solve(cells: CellStats, tw=0.0, tb=0.0, weight=None) -> np.ndarray:
+    """(mu, delta, phi1) of one point's normal equations on the full table."""
+    m, v, _, _ = normal_equations(cells, tw, tb, weight)
+    theta, _, ok = _solve_normal(m, v)
+    if not ok:
         raise EstimationError("singular normal equations")
-    t2 = z2 / l22
-    t1 = (z1 - l21 * t2) / l11
-    t0 = (z0 - l10 * t1 - l20 * t2) / l00
-    e1 = 1.0 / l11
-    e2 = -(l21 * e1) / l22
-    return np.array((t0, t1, t2)), e1 * e1 + e2 * e2
+    return theta
 
 
-def _gls(cells: CellStats, rows: np.ndarray, tw=0.0, tb=0.0, weight=None):
-    """delta_hat, the (delta, delta) entry of M^-1 and the residual mean
-    square (y'W y - theta'v) / (n - 3) on each row (a valid trial has two
-    clusters with both cells filled, so n - 3 >= 1)."""
-    m, v, yy, _ = normal_equations(cells, tw, tb, weight, rows)
-    theta, inv_dd = _solve_normal(m, v)
-    return (theta[1], inv_dd, np.maximum(yy - (theta * v).sum(axis=0), 0.0)
-            / (cells.row_obs[rows] - 3))
+def _solve_gls(cells: CellStats, rows: np.ndarray, groups) -> dict:
+    """Per GLS kind, lists of delta_hat, the model variance and the residual
+    mean square (y'W y - theta'v) / (n - 3) on each row, its components and
+    whether they converged, or its error.  The groups are points of one
+    `normal_equations` call each, all solved at once: iee, eme and neme on
+    the table, emew and nemew divided by the cell size, ieew on the cell
+    means.  (A valid trial has two clusters with both cells filled, so
+    n - 3 >= 1.)"""
+    eqs, dof = [], []
+    for g, group in enumerate(groups):
+        if group:
+            table = cells.means if g == 2 else cells
+            tw, tb = (np.array([point[i] for point in group]) for i in (1, 2))
+            eqs.append(normal_equations(table, tw, tb,
+                                        cells.k0 if g == 1 else None, rows)[:3])
+            dof += [table.row_obs[rows] - 3] * len(group)
+    m, v, yy = (np.concatenate(a, axis=-2) for a in zip(*eqs))
+    theta, inv_dd, ok = _solve_normal(m, v)
+    points = [p for group in groups for p in group]
+    with np.errstate(all="ignore"):
+        sigma2 = np.maximum(yy - (theta * v).sum(axis=0), 0.0) / np.array(dof)
+        # Weighted estimating equations are defined up to the weight scale;
+        # a residual dispersion factor restores the variance to the scale
+        # of the data, as in survey-weighted pseudo-likelihood software.
+        var = np.array([[vc.sigma_w2 for vc in vcs] if kind.mixed and not kind.weighted
+                        else s for (kind, _, _, vcs, _), s in zip(points, sigma2)]) * inv_dd
+    return {kind: (*fits, vcs, converged) if good
+            else EstimationError("singular normal equations")
+            for (kind, _, _, vcs, converged), good, *fits in zip(
+                points, ok.all(axis=1).tolist(), theta[1].tolist(), var.tolist(),
+                sigma2.tolist())}
 
 
 # ---------------------------------------------------------------------------
-# independence-structure fits: (delta_hat, model variance, residual variance)
-
-def _independence(cells: CellStats, rows: np.ndarray):
-    """OLS with treatment and period effects, residual variance RSS / (n - 3)."""
-    delta, inv_dd, sigma2 = _gls(cells, rows)
-    return delta, sigma2 * inv_dd, sigma2
-
+# fixed-effects fits: (delta_hat, model variance, residual variance)
 
 def _fixed_effects(cells: CellStats, rows: np.ndarray):
     """Two-way fixed effects (cluster + period dummies + treatment).
@@ -214,7 +259,7 @@ def _cluster_weight(cells: CellStats, weighting: WeightingScheme):
 
 def _unit_ratios(structure: CorrelationStructure, vc: VarianceComponents):
     """The structure's covariance contributions in residual-variance units."""
-    return np.divide(structure_taus(structure, vc), vc.sigma_w2)
+    return tuple(tau / vc.sigma_w2 for tau in structure_taus(structure, vc))
 
 
 def gls_point_estimate(trial: ObservedTrial, structure: CorrelationStructure,
@@ -222,29 +267,21 @@ def gls_point_estimate(trial: ObservedTrial, structure: CorrelationStructure,
                        weighting: WeightingScheme = WeightingScheme.UNWEIGHTED) -> np.ndarray:
     """Solve the (weighted) GLS normal equations for (mu, delta, phi1)."""
     cells = trial.cells
-    m, v, _, _ = normal_equations(cells, *_unit_ratios(structure, vc),
-                                  _cluster_weight(cells, weighting))
-    theta = _solve_normal(m, v)[0]
+    theta = _solve(cells, *_unit_ratios(structure, vc),
+                   _cluster_weight(cells, weighting))
     theta[0] += cells.origin
     return theta
 
 
-def _mixed(cells: CellStats, kind: EstimatorKind, options: FitOptions,
-           rows: np.ndarray):
-    """(delta_hat, model variance, components, converged) on each row."""
-    weight = _cluster_weight(cells, kind.weighting)
-    if options.vc is None:
-        found = estimate_variance_components(cells, kind.structure,
-                                             return_converged=True,
-                                             rows=np.reshape(rows, -1))
-        tw, tb = np.array([_unit_ratios(kind.structure, vc) for vc, _ in found]).T
-    else:
-        found = [(options.vc, True)] * rows.size
-        tw, tb = _unit_ratios(kind.structure, options.vc)
-    vcs = [vc for vc, _ in found]
-    delta, inv_dd, dispersion = _gls(cells, rows, tw, tb, weight)
-    # Weighted estimating equations are defined up to the weight scale; a
-    # residual dispersion factor restores the variance to the scale of the
-    # data, as in survey-weighted pseudo-likelihood software.
-    scale = dispersion if kind.weighted else np.array([vc.sigma_w2 for vc in vcs])
-    return delta, scale * inv_dd, vcs, [ok for _, ok in found]
+def _ratios(cells: CellStats, kind: EstimatorKind, options: FitOptions,
+            rows: np.ndarray):
+    """A GLS kind's unit ratios tw and tb, components and REML convergence,
+    each a sequence over the rows (components None for an independence fit)."""
+    if not kind.mixed:
+        return [0.0] * rows.size, [0.0] * rows.size, None, None
+    _cluster_weight(cells, kind.weighting)
+    found = ([(options.vc, True)] * rows.size if options.vc is not None else
+             estimate_variance_components(cells, kind.structure,
+                                          return_converged=True, rows=rows))
+    vcs, converged = (list(a) for a in zip(*found))
+    return (*zip(*(_unit_ratios(kind.structure, vc) for vc in vcs)), vcs, converged)

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimators import EstimationError, EstimatorKind, FitOptions, FitResult, fit, fit_rows
+from .estimators import (EstimationError, EstimatorKind, FitOptions, FitResult, _result,
+                         fit, fit_rows)
 from .trial import CellStats, ObservedTrial
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "confidence_interval",
     "wald_test",
     "fit_with_inference",
+    "fit_kinds",
 ]
 
 
@@ -166,25 +168,36 @@ def fit_with_inference(trial: ObservedTrial | CellStats, kind: EstimatorKind,
                        jackknife: bool = True) -> FitResult:
     """Fit plus jackknife variance attached to the result; `converged` is
     False when the fit or any jackknife refit used non-converged REML.
-    The fit and its I refits are the rows of one `fit_rows` call."""
+    The one-kind case of `fit_kinds`."""
+    return _result(fit_kinds(trial, (kind,), options, jackknife)[kind])
+
+
+def fit_kinds(trial: ObservedTrial | CellStats, kinds,
+              options: FitOptions = FitOptions(), jackknife: bool = True) -> dict:
+    """`fit_with_inference` of every kind in one pass: per kind, its result
+    or the `EstimationError` that stopped it.  The fits and their I refits
+    are the rows of one `fit_rows` call."""
     cells = trial.cells
     if not jackknife:
-        return fit(cells, kind, options)
+        return {k: f if isinstance(f, EstimationError) else f[0]
+                for k, f in fit_rows(cells, kinds, options, 0).items()}
     arm = cells.sequence.astype(np.intp)
     lone = np.flatnonzero(np.bincount(arm)[arm] == 1)
-    try:
-        if cells.n_clusters < 3:
-            raise EstimationError("jackknife needs at least 3 clusters")
-        if lone.size:
-            raise EstimationError(f"dropping cluster {cells.ids[lone[0]]!r} "
-                                  "leaves a single-arm trial")
-        result, *refits = fit_rows(cells, kind, options,
-                                   range(cells.n_clusters + 1))
-    except EstimationError:
-        fit(cells, kind, options)  # the full table's own error comes first
-        raise
-    n = len(refits)
-    reps = np.array([r.delta_hat for r in refits])
-    var = (n - 1) / n * float(np.sum((reps - reps.mean()) ** 2))
-    return replace(result, jackknife_var=var, jackknife_replicates=reps,
-                   converged=all(r.converged for r in (result, *refits)))
+    why = ("jackknife needs at least 3 clusters" if cells.n_clusters < 3 else
+           f"dropping cluster {cells.ids[lone[0]]!r} leaves a single-arm trial"
+           if lone.size else None)
+    found = ({k: EstimationError(why) for k in kinds} if why else
+             fit_rows(cells, kinds, options, range(cells.n_clusters + 1)))
+    # A kind's error on the full table comes before its jackknife's.
+    failed = [k for k, f in found.items() if isinstance(f, EstimationError)]
+    if failed:
+        found.update((k, f) for k, f in fit_rows(cells, failed, options, 0).items()
+                     if isinstance(f, EstimationError))
+    for kind, fits in found.items():
+        if not isinstance(fits, EstimationError):
+            result, *refits = fits
+            reps = np.array([r.delta_hat for r in refits])
+            var = (reps.size - 1) / reps.size * float(np.sum((reps - reps.mean()) ** 2))
+            found[kind] = replace(result, jackknife_var=var, jackknife_replicates=reps,
+                                  converged=all(r.converged for r in fits))
+    return found

@@ -22,7 +22,7 @@ import numpy as np
 
 from .estimands import PopulationMixture, true_cate, true_pate
 from .estimators import EstimationError, EstimatorKind, FitOptions
-from .inference import confidence_interval, fit_with_inference
+from .inference import confidence_interval, fit_kinds
 from .trial import CellStats, ObservedTrial, VarianceComponents, _scratch
 
 __all__ = [
@@ -356,76 +356,71 @@ def _rel_bias_pct(mean: float, target: float) -> float:
     return 100.0 * (mean - target) / target if target else float("nan")
 
 
-def _coverage_and_power(d: np.ndarray, var: np.ndarray, targets,
-                        n_clusters: int, level: float) -> list[float]:
-    """Shares of replicates whose interval holds each target, then whose
-    interval excludes 0: the power, as then the Wald p is below 1 - level."""
-    ci = confidence_interval(d, var, n_clusters, level)
-    return ([float(np.mean((ci.lower <= t) & (t <= ci.upper))) for t in targets]
-            + [float(np.mean((ci.lower > 0.0) | (ci.upper < 0.0)))])
-
-
 def run_study(scenario: SimScenario, options: FitOptions = FitOptions()) -> SimReport:
     """Run all replicates, fit every requested estimator, and summarize.
 
-    Each estimator is fitted, with its jackknife when the scenario asks
-    for one, by `fit_with_inference`.  A replicate that fails to fit one
-    estimator is excluded for that estimator only; more than 5 percent
-    failures for any estimator stops the study.
+    Each replicate's estimators are fitted in one pass, with their
+    jackknife when the scenario asks for one, by `fit_kinds`.  A replicate
+    that fails to fit one estimator is excluded for that estimator only;
+    more than 5 percent failures for any estimator stops the study.
     """
     kinds = scenario.estimators
     r_tot = scenario.reps
-    # Per replicate: delta_hat, model variance, jackknife variance.
-    fits = {k: np.full((r_tot, 3), np.nan) for k in kinds}
-    failures = {k: 0 for k in kinds}
-    nonconverged = {k: 0 for k in kinds}
+    # Per kind and replicate: delta_hat, model variance, jackknife variance.
+    fits = np.full((len(kinds), r_tot, 3), np.nan)
+    failures = dict.fromkeys(kinds, 0)
+    nonconverged = dict.fromkeys(kinds, 0)
 
     for r in range(r_tot):
-        cells = generate_cells(scenario, r)
-        for k in kinds:
-            try:
-                res = fit_with_inference(cells, k, options, scenario.jackknife)
-            except EstimationError:
+        found = fit_kinds(generate_cells(scenario, r), kinds, options,
+                          scenario.jackknife)
+        for i, k in enumerate(kinds):
+            res = found[k]
+            if isinstance(res, EstimationError):
                 failures[k] += 1
                 continue
-            fits[k][r] = res.delta_hat, res.model_based_var, res.jackknife_var
+            fits[i, r] = res.delta_hat, res.model_based_var, res.jackknife_var
             nonconverged[k] += not res.converged
 
-    max_fail = max(failures.values())
-    if max_fail > 0.05 * r_tot:
-        worst = max(failures, key=failures.get)
+    worst = max(failures, key=failures.get)
+    if failures[worst] > 0.05 * r_tot:
         raise StudyError(
             f"{failures[worst]} of {r_tot} replicates failed for {worst.value}")
 
     pate = true_pate(scenario.mixture)
     cate = true_cate(scenario.mixture)
-    level = scenario.ci_level
-    summaries = []
-    estimates = {}
-    for k in kinds:
-        d, mv, jv = fits[k][np.isfinite(fits[k][:, 0])].T
-        n_ok = d.size
-        mean = float(d.mean())
-        mc_var = float(d.var(ddof=1)) if n_ok > 1 else 0.0
-        cov_m_p, cov_m_c, pow_m = _coverage_and_power(
-            d, mv, (pate, cate), scenario.n_clusters, level)
-        s = EstimatorSummary(
-            estimator=k, n_ok=n_ok, n_failures=failures[k],
-            n_reml_nonconverged=nonconverged[k],
-            mean_estimate=mean, mc_variance=mc_var,
-            rel_bias_pate_pct=_rel_bias_pct(mean, pate),
-            rel_bias_cate_pct=_rel_bias_pct(mean, cate),
-            rmse_pate=float(np.sqrt(np.mean((d - pate) ** 2))),
-            rmse_cate=float(np.sqrt(np.mean((d - cate) ** 2))),
-            mean_model_variance=float(mv.mean()),
-            coverage_model_pate=cov_m_p, coverage_model_cate=cov_m_c,
-            power_model=pow_m)
-        if scenario.jackknife:
-            s.mean_jackknife_variance = float(jv.mean())
-            (s.coverage_jackknife_pate, s.coverage_jackknife_cate,
-             s.power_jackknife) = _coverage_and_power(
-                d, jv, (pate, cate), scenario.n_clusters, level)
-        summaries.append(s)
-        estimates[k.value] = d.tolist()
+    # All kinds at once: a failed replicate counts as 0 in every sum, and
+    # each kind's sums run over its replicates in order, as on its own.
+    ok = np.isfinite(fits[..., 0])
+    n_ok = ok.sum(axis=1)
+    d, mv, jv = np.where(ok, np.moveaxis(fits, 2, 0), 0.0)
+    mean_d, mean_mv, mean_jv = (a.sum(axis=1) / n_ok for a in (d, mv, jv))
+    dev = np.where(ok, d - mean_d[:, None], 0.0)
+    mc_var = np.divide((dev * dev).sum(axis=1), n_ok - 1,
+                       out=np.zeros(len(kinds)), where=n_ok > 1)
+    targets = np.array((pate, cate))[:, None, None]
+    err = np.where(ok, d - targets, 0.0)
+    rmse = np.sqrt((err * err).sum(axis=2) / n_ok)
+    # Per variance source (model, then jackknife): shares of replicates
+    # whose interval holds each target, then whose interval excludes 0,
+    # the power, as then the Wald p is below 1 - level.
+    ci = confidence_interval(d, np.array((mv, jv))[:1 + scenario.jackknife],
+                             scenario.n_clusters, scenario.ci_level)
+    lower, upper = ci.lower[:, None], ci.upper[:, None]
+    shares = np.concatenate((((lower <= targets) & (targets <= upper)),
+                             (lower > 0.0) | (upper < 0.0)), axis=1)
+    shares = (np.count_nonzero(shares & ok, axis=-1) / n_ok).tolist()
+
+    # The columns of every kind's summary, in the order of its fields.
+    jackknife = ([mean_jv.tolist(), *shares[1]] if scenario.jackknife
+                 else [[None] * len(kinds)] * 4)
+    summaries = [EstimatorSummary(k, n, failures[k], nonconverged[k], mean, var,
+                                  _rel_bias_pct(mean, pate), _rel_bias_pct(mean, cate),
+                                  *rest)
+                 for k, n, mean, var, *rest in zip(
+                     kinds, n_ok.tolist(), mean_d.tolist(), mc_var.tolist(),
+                     *rmse.tolist(), mean_mv.tolist(), *shares[0], *jackknife)]
+    estimates = {k.value: [x for x, good in zip(row, mask) if good]
+                 for k, row, mask in zip(kinds, d.tolist(), ok.tolist())}
     return SimReport(scenario=scenario, pate=pate, cate=cate,
                      summaries=summaries, estimates=estimates)

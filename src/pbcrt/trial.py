@@ -211,7 +211,7 @@ class CellStats:
         """The number of records on each row of the jackknife's stack."""
         return self.n_obs - np.concatenate(([0.0], self.k0 + self.k1))
 
-    @property
+    @cached_property
     def equal_period_sizes(self) -> bool:
         return bool(np.array_equal(self.k0, self.k1))
 

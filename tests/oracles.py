@@ -28,19 +28,30 @@
   from the records `drop_cluster` keeps, at the trial's origin, and each
   fitted on its own, the oracle of the jackknife's batched fit over the
   keep-masked stack.
+- `fit_rows_per_kind`, `fit_with_inference_per_kind` and
+  `run_study_per_kind`: one kind at a time, its own normal equations, its
+  own solve and its own summary, the oracles of the one-pass fit of every
+  kind (`estimators.fit_rows`) and of `simulate.run_study`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from pbcrt import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents, WeightingScheme, fit
-from pbcrt.blocks import inverse_cell_terms, normal_equations, structure_taus
-from pbcrt.simulate import SimScenario, _subpop_assignment, _truncated_poisson
+from pbcrt.blocks import cholesky_solve, inverse_cell_terms, normal_equations, structure_taus
+from pbcrt.estimators import (EstimationError, EstimatorKind, FitOptions, FitResult,
+                              UnsupportedWeightingError)
+from pbcrt.estimands import true_cate, true_pate
+from pbcrt.inference import confidence_interval
+from pbcrt.reml import estimate_variance_components
+from pbcrt.simulate import (EstimatorSummary, SimReport, SimScenario, StudyError,
+                            _rel_bias_pct, _subpop_assignment, _truncated_poisson,
+                            generate_cells)
 
 
 @dataclass(frozen=True)
@@ -395,3 +406,184 @@ def deletion_tables(trial: ObservedTrial) -> list[CellStats]:
 def refit_replicates(tables: list[CellStats], kind, options) -> np.ndarray:
     """Jackknife replicates refitted one delete-one table at a time."""
     return np.array([fit(t, kind, options).delta_hat for t in tables])
+
+
+# ---------------------------------------------------------------------------
+# One kind at a time: each fit assembles and solves its own normal equations.
+
+def fit_rows_per_kind(cells: CellStats, kind: EstimatorKind, options: FitOptions,
+                      rows) -> list[FitResult]:
+    """One kind's `FitResult`s on the given rows of the keep-masked stack,
+    raising its `EstimationError`."""
+    rows = np.asarray(rows)
+    if kind.mixed:
+        delta, var, vcs, converged = _mixed_per_kind(cells, kind, options, rows)
+    else:
+        table = cells.means if kind.weighted else cells
+        fe = kind in (EstimatorKind.FE, EstimatorKind.FEW)
+        delta, var, sigma2 = (_fixed_effects_per_kind if fe
+                              else _independence_per_kind)(table, rows)
+        vcs = [None if kind.weighted or s == 0.0 else VarianceComponents(s)
+               for s in sigma2.reshape(-1).tolist()]
+        converged = [True] * rows.size
+    n_clusters = np.where(rows > 0, cells.n_clusters - 1, cells.n_clusters)
+    return [FitResult(kind, d, n, v, vc, ok) for d, n, v, vc, ok in zip(
+        *(a.reshape(-1).tolist() for a in (delta, n_clusters, var)), vcs, converged)]
+
+
+def _solve_normal_per_kind(m, v):
+    with np.errstate(all="ignore"):
+        (l00, l10, l11, l20, l21, l22), (z0, z1, z2) = cholesky_solve(m, v)
+    if not (l22 > 0.0).all():
+        raise EstimationError("singular normal equations")
+    t2 = z2 / l22
+    t1 = (z1 - l21 * t2) / l11
+    t0 = (z0 - l10 * t1 - l20 * t2) / l00
+    e1 = 1.0 / l11
+    e2 = -(l21 * e1) / l22
+    return np.array((t0, t1, t2)), e1 * e1 + e2 * e2
+
+
+def _gls_per_kind(cells, rows, tw=0.0, tb=0.0, weight=None):
+    m, v, yy, _ = normal_equations(cells, tw, tb, weight, rows)
+    theta, inv_dd = _solve_normal_per_kind(m, v)
+    return (theta[1], inv_dd, np.maximum(yy - (theta * v).sum(axis=0), 0.0)
+            / (cells.row_obs[rows] - 3))
+
+
+def _independence_per_kind(cells, rows):
+    delta, inv_dd, sigma2 = _gls_per_kind(cells, rows)
+    return delta, sigma2 * inv_dd, sigma2
+
+
+def _fixed_effects_per_kind(cells, rows):
+    dof = cells.row_obs[rows] - (cells.n_clusters - (rows > 0)) - 2
+    if (dof <= 0).any():
+        raise EstimationError("saturated design: no residual degrees of freedom")
+    keep = cells.keep(rows)
+    k0, k1, seq = cells.k0, cells.k1, cells.sequence
+    d = cells.mean1 - cells.mean0
+    h = k0 * k1 / (k0 + k1)
+    arm_h = keep[..., None, :] * (np.array((1.0 - seq, seq)) * h)
+    h_arm = arm_h.sum(axis=-1)
+    d_arm = (arm_h * d).sum(axis=-1) / h_arm
+    resid = d - d_arm[..., seq.astype(np.intp)]
+    sigma2 = (keep * (cells.within + h * resid * resid)).sum(axis=-1) / dof
+    return (d_arm[..., 1] - d_arm[..., 0],
+            sigma2 * (1.0 / h_arm[..., 0] + 1.0 / h_arm[..., 1]), sigma2)
+
+
+def _unit_ratios_per_kind(structure, vc):
+    return np.divide(structure_taus(structure, vc), vc.sigma_w2)
+
+
+def _mixed_per_kind(cells, kind, options, rows):
+    weight = None
+    if kind.weighted:
+        if not cells.equal_period_sizes:
+            raise UnsupportedWeightingError(
+                "inverse cluster-period size weights with a correlated "
+                "structure require equal period sizes within every cluster")
+        weight = cells.k0
+    if options.vc is None:
+        found = estimate_variance_components(cells, kind.structure,
+                                             return_converged=True,
+                                             rows=np.reshape(rows, -1))
+        tw, tb = np.array([_unit_ratios_per_kind(kind.structure, vc)
+                           for vc, _ in found]).T
+    else:
+        found = [(options.vc, True)] * rows.size
+        tw, tb = _unit_ratios_per_kind(kind.structure, options.vc)
+    vcs = [vc for vc, _ in found]
+    delta, inv_dd, dispersion = _gls_per_kind(cells, rows, tw, tb, weight)
+    scale = dispersion if kind.weighted else np.array([vc.sigma_w2 for vc in vcs])
+    return delta, scale * inv_dd, vcs, [ok for _, ok in found]
+
+
+def fit_with_inference_per_kind(cells: CellStats, kind: EstimatorKind,
+                                options: FitOptions = FitOptions(),
+                                jackknife: bool = True) -> FitResult:
+    """One kind's fit and jackknife, raising its `EstimationError`."""
+    if not jackknife:
+        return fit_rows_per_kind(cells, kind, options, 0)[0]
+    arm = cells.sequence.astype(np.intp)
+    lone = np.flatnonzero(np.bincount(arm)[arm] == 1)
+    try:
+        if cells.n_clusters < 3:
+            raise EstimationError("jackknife needs at least 3 clusters")
+        if lone.size:
+            raise EstimationError(f"dropping cluster {cells.ids[lone[0]]!r} "
+                                  "leaves a single-arm trial")
+        result, *refits = fit_rows_per_kind(cells, kind, options,
+                                            range(cells.n_clusters + 1))
+    except EstimationError:
+        fit_rows_per_kind(cells, kind, options, 0)
+        raise
+    n = len(refits)
+    reps = np.array([r.delta_hat for r in refits])
+    var = (n - 1) / n * float(np.sum((reps - reps.mean()) ** 2))
+    return replace(result, jackknife_var=var, jackknife_replicates=reps,
+                   converged=all(r.converged for r in (result, *refits)))
+
+
+def _coverage_and_power(d, var, targets, n_clusters, level):
+    ci = confidence_interval(d, var, n_clusters, level)
+    return ([float(np.mean((ci.lower <= t) & (t <= ci.upper))) for t in targets]
+            + [float(np.mean((ci.lower > 0.0) | (ci.upper < 0.0)))])
+
+
+def run_study_per_kind(scenario: SimScenario,
+                       options: FitOptions = FitOptions()) -> SimReport:
+    """`simulate.run_study` one kind at a time: each kind fitted on its own
+    and summarised from its own completed replicates."""
+    kinds = scenario.estimators
+    r_tot = scenario.reps
+    fits = {k: np.full((r_tot, 3), np.nan) for k in kinds}
+    failures = {k: 0 for k in kinds}
+    nonconverged = {k: 0 for k in kinds}
+    for r in range(r_tot):
+        cells = generate_cells(scenario, r)
+        for k in kinds:
+            try:
+                res = fit_with_inference_per_kind(cells, k, options,
+                                                  scenario.jackknife)
+            except EstimationError:
+                failures[k] += 1
+                continue
+            fits[k][r] = res.delta_hat, res.model_based_var, res.jackknife_var
+            nonconverged[k] += not res.converged
+    if max(failures.values()) > 0.05 * r_tot:
+        worst = max(failures, key=failures.get)
+        raise StudyError(
+            f"{failures[worst]} of {r_tot} replicates failed for {worst.value}")
+    pate = true_pate(scenario.mixture)
+    cate = true_cate(scenario.mixture)
+    level = scenario.ci_level
+    summaries, estimates = [], {}
+    for k in kinds:
+        d, mv, jv = fits[k][np.isfinite(fits[k][:, 0])].T
+        n_ok = d.size
+        mean = float(d.mean())
+        mc_var = float(d.var(ddof=1)) if n_ok > 1 else 0.0
+        cov_m_p, cov_m_c, pow_m = _coverage_and_power(
+            d, mv, (pate, cate), scenario.n_clusters, level)
+        s = EstimatorSummary(
+            estimator=k, n_ok=n_ok, n_failures=failures[k],
+            n_reml_nonconverged=nonconverged[k],
+            mean_estimate=mean, mc_variance=mc_var,
+            rel_bias_pate_pct=_rel_bias_pct(mean, pate),
+            rel_bias_cate_pct=_rel_bias_pct(mean, cate),
+            rmse_pate=float(np.sqrt(np.mean((d - pate) ** 2))),
+            rmse_cate=float(np.sqrt(np.mean((d - cate) ** 2))),
+            mean_model_variance=float(mv.mean()),
+            coverage_model_pate=cov_m_p, coverage_model_cate=cov_m_c,
+            power_model=pow_m)
+        if scenario.jackknife:
+            s.mean_jackknife_variance = float(jv.mean())
+            (s.coverage_jackknife_pate, s.coverage_jackknife_cate,
+             s.power_jackknife) = _coverage_and_power(
+                d, jv, (pate, cate), scenario.n_clusters, level)
+        summaries.append(s)
+        estimates[k.value] = d.tolist()
+    return SimReport(scenario=scenario, pate=pate, cate=cate,
+                     summaries=summaries, estimates=estimates)

@@ -49,6 +49,22 @@ class TestMixture:
                                              r"or a \(k0, k1\) pair"):
             PopulationMixture([(0.5, 10, 0.2), (0.5, sizes, 0.3)])
 
+    @pytest.mark.parametrize("row", [
+        (0.5, np.array([20, 30]), 0.3), (0.5, None, 0.3), (0.5, "20", 0.3),
+        (0.5, (20, "30"), 0.3), (0.5, True, 0.3), ("0.5", 20, 0.3),
+        (0.5, 20, None), (0.5, 20, "0.3"), (None, 20, 0.3)])
+    def test_rejects_non_numbers(self, row):
+        # A size, probability or effect that is not a real number is a
+        # ValueError naming its row, not a TypeError or a silent reading.
+        with pytest.raises(ValueError) as info:
+            PopulationMixture([(0.5, 10, 0.2), row])
+        assert str(info.value) == f"subpopulation 1 needs real numbers, got {row!r}"
+
+    def test_numpy_scalars_accepted(self):
+        mix = PopulationMixture([(np.float64(0.5), np.int64(10), np.float64(0.2)),
+                                 (0.5, (np.int32(20), 30.0), 0.3)])
+        assert [(s.k0, s.k1) for s in mix.subpops] == [(10, 10), (20, 30)]
+
     def test_period_size_pairs(self):
         mix = PopulationMixture([(0.4, (10, 30), 0.2), (0.6, 5, 0.1)])
         assert not mix.equal_period_sizes

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pbcrt.reml as reml
@@ -21,10 +23,11 @@ from pbcrt import (
     generate_trial,
     gls_point_estimate,
 )
-from pbcrt.inference import fit_with_inference
+from pbcrt.estimators import fit_rows
+from pbcrt.inference import fit_kinds, fit_with_inference
 from pbcrt.io import load_size_table
 
-from oracles import dense_block
+from oracles import dense_block, fit_rows_per_kind, fit_with_inference_per_kind
 
 MU, PHI = 1.0, 0.2
 
@@ -578,14 +581,118 @@ class TestFitResult:
 
     def test_normal_equations_one_factorization(self):
         # Coefficients and the (delta, delta) entry of the inverse come
-        # from one Cholesky factor; a singular system is refused.
-        from pbcrt.estimators import EstimationError, _solve_normal
+        # from one Cholesky factor; a singular system is flagged, and only
+        # its own point when solved with others.
+        from pbcrt.estimators import _solve_normal
 
         a = np.random.default_rng(116).standard_normal((3, 3))
         m, v = a @ a.T + 0.1 * np.eye(3), np.array([1.0, -2.0, 0.5])
-        theta, inv_dd = _solve_normal(m[np.triu_indices(3)], v)
+        theta, inv_dd, ok = _solve_normal(m[np.triu_indices(3)], v)
         inv = np.linalg.inv(m)
+        assert ok
         assert theta == pytest.approx(inv @ v, rel=1e-12)
         assert inv_dd == pytest.approx(inv[1, 1], rel=1e-12)
-        with pytest.raises(EstimationError, match="singular"):
-            _solve_normal(np.ones(6), v)
+        both = _solve_normal(np.column_stack((m[np.triu_indices(3)], np.ones(6))),
+                             np.column_stack((v, v)))
+        assert both[2].tolist() == [True, False]
+        assert (both[0][:, 0] == theta).all() and both[1][0] == inv_dd
+
+
+KINDS = tuple(EstimatorKind)
+PLUG_IN = FitOptions(vc=VarianceComponents(1.0, 0.08, 0.02))
+
+
+def one_pass_table(seed, n, equal=True, sizes=(1, 7), constant=False):
+    """Trial of n clusters with alternating arms, cell sizes drawn from
+    range(*sizes), equal across periods or not, and normal outcomes about
+    cluster and cell effects (or a constant outcome)."""
+    rng = np.random.default_rng(seed)
+    k0 = rng.integers(*sizes, n)
+    k1 = k0 if equal else rng.integers(*sizes, n)
+    seq = np.arange(n) % 2
+    cell = np.repeat(np.arange(2 * n), np.column_stack((k0, k1)).ravel())
+    effect = (0.3 * rng.standard_normal(n)[:, None] + 0.2 * rng.standard_normal((n, 2))
+              + [0.0, 0.2] + np.outer(seq, [0.0, 0.5]))
+    y = effect.ravel()[cell] + rng.standard_normal(cell.size)
+    return ObservedTrial(cell // 2, cell % 2, seq[cell // 2],
+                         0.0 * y + 0.1 if constant else y)
+
+
+def outcome(run):
+    """The value of run(), or the EstimationError it raised."""
+    try:
+        return run()
+    except EstimationError as exc:
+        return exc
+
+
+def assert_same(got, want, kind):
+    """Equal results (==), or errors of one class and message."""
+    if isinstance(want, EstimationError):
+        assert (type(got), str(got)) == (type(want), str(want)), kind
+    else:
+        assert got == want, kind
+
+
+def check_one_pass(cells, options, rows) -> dict:
+    """`fit_rows` of every kind at once: each kind's results or error are
+    those of its own solve (the per-kind oracle) and of its fit alone."""
+    together = fit_rows(cells, KINDS, options, rows)
+    assert list(together) == list(KINDS)
+    for kind in KINDS:
+        want = outcome(lambda: fit_rows_per_kind(cells, kind, options, rows))
+        assert_same(together[kind], want, kind)
+        assert_same(fit_rows(cells, (kind,), options, rows)[kind], want, kind)
+    return together
+
+
+class TestOnePass:
+    """All kinds in one pass give each kind's own per-kind results."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40),
+           equal=st.booleans(), with_reml=st.booleans(),
+           rows=st.sampled_from(("full", "last", "all")))
+    @example(seed=1, n=40, equal=True, with_reml=True, rows="all")
+    @example(seed=2, n=40, equal=False, with_reml=True, rows="all")
+    @example(seed=3, n=4, equal=True, with_reml=False, rows="all")
+    def test_equals_per_kind_fits(self, seed, n, equal, with_reml, rows):
+        # Rows: the full table alone, the last delete-one table, or all
+        # I + 1 rows of the jackknife's stack.
+        cells = one_pass_table(seed, n, equal).cells
+        check_one_pass(cells, FitOptions() if with_reml else PLUG_IN,
+                       {"full": 0, "last": [n], "all": range(n + 1)}[rows])
+
+    @pytest.mark.parametrize("make, failing", [
+        pytest.param(lambda: one_pass_table(1, 8, sizes=(1, 2)),
+                     {"neme", "nemew"}, id="one-record cells"),
+        pytest.param(lambda: one_pass_table(2, 4, constant=True),
+                     {"eme", "emew", "neme", "nemew"}, id="constant outcomes"),
+        pytest.param(lambda: one_pass_table(3, 8, equal=False),
+                     {"emew", "nemew"}, id="unequal periods"),
+    ])
+    def test_failures_stay_with_their_kinds(self, make, failing):
+        # With REML these kinds fail on every row; the others, and every
+        # kind but the weighted mixed ones on unequal periods at plug-in
+        # components, fit as they do alone, with and without the jackknife.
+        trial = make()
+        cells = trial.cells
+        for options, fails in ((FitOptions(), failing),
+                               (PLUG_IN, failing & {"emew", "nemew"}
+                                if not trial.equal_period_sizes else set())):
+            for rows in (0, range(cells.n_clusters + 1)):
+                found = check_one_pass(cells, options, rows)
+                assert {k.value for k, f in found.items()
+                        if isinstance(f, EstimationError)} == fails
+            for jackknife in (False, True):
+                found = fit_kinds(trial, KINDS, options, jackknife)
+                for kind in KINDS:
+                    want = outcome(lambda: fit_with_inference_per_kind(
+                        cells, kind, options, jackknife))
+                    got = found[kind]
+                    if not isinstance(want, EstimationError):
+                        assert np.array_equal(got.jackknife_replicates,
+                                              want.jackknife_replicates), kind
+                        got, want = (replace(r, jackknife_replicates=None)
+                                     for r in (got, want))
+                    assert_same(got, want, kind)

@@ -202,7 +202,8 @@ class TestBatchedRows:
             var, reps = jackknife_variance(fresh(cells), kind)
             assert var == full.jackknife_var and np.array_equal(
                 reps, full.jackknife_replicates), kind
-            refits = [fit_rows(alone, kind, FitOptions(), [r])[0] for r in rows]
+            refits = [fit_rows(alone, (kind,), FitOptions(), [r])[kind][0]
+                      for r in rows]
             assert [r.delta_hat for r in refits[1:]] == reps.tolist(), kind
             assert refits[0].delta_hat == full.delta_hat, kind
 

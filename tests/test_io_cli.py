@@ -227,15 +227,18 @@ class TestCli:
             f"plim nemew  {refused}"]
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "weights",
-                                         "simulate --csv"])
+                                         "simulate --csv", "fit --json"])
     def test_file_errors_exit_code(self, tmp_path, capsys, monkeypatch, command):
-        # A missing input or output path is one `error:` line naming it,
-        # and simulate checks its output directories before the study.
+        # A missing input or output path is one `error:` line naming it;
+        # simulate checks its output directories before the study, and fit
+        # its JSON directory before reading the trial.
         import pbcrt.cli
 
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_clusters": 4, "mixture": [[1.0, 5, 0.3]],
                                    "vc": {"sigma_w2": 1.0}, "reps": 1}))
+        trial_path = tmp_path / "t.csv"
+        emit_trial_csv(sim_trial(), trial_path)
         gone = str(tmp_path / "missing" / "x.csv")
         argv, message = {
             "fit": (["fit", gone, "--estimator", "iee"],
@@ -248,8 +251,14 @@ class TestCli:
             "simulate --csv": (["simulate", str(cfg), "--csv", gone, "--json",
                                 str(tmp_path / "s.json")],
                                f"--csv: the directory of {gone!r} does not exist"),
+            "fit --json": (["fit", str(trial_path), "--estimator", "iee",
+                            "--json", gone],
+                           f"--json: the directory of {gone!r} does not exist"),
         }[command]
         monkeypatch.setattr(pbcrt.cli, "run_study", lambda sc: pytest.fail("ran"))
+        if command == "fit --json":
+            monkeypatch.setattr(pbcrt.cli, "parse_trial_csv",
+                                lambda path: pytest.fail("read the trial"))
         rc = main(argv)
         out, err = capsys.readouterr()
         assert rc == 1 and out == ""

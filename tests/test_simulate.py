@@ -32,7 +32,8 @@ from pbcrt import (
 )
 from pbcrt.inference import confidence_interval, jackknife_variance, wald_test
 
-from oracles import generate_trial_records
+import oracles
+from oracles import generate_trial_records, run_study_per_kind
 
 MIX = PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5)
 VC = VarianceComponents(1.0, 0.053, 0.013)
@@ -417,15 +418,91 @@ class TestStudy:
             "neme": 1, "nemew": 1}
 
     def test_failure_policy(self, monkeypatch):
-        import pbcrt.inference as inf
+        # `fit_kinds` returns each kind's error in place of its result: a
+        # kind may fail on up to 5 percent of the replicates, one more
+        # stops the study, and the other kinds keep all of theirs.
+        import pbcrt.simulate as sim
+        from pbcrt.estimators import EstimationError
 
-        def failing_fit(trial, kind, options=None):
-            from pbcrt.estimators import EstimationError
-            raise EstimationError("boom")
+        fit_kinds = sim.fit_kinds
+        iee, fe = EstimatorKind.IEE, EstimatorKind.FE
 
-        monkeypatch.setattr(inf, "fit", failing_fit)
-        with pytest.raises(StudyError, match="failed"):
-            run_study(scenario(reps=4, estimators=(EstimatorKind.IEE,)))
+        def failing_first(n):
+            calls = []
+
+            def failing(cells, kinds, options, jackknife):
+                found = fit_kinds(cells, kinds, options, jackknife)
+                calls.append(len(calls))
+                if calls[-1] < n:
+                    found[iee] = EstimationError("boom")
+                return found
+            return failing
+
+        for reps, n, message in ((4, 4, "4 of 4"), (4, 1, "1 of 4"),
+                                 (20, 2, "2 of 20")):
+            monkeypatch.setattr(sim, "fit_kinds", failing_first(n))
+            with pytest.raises(StudyError,
+                               match=f"{message} replicates failed for iee"):
+                run_study(scenario(reps=reps, estimators=(iee, fe)))
+        monkeypatch.setattr(sim, "fit_kinds", failing_first(1))
+        rep = run_study(scenario(reps=20, estimators=(iee, fe)))
+        assert (rep.summary(iee).n_ok, rep.summary(iee).n_failures) == (19, 1)
+        assert (rep.summary(fe).n_ok, rep.summary(fe).n_failures) == (20, 0)
+        assert len(rep.estimates["iee"]) == 19
+
+    @pytest.mark.parametrize("sc, options", [
+        (scenario(reps=4, jackknife=True), FitOptions()),
+        (scenario(reps=30, n_clusters=4), FitOptions()),
+        (scenario(reps=3, n_clusters=400), FitOptions(vc=VC)),
+    ], ids=["i10-jackknife-reml", "i4-reml", "i400-plug-in"])
+    def test_report_equals_per_kind_study(self, sc, options):
+        # Fitting and summarising every kind in one pass reports what the
+        # per-kind loop reports, to the last bit (NaN relative biases of a
+        # null target compare equal through JSON).
+        got, want = run_study(sc, options), run_study_per_kind(sc, options)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+    def test_failed_replicates_summarised_as_per_kind(self, monkeypatch):
+        # The same replicates fail for each kind on both paths: the counts
+        # are equal and the summaries agree to 1e-14, as a failed replicate
+        # is a zero in sums that the per-kind loop takes over fewer terms.
+        import pbcrt.simulate as sim
+        from pbcrt.estimators import EstimationError
+
+        kinds = list(EstimatorKind)
+
+        def doomed(cells, kind):
+            return (int(abs(cells.origin) * 1e6) + kinds.index(kind)) % 25 == 0
+
+        fit_kinds, per_kind = sim.fit_kinds, oracles.fit_with_inference_per_kind
+
+        def failing_kinds(cells, kinds, options, jackknife):
+            found = fit_kinds(cells, kinds, options, jackknife)
+            return {k: EstimationError("boom") if doomed(cells, k) else f
+                    for k, f in found.items()}
+
+        def failing_per_kind(cells, kind, options, jackknife):
+            if doomed(cells, kind):
+                raise EstimationError("boom")
+            return per_kind(cells, kind, options, jackknife)
+
+        monkeypatch.setattr(sim, "fit_kinds", failing_kinds)
+        monkeypatch.setattr(oracles, "fit_with_inference_per_kind", failing_per_kind)
+        sc = scenario(reps=100, master_seed=3)
+        got, want = run_study(sc, FitOptions(vc=VC)), run_study_per_kind(sc, FitOptions(vc=VC))
+        assert 0 < sum(s.n_failures for s in got.summaries)
+        assert got.estimates == want.estimates
+        for a, b in zip(got.summaries, want.summaries):
+            assert ((a.n_ok, a.n_failures, a.n_reml_nonconverged)
+                    == (b.n_ok, b.n_failures, b.n_reml_nonconverged))
+            for name, x in vars(a).items():
+                if not isinstance(x, float):
+                    continue
+                # A relative bias carries the mean's 1e-14 in units of its target.
+                tol = (1e-12 * abs(a.mean_estimate / (got.pate if "pate" in name
+                                                      else got.cate))
+                       if name.startswith("rel_bias") else 1e-14 * abs(x))
+                assert x == pytest.approx(getattr(b, name), rel=0.0, abs=tol), name
 
     def test_report_serialization(self, tmp_path):
         sc = scenario(reps=2, jackknife=True,

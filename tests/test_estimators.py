@@ -663,23 +663,20 @@ class TestOnePass:
         check_one_pass(cells, FitOptions() if with_reml else PLUG_IN,
                        {"full": 0, "last": [n], "all": range(n + 1)}[rows])
 
-    @pytest.mark.parametrize("make, failing", [
+    @pytest.mark.parametrize("make, with_reml, at_plug_in", [
         pytest.param(lambda: one_pass_table(1, 8, sizes=(1, 2)),
-                     {"neme", "nemew"}, id="one-record cells"),
+                     {"neme", "nemew"}, set(), id="one-record cells"),
         pytest.param(lambda: one_pass_table(2, 4, constant=True),
-                     {"eme", "emew", "neme", "nemew"}, id="constant outcomes"),
+                     {"eme", "emew", "neme", "nemew"}, set(), id="constant outcomes"),
         pytest.param(lambda: one_pass_table(3, 8, equal=False),
-                     {"emew", "nemew"}, id="unequal periods"),
+                     {"emew", "nemew"}, {"emew", "nemew"}, id="unequal periods"),
     ])
-    def test_failures_stay_with_their_kinds(self, make, failing):
-        # With REML these kinds fail on every row; the others, and every
-        # kind but the weighted mixed ones on unequal periods at plug-in
-        # components, fit as they do alone, with and without the jackknife.
+    def test_failures_stay_with_their_kinds(self, make, with_reml, at_plug_in):
+        # The named kinds fail on every row; the others fit as they do
+        # alone, with and without the jackknife.
         trial = make()
         cells = trial.cells
-        for options, fails in ((FitOptions(), failing),
-                               (PLUG_IN, failing & {"emew", "nemew"}
-                                if not trial.equal_period_sizes else set())):
+        for options, fails in ((FitOptions(), with_reml), (PLUG_IN, at_plug_in)):
             for rows in (0, range(cells.n_clusters + 1)):
                 found = check_one_pass(cells, options, rows)
                 assert {k.value for k, f in found.items()

@@ -12,12 +12,15 @@ The kernel is the deviance (`normal_equations`, `cholesky_solve` and the
 profiled likelihood), the bookkeeping is the rest of the drive (the
 search generators and `_drive` itself).  The exchangeable search is timed
 per stack, with its calls of the deviance and gradient kernels
-(`reml._deviance`, `reml._gradient`) counted in a separate pass.  Prints
-one JSON line with, per workload, the operations, the nested rounds per
+(`reml._deviance`, `reml._gradient`) counted in a separate pass, as are
+the calls that each search makes inside `reml._newton`.  Prints one JSON
+line with, per workload, the operations, the nested rounds per
 operation, points per round and microseconds per round, total, kernel
-and bookkeeping, and the exchangeable kernel calls and microseconds per
-stack, mean and worst, from the fastest of --passes passes over fresh
-tables.  The pbcrt under test is the one in this checkout's `src`.
+and bookkeeping, from the fastest of --passes passes over fresh tables;
+the exchangeable kernel calls and microseconds per stack, mean and
+worst; and, for each structure, the kernel calls inside `_newton`, in
+all and per stack, and the rows that end with tau_alpha2 or tau_gamma2
+exactly 0.  The pbcrt under test is the one in this checkout's `src`.
 
   python scripts/reml_rounds.py --passes 5
 """
@@ -28,6 +31,7 @@ import pathlib
 import sys
 import tempfile
 import time
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -110,15 +114,20 @@ def exchangeable_pass(tables) -> list:
     return spent
 
 
-def exchangeable_calls(tables) -> list:
-    """Kernel calls of the exchangeable search per stack: calls of the
-    deviance and of the gradient, whose own deviance call is not counted."""
-    calls, depth = [0], [0]
+def search_calls(tables, structure) -> list:
+    """Kernel calls per stack, as a Counter: of the deviance and of the
+    gradient ("_deviance", "_gradient"), whose own deviance call is not
+    counted, made inside `reml._newton` and anywhere in the search, and
+    the rows that end with tau_alpha2 or tau_gamma2 exactly 0."""
+    calls, depth, inside = Counter(), [0], [False]
     kernels = {name: getattr(reml, name) for name in ("_deviance", "_gradient")}
+    newton = reml._newton
 
-    def counted(kernel):
+    def counted(name, kernel):
         def run(*args, **kwargs):
-            calls[0] += not depth[0]
+            if not depth[0]:
+                calls[name] += 1
+                calls["newton" + name] += inside[0]
             depth[0] += 1
             try:
                 return kernel(*args, **kwargs)
@@ -126,19 +135,45 @@ def exchangeable_calls(tables) -> list:
                 depth[0] -= 1
         return run
 
+    def polish(*args, **kwargs):
+        inside[0] = True
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            inside[0] = False
+
     per_stack = []
     try:
+        reml._newton = polish
         for name, kernel in kernels.items():
-            setattr(reml, name, counted(kernel))
+            setattr(reml, name, counted(name, kernel))
         for cells, rows in fresh(tables):
-            calls[0] = 0
-            pbcrt.estimate_variance_components(
-                cells, CorrelationStructure.EXCHANGEABLE, rows=rows)
-            per_stack.append(calls[0])
+            calls.clear()
+            for vc, _ in pbcrt.estimate_variance_components(cells, structure, rows=rows):
+                calls["zero_tau_alpha2"] += vc.tau_alpha2 == 0.0
+                calls["zero_tau_gamma2"] += vc.tau_gamma2 == 0.0
+            per_stack.append(calls.copy())
     finally:
+        reml._newton = newton
         for name, kernel in kernels.items():
             setattr(reml, name, kernel)
     return per_stack
+
+
+def newton_calls(per_stack) -> dict:
+    """Calls of each kernel inside `reml._newton`, in all and per stack."""
+    out = {}
+    for name in ("_deviance", "_gradient"):
+        total = sum(c["newton" + name] for c in per_stack)
+        out[name.lstrip("_")] = total
+        out[name.lstrip("_") + "_per_stack"] = round(total / len(per_stack), 1)
+    return out
+
+
+def zero_rows(per_stack) -> dict:
+    """Rows, over all stacks, that end with each component exactly 0."""
+    return {name: sum(c["zero_" + name] for c in per_stack)
+            for name in ("tau_alpha2", "tau_gamma2")}
 
 
 def main(argv=None) -> int:
@@ -153,7 +188,9 @@ def main(argv=None) -> int:
         us = 1e6 / best.rounds
         stack_s = min((exchangeable_pass(tables) for _ in range(args.passes)),
                       key=sum)
-        calls = exchangeable_calls(tables)
+        calls = search_calls(tables, CorrelationStructure.EXCHANGEABLE)
+        kernel = [c["_deviance"] + c["_gradient"] for c in calls]
+        nested = search_calls(tables, CorrelationStructure.NESTED_EXCHANGEABLE)
         out[name] = {
             "ops": len(tables),
             "nested_rounds_per_op": round(best.rounds / len(tables), 1),
@@ -161,10 +198,14 @@ def main(argv=None) -> int:
             "us_per_round": round(best.drive_s * us, 1),
             "kernel_us_per_round": round(best.kernel_s * us, 1),
             "bookkeeping_us_per_round": round((best.drive_s - best.kernel_s) * us, 1),
-            "exchangeable_kernel_calls_per_stack": round(sum(calls) / len(calls), 1),
-            "exchangeable_kernel_calls_worst": max(calls),
+            "exchangeable_kernel_calls_per_stack": round(sum(kernel) / len(kernel), 1),
+            "exchangeable_kernel_calls_worst": max(kernel),
             "exchangeable_us_per_stack": round(1e6 * sum(stack_s) / len(stack_s), 1),
             "exchangeable_us_worst": round(1e6 * max(stack_s), 1),
+            "exchangeable_newton_calls": newton_calls(calls),
+            "nested_newton_calls": newton_calls(nested),
+            "exchangeable_zero_rows": zero_rows(calls),
+            "nested_zero_rows": zero_rows(nested),
         }
     out["passes"] = args.passes
     print(json.dumps(out))

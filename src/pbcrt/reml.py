@@ -2,10 +2,12 @@
 
 The restricted likelihood is profiled over the residual variance.  Each
 search runs all requested rows of a table's jackknife stack at once: the
-exchangeable ICC by projected Newton (`_newton`); the nested ICC and
-cluster auto-correlation by SciPy's Nelder-Mead, ported step for step and
-run in lockstep under `_drive`, then by `_newton` from converged optima.
-Results are memoised per table, structure and row.
+exchangeable ratio by projected Newton in the box of the variance ratios
+(`_newton`); the nested ICC and cluster auto-correlation by SciPy's
+Nelder-Mead, ported step for step and run in lockstep under `_drive`, then
+by `_newton` in the box from converged optima.  A component on the
+boundary is an exact zero.  Results are memoised per table, structure and
+row.
 """
 from __future__ import annotations
 
@@ -21,14 +23,15 @@ from .trial import (CellStats, CorrelationStructure, EstimationError,
 
 __all__ = ["estimate_variance_components"]
 
-# Bounds keep rho away from 1 (a perfectly correlated cluster) and the
-# logistic map well-conditioned; a rho within 10 times the lower bound is
-# an exact zero component.
+# Nelder-Mead's bounds keep rho away from 1 (a perfectly correlated
+# cluster) and the logistic map well-conditioned.
 _RHO_MIN = 1e-12
 _RHO_MAX = 1.0 - 1e-6
 _CAC_MIN = 1e-12
 _CAC_MAX = 1.0 - 1e-12
-_SNAP = 1e-10
+# Newton's box 0 <= x <= _HI holds the ratios in residual-variance units:
+# the exchangeable ratio at rho = _RHO_MAX bounds each.
+_HI = (1.0 - 1e-6) / 1e-6
 
 _N_PARAMS = 3  # mu, delta, phi1
 _MAX_ITER = 500  # optimizer iterations
@@ -39,11 +42,12 @@ _MAX_ITER = 500  # optimizer iterations
 # rise within _ULPS ulps of the deviance's terms: |dev|, and (n - 3) log quad.
 _EPS = 2.0 ** -52
 _ULPS = 64
-# Newton: the difference step of the Hessian and the step lengths tried,
-# in search coordinates; the least share of q that a step in q keeps.
+# Newton: the relative difference step of the Hessian (at least _H**2),
+# the step lengths tried in log x, and the distance from 0 within which a
+# coordinate whose gradient points out of the box is 0.
 _H = 1e-6
 _LADDER = (1.0, 0.25, 0.0625)
-_Q_CUT = 1e-4
+_ACTIVE = 1e-10
 
 
 def _logit(p: float) -> float:
@@ -199,67 +203,71 @@ def _gradient(cells: CellStats, rows, tw0, tb0) -> np.ndarray:
             ).sum(axis=-1).T
 
 
-def _newton(cells: CellStats, rows, x, lo, hi, cac=None):
+def _newton(cells: CellStats, rows, x):
     """Projected Newton on the deviance for all rows at once, from and
-    into x: one point per row, (log q, logit c), or (log q,) at c = cac of
-    its row, within [lo, hi]; the variance ratios are (q, c q).
+    into x: one point per row in the box 0 <= x <= _HI, (ta,) for the
+    ratios tw = tb = ta, or (ta, tg) for tw = ta + tg and tb = ta.
 
-    An iteration makes one `_gradient` call, at x and x + _H e_i for a
+    An iteration makes one `_gradient` call, at x and x + h_i e_i for a
     forward-difference Hessian, and one `_deviance` call at four projected
-    steps: Newton's in (q, logit c), which reaches small q where steps in
-    log q crawl, and the _LADDER of Newton's in the search coordinates.
-    Their Hessian is shifted up to a least eigenvalue of the gradient's
-    norm, so that they move at most 1; the former's only if not positive
-    definite.  A coordinate at a bound with the gradient pointing out
-    stays.  The step in q is taken if below the full step and x, else the
-    full step if below x or, with a positive definite Hessian, within
-    rounding, else the longest step below x.  A row converges when its
-    step predicts a decrease below one ulp of y'Wy in the deviance, free
-    of the outcomes' scale, and takes that step on the model alone; it
-    fails when it takes no step, or at _MAX_ITER.
+    steps: Newton's in x, which lands on 0 exactly, and the _LADDER of
+    Newton's in log x, which moves a coordinate at 0 by the same share of
+    the step in x.  The latter's Hessian is shifted up to a least
+    eigenvalue of the gradient's norm, so that they move at most 1; the
+    former's only if not positive definite.  A coordinate at a bound, or
+    within _ACTIVE of 0, with the gradient pointing out is set to the bound
+    and stays.  The step in x is taken if below the full step and x, else
+    the full step if below x or, with a positive definite Hessian, within
+    rounding, else the longest step below x.  A row converges when its full
+    step predicts a decrease below one ulp of y'Wy in the deviance, free of
+    the outcomes' scale, and takes that step on the model alone; it fails
+    when it takes no step, or at _MAX_ITER.
     """
-    def ratios(pts, ct):  # (q, c) at points of shape (rows, k, d)
-        return np.exp(pts[..., 0]).ravel(), (
-            _expit(pts[..., 1]).ravel() if ct is None else np.repeat(ct, pts.shape[1]))
-
-    def level(at, pts, ct):  # the deviance, and one ulp of y'Wy carried into it
-        q, c = ratios(pts, ct)
+    def level(at, pts):  # the deviance, and one ulp of y'Wy carried into it
         at = np.repeat(at, pts.shape[1])
-        dev, _, _, yy, quad, _ = _deviance(cells, at, q, c * q, parts=True)
+        flat = pts.reshape(-1, d)
+        dev, _, _, yy, quad, _ = _deviance(cells, at, flat.sum(axis=1), flat[:, 0],
+                                           parts=True)
         with np.errstate(divide="ignore", invalid="ignore"):  # where dev is inf
             ulp = (cells.row_obs[at] - _N_PARAMS) * _EPS * yy / quad
         return dev.reshape(pts.shape[:2]), ulp.reshape(pts.shape[:2])
 
-    d, dim = x.shape[1], np.arange(x.shape[1])
-    probes = np.vstack((np.zeros(d), _H * np.eye(d)))
-    dev, ulp = (a[:, 0] for a in level(rows, x[:, None], cac))
+    d, eye = x.shape[1], np.eye(x.shape[1])
+    dev, ulp = (a[:, 0] for a in level(rows, x[:, None]))
     converged, todo = np.zeros(len(x), dtype=bool), np.arange(len(x))
     for _ in range(_MAX_ITER):
         if not todo.size:
             break
-        xt, ct = x[todo], None if cac is None else cac[todo]
-        q, c = ratios(xt[:, None] + probes, ct)
-        g = _gradient(cells, np.repeat(rows[todo], d + 1), q, c * q)
-        # by the chain rule, in (log q, logit c)
-        g = np.stack((q * (g[:, 0] + c * g[:, 1]), q * c * (1.0 - c) * g[:, 1]),
-                     axis=-1)[:, :d].reshape(-1, d + 1, d)
-        g, h = g[:, 0], (g[:, 1:] - g[:, :1]) / _H
-        out = ((xt <= lo) & (g > 0.0)) | ((xt >= hi) & (g < 0.0))
-        g = np.where(out, 0.0, g)
-        h = np.where(out[:, :, None] | out[:, None, :], np.eye(d),
-                     0.5 * (h + np.swapaxes(h, 1, 2)))
-        # in (log q, logit c), and in (q, logit c) in the same units
-        h = np.stack((h, h - g[:, :1, None] * np.diag(dim == 0)), axis=1)
-        least = np.linalg.eigvalsh(h)[..., 0]
-        shift = np.maximum(np.sqrt((g * g).sum(axis=1))[:, None] - least, 0.0)
+        xt = x[todo]
+        h = _H * np.maximum(xt, _H)
+        probes = xt[:, None] + h[:, None] * np.vstack((np.zeros(d), eye))
+        g = _gradient(cells, np.repeat(rows[todo], d + 1), probes.sum(axis=2).ravel(),
+                      probes[..., 0].ravel())
+        # by the chain rule, in x
+        g = np.column_stack((g.sum(axis=1), g[:, 0]))[:, :d].reshape(-1, d + 1, d)
+        g, hx = g[:, 0], (g[:, 1:] - g[:, :1]) / h[:, :, None]
+        held = ((xt <= _ACTIVE) & (g > 0.0)) | ((xt >= _HI) & (g < 0.0))
+        x[todo] = xt = np.where(held & (xt <= _ACTIVE), 0.0, xt)
+        g = np.where(held, 0.0, g)
+        hx = 0.5 * (hx + np.swapaxes(hx, 1, 2))
+        # in log x, where a coordinate at 0 has no step, and in x
+        gs = np.stack((xt * g, g), axis=1)
+        hs = np.stack((xt[:, :, None] * hx * xt[:, None, :] + gs[:, 0, :, None] * eye,
+                       hx), axis=1)
+        free = ~np.stack((held | (xt == 0.0), held), axis=1)
+        hs = np.where(free[..., None] & free[..., None, :], hs, eye)
+        least = np.linalg.eigvalsh(hs)[..., 0]
+        shift = np.maximum(np.sqrt((gs * gs).sum(axis=2)) - least, 0.0)
         shift[:, 1] *= least[:, 1] <= 0.0
-        h[..., dim, dim] += shift[..., None]
-        p = -np.linalg.solve(h, np.repeat(g[:, None, :, None], 2, axis=1))[..., 0]
-        p[:, 1, 0] = np.log(np.maximum(1.0 + p[:, 1, 0], _Q_CUT))
-        pts = np.clip(xt[:, None] + np.concatenate(
-            (p[:, 1:], np.array(_LADDER)[:, None] * p[:, :1]), axis=1), lo, hi)
-        new, new_ulp = level(rows[todo], pts, ct)
-        done = -0.5 * (g * p[:, 0]).sum(axis=1) <= ulp[todo]
+        p = -np.linalg.solve(hs + shift[..., None, None] * eye, gs[..., None])[..., 0]
+        step = (xt + p[:, 1]).clip(0.0, _HI)
+        ladder = np.array(_LADDER)[:, None]
+        pts = np.concatenate((step[:, None], np.where(
+            xt[:, None] == 0.0, ladder * step[:, None],
+            xt[:, None] * np.exp(ladder * p[:, :1]))), axis=1).clip(0.0, _HI)
+        new, new_ulp = level(rows[todo], pts)
+        done = -0.5 * ((gs[:, 0] * p[:, 0]).sum(axis=1) + np.where(
+            xt == 0.0, g * step, 0.0).sum(axis=1)) <= ulp[todo]
         rounding = _ULPS * (ulp[todo] + _EPS * np.abs(dev[todo]))
         ok = new < dev[todo, None]
         ok[:, 0] &= new[:, 0] < new[:, 1]
@@ -270,10 +278,6 @@ def _newton(cells: CellStats, rows, x, lo, hi, cac=None):
         converged[todo[done]] = True
         todo = todo[~done & moved]
     return x, converged
-
-
-def _snap_cac(cac: np.ndarray) -> np.ndarray:
-    return np.where(cac <= _SNAP, 0.0, np.where(cac >= 1.0 - _SNAP, 1.0, cac))
 
 
 def estimate_variance_components(trial: ObservedTrial | CellStats,
@@ -305,40 +309,34 @@ def _reml(cells: CellStats, structure: CorrelationStructure,
         return [(VarianceComponents(s), True)
                 for s in _sigma2(cells, rows, 0.0, 0.0).tolist()]
 
-    low = np.array([_logit(_RHO_MIN), _logit(_CAC_MIN)])
-    high = np.array([_logit(_RHO_MAX), _logit(_CAC_MAX)])
     if structure is CorrelationStructure.EXCHANGEABLE:
-        cac = np.ones(len(rows))
-        x, success = _newton(cells, rows, np.full((len(rows), 1), _logit(0.05)),
-                             low[:1], high[:1], cac=cac)
+        x, success = _newton(cells, rows, np.full((len(rows), 1), 0.05 / 0.95))
+        x = np.column_stack((x, np.zeros(len(rows))))
     else:
         big = (np.maximum(cells.k0, cells.k1) >= 2).astype(np.intp)
         if (big.sum() - np.where(rows > 0, big[rows - 1], 0) == 0).any():
             raise EstimationError(
                 "nested REML needs a cell with at least two records: with one "
                 "record per cell, sigma_w2 and tau_gamma2 are not identified")
+        low = np.array([_logit(_RHO_MIN), _logit(_CAC_MIN)])
+        high = np.array([_logit(_RHO_MAX), _logit(_CAC_MAX)])
 
         def deviance(at, x):  # x = (logit rho, logit cac)
             x = np.minimum(np.maximum(x, low), high)
             q = np.exp(x[:, 0])
             return _deviance(cells, at, q, _expit(x[:, 1]) * q)
 
+        # outcomes without residual variation are refused before the search
+        _profiled(cells, rows, np.full(len(rows), 0.05 / 0.95),
+                  np.full(len(rows), 0.025 / 0.95))
         found = _drive(rows, [_nelder_mead((_logit(0.05), _logit(0.5)))
                               for _ in rows], deviance)
         x = np.minimum(np.maximum(np.array([f[0] for f in found]), low), high)
         success = np.array([f[4] for f in found])
-        cac = _snap_cac(_expit(x[:, 1]))
-        # Newton from converged points: in log q at cac snapped to 0 or 1
-        polish = success & (_expit(x[:, 0]) > _RHO_MIN * 10)
-        edge = polish & ((cac == 0.0) | (cac == 1.0))
-        x[edge, :1] = _newton(cells, rows[edge], x[edge, :1], low[:1], high[:1],
-                              cac=cac[edge])[0]
-        inner = polish & ~edge
-        x[inner] = _newton(cells, rows[inner], x[inner], low, high)[0]
-        cac[inner] = _snap_cac(_expit(x[inner, 1]))
-    q = np.where(_expit(x[:, 0]) > _RHO_MIN * 10, np.exp(x[:, 0]), 0.0)
-    sigma2 = _sigma2(cells, rows, q, cac * q)
-    total = sigma2 * q
-    return [(VarianceComponents(s, tau_alpha2=c * t, tau_gamma2=(1.0 - c) * t), ok)
-            for s, c, t, ok in zip(sigma2.tolist(), cac.tolist(), total.tolist(),
-                                   success.tolist())]
+        # converged rows are polished in (ta, tg); the others keep their point
+        q, c = np.exp(x[:, 0]), _expit(x[:, 1])
+        x = np.column_stack((c * q, (1.0 - c) * q))
+        x[success] = _newton(cells, rows[success], x[success])[0]
+    sigma2 = _sigma2(cells, rows, x.sum(axis=1), x[:, 0])
+    return [(VarianceComponents(s, tau_alpha2=s * ta, tau_gamma2=s * tg), ok)
+            for s, ta, tg, ok in zip(sigma2.tolist(), *x.T.tolist(), success.tolist())]

@@ -420,25 +420,20 @@ class TestInvariances:
         # record permutation whenever both REML searches converge; the
         # non-converged cases are counted and reported.  Every Newton
         # search ends within rounding of where it started or below, and
-        # every converged optimum inside the search box has a near-zero
-        # gradient in the search coordinates.  A row at a bound keeps the
+        # every converged optimum inside the box of the ratios (ta, tg)
+        # has a near-zero gradient in log x.  A row at a bound keeps the
         # gradient that points out of the box.
         newton = reml._newton
         ends = []
 
-        def ratios(x, cac):
-            return np.exp(x[:, 0]), reml._expit(x[:, 1]) if cac is None else cac
-
-        def checked_newton(cells, rows, x, lo, hi, cac=None):
-            q, c = ratios(x, cac)
-            before = reml._deviance(cells, rows, q, c * q)
-            y, converged = newton(cells, rows, x, lo, hi, cac)
-            q, c = ratios(y, cac)
-            after = reml._deviance(cells, rows, q, c * q)
-            g = reml._gradient(cells, rows, q, c * q)
-            grad = np.column_stack((q * (g[:, 0] + c * g[:, 1]),
-                                    q * c * (1.0 - c) * g[:, 1]))[:, :y.shape[1]]
-            inside = converged & ((lo < y) & (y < hi)).all(axis=1)
+        def checked_newton(cells, rows, x):
+            before = reml._deviance(cells, rows, x.sum(axis=1), x[:, 0])
+            y, converged = newton(cells, rows, x)
+            tw, tb = y.sum(axis=1), y[:, 0]
+            after = reml._deviance(cells, rows, tw, tb)
+            g = reml._gradient(cells, rows, tw, tb)
+            grad = y * np.column_stack((g.sum(axis=1), g[:, 0]))[:, :y.shape[1]]
+            inside = converged & ((0.0 < y) & (y < reml._HI)).all(axis=1)
             ends.extend(zip(((after - before) / np.abs(before)).tolist(),
                             np.where(inside, np.abs(grad).max(axis=1), 0.0).tolist()))
             return y, converged

@@ -16,6 +16,7 @@ from pbcrt import (
     VarianceComponents,
     estimate_variance_components,
     fit,
+    generate_cells,
     generate_trial,
 )
 
@@ -143,6 +144,49 @@ class TestNestedExchangeable:
             lambda x: deviance(cells, math.exp(x), math.exp(x)),
             bounds=(-10.0, 5.0), method="bounded", options={"xatol": 1e-10})
         assert found <= at_cac_1.fun + 1e-6
+
+    @pytest.mark.parametrize("tables,n_converged", [
+        pytest.param(lambda: [(probe_cells(), [0])], 1, id="probe"),
+        pytest.param(lambda: [(benchmark_cells(j), range(11)) for j in range(21, 29)],
+                     84, id="ops 21-28")])
+    def test_no_higher_than_boundary_slices(self, tables, n_converged):
+        # Nelder-Mead converges on the probe table at rho below 1e-11, where
+        # both components read 0 at deviance 6112.0627; the slice ta = 0
+        # falls to 6111.8741 at tg 0.00323.  Every converged nested optimum,
+        # there and on every row of operations 21-28 of the I=10 jackknife
+        # study benchmark, is no higher than the least deviance on either
+        # boundary slice, ta = 0 and tg = 0.
+        converged = 0
+        for cells, rows in tables():
+            found = estimate_variance_components(
+                cells, CorrelationStructure.NESTED_EXCHANGEABLE, rows=rows)
+            for row, (vc, ok) in zip(rows, found):
+                if not ok:
+                    continue
+                converged += 1
+                dev = deviance(cells, (vc.tau_alpha2 + vc.tau_gamma2) / vc.sigma_w2,
+                               vc.tau_alpha2 / vc.sigma_w2, row)
+                for on_slice in (lambda tg: deviance(cells, tg, 0.0, row),
+                                 lambda ta: deviance(cells, ta, ta, row)):
+                    least = scipy_brent(on_slice, 0.0, 1.0)[1]
+                    assert dev <= least + 1e-12 * abs(least)
+        assert converged == n_converged
+
+    def test_no_residual_refused_before_the_search(self, monkeypatch):
+        # Constant outcomes leave no residual: the nested search refuses
+        # them at its start point, before Nelder-Mead runs.
+        t = simulate(VarianceComponents(1.0), 9, n_clusters=6, k=4)
+        cells = ObservedTrial(t.cluster_ids, t.periods, t.sequences,
+                              0.0 * t.outcomes + 3.7).cells
+
+        def drive(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(reml, "_drive", drive)
+        for rows in ([0], range(7)):
+            with pytest.raises(EstimationError, match="no residual"):
+                estimate_variance_components(
+                    cells, CorrelationStructure.NESTED_EXCHANGEABLE, rows=rows)
 
     def test_too_few_clusters(self):
         cells = [("a", 0, 2, 2, 1.0, 2.0)]
@@ -272,33 +316,49 @@ class TestNelderMead:
 
 class TestBrent:
     """`reml._newton` on an exchangeable deviance ends where Brent's
-    bounded search, SciPy's `minimize_scalar(method="bounded")`, ends on
-    the same box of logit rho, or lower: the search it replaced."""
+    bounded search of logit rho = log ta, SciPy's
+    `minimize_scalar(method="bounded")`, ends, or lower: the search it
+    replaced.  Newton's box 0 <= ta <= _HI holds Brent's."""
 
     @staticmethod
-    def check(cells, lo, hi):
-        # from the search's start, logit 0.05, moved into the box
-        x, converged = reml._newton(
-            cells, np.array([0]), np.array([[min(max(reml._logit(0.05), lo), hi)]]),
-            np.array([lo]), np.array([hi]), cac=np.ones(1))
+    def check(cells):
+        # from the search's start, rho = 0.05
+        x, converged = reml._newton(cells, np.array([0]), np.array([[0.05 / 0.95]]))
         f = rho_deviance(cells, 0)
-        agree(x[0, 0], converged[0], f, scipy_brent(f, lo, hi), lo, hi)
+        agree(x[0, 0], converged[0], f, scipy_brent(f, *RHO_BOUNDS))
+        return x[0, 0]
 
-    @pytest.mark.parametrize("lo,hi", [(-27.6, 13.8), (-1.0, 1.0), (0.5, 7.0)])
-    def test_smooth(self, lo, hi):
-        # op 21's optimum is near logit rho -3, left of the last two boxes
-        self.check(benchmark_cells(21), lo, hi)
+    def test_smooth(self):
+        # op 21's optimum is near logit rho -3, inside the box
+        assert 0.0 < self.check(benchmark_cells(21)) < reml._HI
 
-    @pytest.mark.parametrize("lo,hi", [(-3.0, 3.0), (-10.0, 0.3)])
-    def test_plateau(self, lo, hi):
-        # Without a cluster effect the deviance flattens as rho -> 0.
-        self.check(simulate(VarianceComponents(1.0), 2, n_clusters=20, k=8).cells,
-                   lo, hi)
+    def test_plateau(self):
+        # Without a cluster effect the deviance flattens as rho -> 0 and
+        # rises from ta = 0: the search ends there exactly.
+        cells = simulate(VarianceComponents(1.0), 2, n_clusters=20, k=8).cells
+        assert self.check(cells) == 0.0
 
-    def test_minimum_at_each_bound(self):
-        self.check(benchmark_cells(21), -2.0, 1.0)
-        high = simulate(VarianceComponents.from_iccs(1.0, 0.9, 1.0), 4).cells
-        self.check(high, -2.0, 1.0)
+    def test_upper_bound(self):
+        # tau_alpha2 / sigma_w2 = 1e8 puts the optimum beyond the box.
+        cells = simulate(VarianceComponents(1e-8, 1.0), 4).cells
+        assert self.check(cells) == reml._HI
+
+    def test_from_zero_inward(self):
+        # Replicate 286 of criterion 3's study: from rho = 0.05 the step in
+        # x lands on ta = 0, where the deviance still falls inward but the
+        # step in x from 0 overshoots; the ladder's shares of it leave 0.
+        # The deviance is flat to rounding over 3e-6 of log ta there, so
+        # only the value is compared with Brent's.
+        sc = SimScenario(n_clusters=10,
+                         mixture=PopulationMixture.two_point(0.5, 20, 100, 0.35, 0.35),
+                         vc=VarianceComponents(1.0, 0.053, 0.013), reps=1000,
+                         master_seed=20260823, fixed_split=True)
+        cells = generate_cells(sc, 286)
+        x, converged = reml._newton(cells, np.array([0]), np.array([[0.05 / 0.95]]))
+        f = rho_deviance(cells, 0)
+        least = scipy_brent(f, *RHO_BOUNDS)[1]
+        assert converged[0] and 0.0 < x[0, 0] < reml._HI
+        assert f(math.log(x[0, 0])) <= least + 1e-12 * abs(least)
 
     def test_exchangeable_reml_searches(self):
         # Every exchangeable search, full and delete-one tables, of
@@ -306,7 +366,7 @@ class TestBrent:
         runs = exchangeable_searches(range(21, 29))
         assert len(runs) == 8 * 11
         for x, converged, f in runs:
-            agree(x, converged, f, scipy_brent(f, *RHO_BOUNDS), *RHO_BOUNDS)
+            agree(x, converged, f, scipy_brent(f, *RHO_BOUNDS))
 
 
 def rho_deviance(cells, row):
@@ -314,24 +374,26 @@ def rho_deviance(cells, row):
     return lambda x: deviance(cells, math.exp(x), math.exp(x), row)
 
 
-def agree(x, converged, f, want, lo, hi):
-    """A converged Newton point x no higher than SciPy's bounded result
-    `want` on f, and at it unless both are on the flat at a bound."""
+def agree(ta, converged, f, want):
+    """A converged Newton ratio ta no higher than SciPy's bounded result
+    `want` on f, of log ta, and at it unless both are on the flat at a
+    bound of Newton's box."""
     assert converged
+    x = math.log(ta) if ta > 0.0 else -math.inf
     assert f(x) <= want[1] + 1e-12 * abs(want[1])
     assert x == pytest.approx(want[0], abs=1e-6) or (
-        min(x - lo, hi - x) == 0.0 and abs(f(x) - want[1]) <= 1e-12 * abs(want[1]))
+        ta in (0.0, reml._HI) and abs(f(x) - want[1]) <= 1e-12 * abs(want[1]))
 
 
 def exchangeable_searches(ops):
     """Every exchangeable search over the full and delete-one tables of
-    the given I=10 benchmark operations: (x, converged, the deviance of
+    the given I=10 benchmark operations: (ta, converged, the deviance of
     the row at logit rho) for each row."""
     runs = []
     newton = reml._newton
 
-    def recorded(cells, rows, x, lo, hi, cac=None):
-        x, converged = newton(cells, rows, x, lo, hi, cac)
+    def recorded(cells, rows, x):
+        x, converged = newton(cells, rows, x)
         runs.extend((float(x[i, 0]), bool(converged[i]), rho_deviance(cells, r))
                     for i, r in enumerate(rows.tolist()))
         return x, converged
@@ -358,6 +420,15 @@ def benchmark_cells(j):
                      vc=VarianceComponents(1.0, 0.053, 0.013), reps=1,
                      master_seed=20260823 * 100_000 + j, fixed_split=True)
     return generate_trial(sc, 0).cells
+
+
+def probe_cells():
+    """A table on which Nelder-Mead converges at rho below 1e-11."""
+    sc = SimScenario(n_clusters=10,
+                     mixture=PopulationMixture.two_point(0.5, 59, 23, 0.2, 0.5),
+                     vc=VarianceComponents.from_iccs(1.0, 0.009, 0.2), reps=1,
+                     master_seed=239)
+    return generate_cells(sc, 0)
 
 
 class TestRoundKernel:

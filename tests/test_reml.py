@@ -321,22 +321,30 @@ class TestBrent:
     replaced.  Newton's box 0 <= ta <= _HI holds Brent's."""
 
     @staticmethod
-    def check(cells):
-        # from the search's start, rho = 0.05
+    def check(cells, lo=RHO_BOUNDS[0], hi=RHO_BOUNDS[1]):
+        # from the search's start, rho = 0.05; [lo, hi] is a box of logit
+        # rho inside Newton's, where Brent's minimum is no lower than
+        # Newton's over the whole box
         x, converged = reml._newton(cells, np.array([0]), np.array([[0.05 / 0.95]]))
         f = rho_deviance(cells, 0)
         agree(x[0, 0], converged[0], f, scipy_brent(f, *RHO_BOUNDS))
+        least = scipy_brent(f, lo, hi)[1]
+        assert f(math.log(x[0, 0]) if x[0, 0] > 0.0 else -math.inf) <= (
+            least + 1e-12 * abs(least))
         return x[0, 0]
 
-    def test_smooth(self):
-        # op 21's optimum is near logit rho -3, inside the box
-        assert 0.0 < self.check(benchmark_cells(21)) < reml._HI
+    @pytest.mark.parametrize("lo,hi", [(-27.6, 13.8), (-1.0, 1.0), (0.5, 7.0)])
+    def test_smooth(self, lo, hi):
+        # op 21's optimum is near logit rho -3, inside Newton's box and
+        # the first of Brent's, left of the last two
+        assert 0.0 < self.check(benchmark_cells(21), lo, hi) < reml._HI
 
-    def test_plateau(self):
+    @pytest.mark.parametrize("lo,hi", [(-3.0, 3.0), (-10.0, 0.3)])
+    def test_plateau(self, lo, hi):
         # Without a cluster effect the deviance flattens as rho -> 0 and
         # rises from ta = 0: the search ends there exactly.
         cells = simulate(VarianceComponents(1.0), 2, n_clusters=20, k=8).cells
-        assert self.check(cells) == 0.0
+        assert self.check(cells, lo, hi) == 0.0
 
     def test_upper_bound(self):
         # tau_alpha2 / sigma_w2 = 1e8 puts the optimum beyond the box.

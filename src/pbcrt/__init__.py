@@ -10,7 +10,6 @@ deterministic Monte Carlo engine, and CSV/JSON plumbing.
 from .trial import (
     TrialValidationError,
     CorrelationStructure,
-    WeightingScheme,
     VarianceComponents,
     CellStats,
     ObservedTrial,
@@ -22,13 +21,10 @@ from .estimators import (
     FitOptions,
     FitResult,
     fit,
-    gls_point_estimate,
 )
 from .reml import estimate_variance_components
 from .inference import (
-    VarianceSource,
     IntervalEstimate,
-    model_based_variance,
     jackknife_variance,
     confidence_interval,
     wald_test,
@@ -36,8 +32,6 @@ from .inference import (
 )
 from .estimands import (
     PopulationMixture,
-    EstimandWeights,
-    WeightScheme,
     true_pate,
     true_cate,
     plim,
@@ -61,26 +55,22 @@ from .io import (
     emit_trial_csv,
     load_scenario_json,
     load_size_table,
-    size_table_skeleton_trial,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TrialValidationError", "CorrelationStructure", "WeightingScheme",
+    "TrialValidationError", "CorrelationStructure",
     "VarianceComponents", "CellStats", "ObservedTrial",
     "EstimatorKind", "EstimationError", "UnsupportedWeightingError",
-    "FitOptions", "FitResult", "fit", "gls_point_estimate",
-    "estimate_variance_components",
-    "VarianceSource", "IntervalEstimate", "model_based_variance",
-    "jackknife_variance", "confidence_interval", "wald_test",
-    "fit_with_inference",
-    "PopulationMixture", "EstimandWeights", "WeightScheme",
-    "true_pate", "true_cate", "plim", "estimand_weights",
+    "FitOptions", "FitResult", "fit", "estimate_variance_components",
+    "IntervalEstimate", "jackknife_variance", "confidence_interval",
+    "wald_test", "fit_with_inference",
+    "PopulationMixture", "true_pate", "true_cate", "plim", "estimand_weights",
     "optimal_icc", "optimal_sampling_prob", "emew_bias",
     "SimScenario", "SimReport", "EstimatorSummary", "StudyError",
     "generate_cells", "generate_trial", "run_study", "expand_truncated_poisson",
     "parse_trial_csv", "emit_trial_csv", "load_scenario_json",
-    "load_size_table", "size_table_skeleton_trial",
+    "load_size_table",
     "__version__",
 ]

@@ -12,7 +12,6 @@ import numpy as np
 from . import __version__
 from .estimands import (
     PopulationMixture,
-    WeightScheme,
     estimand_weights,
     optimal_icc,
     optimal_sampling_prob,
@@ -124,11 +123,15 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    if not 0.0 <= args.rho_max <= 1.0:
-        raise ValueError(f"--rho-max must lie in [0, 1], got {args.rho_max!r}")
+    for flag in ("cac", "rho_max"):
+        if not 0.0 <= getattr(args, flag) <= 1.0:
+            raise ValueError(f"--{flag.replace('_', '-')} must lie in [0, 1], "
+                             f"got {getattr(args, flag)!r}")
     if not (0.0 < args.step <= 1.0 and args.rho_max <= 1e6 * args.step):
         raise ValueError("--step must lie in (0, 1] and give at most 1e6 grid "
                          f"steps up to --rho-max, got {args.step!r}")
+    kind = EstimatorKind(args.scheme)
+    cac = 1.0 if kind is EstimatorKind.EMEW else args.cac
     mix = PopulationMixture.two_point(args.p1, args.k1, args.k2, 0.0, 0.0)
     grid = np.arange(0.0, args.rho_max + args.step / 2, args.step)
     with open(args.out, "w", newline="") as fh:
@@ -136,11 +139,7 @@ def _cmd_weights(args) -> int:
         w.writerow(["rho", "lambda_1", "lambda_2"])
         for rho in grid:
             rho = min(float(rho), 1.0 - 1e-9)
-            if args.scheme == WeightScheme.EMEW:
-                vc = VarianceComponents.from_iccs(1.0, rho, 1.0)
-            else:
-                vc = VarianceComponents.from_iccs(1.0, rho, args.cac)
-            lam = estimand_weights(args.scheme, mix, vc).lambdas
+            lam = estimand_weights(kind, mix, VarianceComponents.from_iccs(1.0, rho, cac))
             w.writerow([repr(float(rho))] + [repr(x) for x in lam])
     rho_star = optimal_icc(args.k1, args.k2)
     p_star = optimal_sampling_prob(args.k1, args.k2, rho_star)
@@ -184,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("weights", help="estimand-weight grid over the ICC")
-    p.add_argument("--scheme", choices=[WeightScheme.EMEW, WeightScheme.NEMEW],
-                   default=WeightScheme.EMEW)
+    p.add_argument("--scheme", choices=["emew", "nemew"], default="emew")
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--p1", type=float, default=0.5)

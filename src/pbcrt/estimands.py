@@ -22,8 +22,6 @@ from .trial import CellStats, VarianceComponents
 
 __all__ = [
     "PopulationMixture",
-    "EstimandWeights",
-    "WeightScheme",
     "true_pate",
     "true_cate",
     "plim",
@@ -98,19 +96,6 @@ class PopulationMixture:
         return cls([(p1, k1, delta1), (1.0 - p1, k2, delta2)])
 
 
-class WeightScheme:
-    EMEW = "emew"
-    NEMEW = "nemew"
-
-
-@dataclass(frozen=True)
-class EstimandWeights:
-    """Per-subpopulation multipliers lambda_u with E[lambda] = 1."""
-
-    scheme: str
-    lambdas: tuple[float, ...]
-
-
 def true_pate(mix: PopulationMixture) -> float:
     """Participant-average effect: post-period size-weighted mean of effects."""
     p, _, k1, d = mix.arrays()
@@ -160,26 +145,24 @@ def plim(kind: EstimatorKind, mix: PopulationMixture,
     if kind.mixed and vc is None:
         raise ValueError(f"{kind.value} limit needs variance components")
     ratios = _unit_ratios(kind.structure, vc) if kind.mixed else (0.0, 0.0)
-    size = _cluster_weight(table, kind.weighting) if kind.mixed else None
+    size = _cluster_weight(table, kind.weighted) if kind.mixed else None
     with np.errstate(over="ignore"):  # a subnormal probability weighs 0
         weight = (1.0 if size is None else size) / p
     return float(_solve(table, *ratios, weight)[1])
 
 
-def estimand_weights(scheme: str, mix: PopulationMixture,
-                     vc: VarianceComponents) -> EstimandWeights:
-    """Normalized multipliers by which a weighted mixed estimator tilts the cATE."""
+def estimand_weights(kind: EstimatorKind, mix: PopulationMixture,
+                     vc: VarianceComponents) -> tuple[float, ...]:
+    """The multipliers lambda_u, with E[lambda] = 1, by which the weighted
+    mixed estimator `kind` (emew or nemew) tilts the cATE, per subpopulation."""
+    if kind not in (EstimatorKind.EMEW, EstimatorKind.NEMEW):
+        raise ValueError(f"estimand weights are those of emew and nemew, not {kind.value}")
+    _require_equal_periods(mix, kind)
     p, k0, _, _ = mix.arrays()
-    _require_equal_periods(mix, EstimatorKind.EMEW if scheme == WeightScheme.EMEW
-                           else EstimatorKind.NEMEW)
-    if scheme == WeightScheme.EMEW:
-        g = eme_weight(k0, vc.rho)
-    elif scheme == WeightScheme.NEMEW:
-        g = neme_weight(k0, vc.rho_wp, vc.rho_bp)
-    else:
-        raise ValueError(f"unknown weight scheme {scheme!r}")
+    g = (eme_weight(k0, vc.rho) if kind is EstimatorKind.EMEW
+         else neme_weight(k0, vc.rho_wp, vc.rho_bp))
     lam = g / np.sum(p * g)
-    return EstimandWeights(scheme=scheme, lambdas=tuple(float(x) for x in lam))
+    return tuple(float(x) for x in lam)
 
 
 def optimal_icc(k1: int, k2: int) -> float:

@@ -31,7 +31,6 @@ from .trial import (
     EstimationError,
     ObservedTrial,
     VarianceComponents,
-    WeightingScheme,
 )
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "fit",
-    "gls_point_estimate",
-    "estimate_variance_components",
 ]
 
 
@@ -68,6 +65,7 @@ class EstimatorKind(Enum):
 
     @property
     def weighted(self) -> bool:
+        """Inverse cluster-period size weights: every cluster weighs the same."""
         return self.value.endswith("w")
 
     @property
@@ -77,11 +75,6 @@ class EstimatorKind(Enum):
         if self in (EstimatorKind.NEME, EstimatorKind.NEMEW):
             return CorrelationStructure.NESTED_EXCHANGEABLE
         return CorrelationStructure.INDEPENDENCE
-
-    @property
-    def weighting(self) -> WeightingScheme:
-        return (WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE if self.weighted
-                else WeightingScheme.UNWEIGHTED)
 
     @property
     def mixed(self) -> bool:
@@ -145,7 +138,7 @@ def fit_rows(cells: CellStats, kinds, options: FitOptions, rows) -> dict:
             found[kind] = exc
     if any(groups):
         found.update(_solve_gls(cells, rows, groups))
-    n_clusters = np.where(rows > 0, cells.n_clusters - 1, cells.n_clusters).tolist()
+    n_clusters = (cells.n_clusters - (rows > 0)).tolist()
     for kind, fits in found.items():
         if not isinstance(fits, EstimationError):
             delta, var, sigma2, vcs, converged = fits
@@ -161,21 +154,22 @@ def fit_rows(cells: CellStats, kinds, options: FitOptions, rows) -> dict:
 def _solve_normal(m, v: np.ndarray):
     """M^-1 v, the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for the
     Cholesky factor L of M, given by its upper triangle, and where M is
-    positive definite (elsewhere the other two are not finite)."""
-    with np.errstate(all="ignore"):
-        (l00, l10, l11, l20, l21, l22), (z0, z1, z2) = cholesky_solve(m, v)
-        t2 = z2 / l22
-        t1 = (z1 - l21 * t2) / l11
-        t0 = (z0 - l10 * t1 - l20 * t2) / l00
-        e1 = 1.0 / l11
-        e2 = -(l21 * e1) / l22
+    positive definite (elsewhere the other two are not finite, and numpy
+    warns unless the caller silences it)."""
+    (l00, l10, l11, l20, l21, l22), (z0, z1, z2) = cholesky_solve(m, v)
+    t2 = z2 / l22
+    t1 = (z1 - l21 * t2) / l11
+    t0 = (z0 - l10 * t1 - l20 * t2) / l00
+    e1 = 1.0 / l11
+    e2 = -(l21 * e1) / l22
     return np.array((t0, t1, t2)), e1 * e1 + e2 * e2, l22 > 0.0
 
 
 def _solve(cells: CellStats, tw=0.0, tb=0.0, weight=None) -> np.ndarray:
     """(mu, delta, phi1) of one point's normal equations on the full table."""
     m, v, _, _ = normal_equations(cells, tw, tb, weight)
-    theta, _, ok = _solve_normal(m, v)
+    with np.errstate(all="ignore"):
+        theta, _, ok = _solve_normal(m, v)
     if not ok:
         raise EstimationError("singular normal equations")
     return theta
@@ -189,19 +183,20 @@ def _solve_gls(cells: CellStats, rows: np.ndarray, groups) -> dict:
     the table, emew and nemew divided by the cell size, ieew on the cell
     means.  (A valid trial has two clusters with both cells filled, so
     n - 3 >= 1.)"""
-    eqs, dof = [], []
+    eqs, dof, points = [], [], []
     for g, group in enumerate(groups):
         if group:
             table = cells.means if g == 2 else cells
-            tw, tb = (np.array([point[i] for point in group]) for i in (1, 2))
-            eqs.append(normal_equations(table, tw, tb,
+            _, tw, tb, _, _ = zip(*group)
+            eqs.append(normal_equations(table, np.array(tw), np.array(tb),
                                         cells.k0 if g == 1 else None, rows)[:3])
             dof += [table.row_obs[rows] - 3] * len(group)
-    m, v, yy = (np.concatenate(a, axis=-2) for a in zip(*eqs))
-    theta, inv_dd, ok = _solve_normal(m, v)
-    points = [p for group in groups for p in group]
+            points += group
+    m, v, yy = (eqs[0] if len(eqs) == 1 else
+                (np.concatenate(a, axis=-2) for a in zip(*eqs)))
     with np.errstate(all="ignore"):
-        sigma2 = np.maximum(yy - (theta * v).sum(axis=0), 0.0) / np.array(dof)
+        theta, inv_dd, ok = _solve_normal(m, v)
+        sigma2 = np.maximum(yy - (theta * v).sum(axis=0), 0.0) / dof
         # Weighted estimating equations are defined up to the weight scale;
         # a residual dispersion factor restores the variance to the scale
         # of the data, as in survey-weighted pseudo-likelihood software.
@@ -246,9 +241,9 @@ def _fixed_effects(cells: CellStats, rows: np.ndarray):
 # ---------------------------------------------------------------------------
 # GLS fits with block covariance
 
-def _cluster_weight(cells: CellStats, weighting: WeightingScheme):
+def _cluster_weight(cells: CellStats, weighted: bool):
     """Divisor of each cluster's GLS terms: none, or its cell size K."""
-    if weighting is WeightingScheme.UNWEIGHTED:
+    if not weighted:
         return None
     if not cells.equal_period_sizes:
         raise UnsupportedWeightingError(
@@ -262,26 +257,14 @@ def _unit_ratios(structure: CorrelationStructure, vc: VarianceComponents):
     return tuple(tau / vc.sigma_w2 for tau in structure_taus(structure, vc))
 
 
-def gls_point_estimate(trial: ObservedTrial, structure: CorrelationStructure,
-                       vc: VarianceComponents,
-                       weighting: WeightingScheme = WeightingScheme.UNWEIGHTED) -> np.ndarray:
-    """Solve the (weighted) GLS normal equations for (mu, delta, phi1)."""
-    cells = trial.cells
-    theta = _solve(cells, *_unit_ratios(structure, vc),
-                   _cluster_weight(cells, weighting))
-    theta[0] += cells.origin
-    return theta
-
-
 def _ratios(cells: CellStats, kind: EstimatorKind, options: FitOptions,
             rows: np.ndarray):
     """A GLS kind's unit ratios tw and tb, components and REML convergence,
     each a sequence over the rows (components None for an independence fit)."""
     if not kind.mixed:
         return [0.0] * rows.size, [0.0] * rows.size, None, None
-    _cluster_weight(cells, kind.weighting)
+    _cluster_weight(cells, kind.weighted)
     found = ([(options.vc, True)] * rows.size if options.vc is not None else
-             estimate_variance_components(cells, kind.structure,
-                                          return_converged=True, rows=rows))
+             estimate_variance_components(cells, kind.structure, rows=rows))
     vcs, converged = (list(a) for a in zip(*found))
     return (*zip(*(_unit_ratios(kind.structure, vc) for vc in vcs)), vcs, converged)

@@ -9,19 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .estimators import (EstimationError, EstimatorKind, FitOptions, FitResult, _result,
-                         fit, fit_rows)
+                         fit_rows)
 from .trial import CellStats, ObservedTrial
 
 __all__ = [
-    "VarianceSource",
     "IntervalEstimate",
-    "model_based_variance",
     "jackknife_variance",
     "confidence_interval",
     "wald_test",
@@ -30,18 +27,12 @@ __all__ = [
 ]
 
 
-class VarianceSource(Enum):
-    MODEL_BASED = "model"
-    JACKKNIFE = "jackknife"
-
-
 @dataclass(frozen=True)
 class IntervalEstimate:
     lower: float
     upper: float
     level: float
     df: int
-    variance_source: VarianceSource
 
 
 def _df(n_clusters: int) -> int:
@@ -113,12 +104,6 @@ def _t_quantile(q: float, df: int) -> float:
     return t
 
 
-def model_based_variance(trial: ObservedTrial, kind: EstimatorKind,
-                         options: FitOptions = FitOptions()) -> float:
-    """The (delta, delta) entry of the inverse normal equations for this fit."""
-    return fit(trial, kind, options).model_based_var
-
-
 def jackknife_variance(trial: ObservedTrial | CellStats, kind: EstimatorKind,
                        options: FitOptions = FitOptions()) -> tuple[float, np.ndarray]:
     """Leave-one-cluster-out jackknife variance and the replicate estimates.
@@ -132,8 +117,7 @@ def jackknife_variance(trial: ObservedTrial | CellStats, kind: EstimatorKind,
 
 
 def confidence_interval(delta_hat: float, variance: float, n_clusters: int,
-                        level: float = 0.95,
-                        source: VarianceSource = VarianceSource.MODEL_BASED) -> IntervalEstimate:
+                        level: float = 0.95) -> IntervalEstimate:
     """t interval delta_hat +/- t_{df, 1-(1-level)/2} * sqrt(variance), df = I - 2.
 
     Elementwise for arrays of estimates and variances.
@@ -145,7 +129,7 @@ def confidence_interval(delta_hat: float, variance: float, n_clusters: int,
     df = _df(n_clusters)
     half = _t_quantile(0.5 + level / 2.0, df) * np.sqrt(variance)
     return IntervalEstimate(lower=delta_hat - half, upper=delta_hat + half,
-                            level=level, df=df, variance_source=source)
+                            level=level, df=df)
 
 
 def wald_test(delta_hat: float, variance: float, n_clusters: int) -> float:

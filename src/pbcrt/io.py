@@ -15,7 +15,6 @@ __all__ = [
     "emit_trial_csv",
     "load_scenario_json",
     "load_size_table",
-    "size_table_skeleton_trial",
 ]
 
 _COLUMNS = ("cluster_id", "period", "sequence", "outcome")
@@ -102,10 +101,3 @@ def load_size_table() -> list[tuple[str, int, int, int]]:
             rows.append((row["cluster_id"], int(row["sequence"]),
                          int(row["period0_size"]), int(row["period1_size"])))
     return rows
-
-
-def size_table_skeleton_trial(fill: float = 0.0) -> ObservedTrial:
-    """Trial skeleton with the bundled sizes and a constant synthetic outcome."""
-    cells = [(cid, seq, k0, k1, fill, fill)
-             for cid, seq, k0, k1 in load_size_table()]
-    return ObservedTrial.from_cell_means(cells)

@@ -281,13 +281,11 @@ def _newton(cells: CellStats, rows, x):
 
 
 def estimate_variance_components(trial: ObservedTrial | CellStats,
-                                 structure: CorrelationStructure,
-                                 return_converged: bool = False, rows=None):
+                                 structure: CorrelationStructure, rows=None):
     """REML variance components of the unweighted model for one structure.
 
-    Returns a VarianceComponents (and a convergence flag when
-    return_converged is set); with `rows`, a list of (VarianceComponents,
-    converged) pairs, one per row of the table's jackknife stack
+    Returns a VarianceComponents, or with `rows` one (VarianceComponents,
+    converged) pair per row of the table's jackknife stack
     (`CellStats.keep`).  Estimates are clamped to [0, inf) with the ICC
     kept strictly below 1; non-convergence returns the best values found
     with converged=False.  Rows not yet memoised run in one search.
@@ -299,7 +297,7 @@ def estimate_variance_components(trial: ObservedTrial | CellStats,
     if todo:
         memo.update(zip(todo, _reml(cells, structure, np.array(todo))))
     if rows is None:
-        return memo[0] if return_converged else memo[0][0]
+        return memo[0][0]
     return [memo[r] for r in want]
 
 

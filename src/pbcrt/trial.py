@@ -28,7 +28,6 @@ __all__ = [
     "TrialValidationError",
     "EstimationError",
     "CorrelationStructure",
-    "WeightingScheme",
     "VarianceComponents",
     "CellStats",
     "ObservedTrial",
@@ -60,19 +59,6 @@ class CorrelationStructure(Enum):
     INDEPENDENCE = "independence"
     EXCHANGEABLE = "exchangeable"
     NESTED_EXCHANGEABLE = "nested_exchangeable"
-
-
-class WeightingScheme(Enum):
-    """Cluster weighting used in the estimating equation.
-
-    UNWEIGHTED gives every individual equal weight (w_i = 1).
-    INVERSE_CLUSTER_PERIOD_SIZE gives every cluster equal weight
-    (w_i = K_i for correlated fits; per-cell 1/K_ij via cell means for
-    independence-structure fits).
-    """
-
-    UNWEIGHTED = "unweighted"
-    INVERSE_CLUSTER_PERIOD_SIZE = "inverse_cluster_period_size"
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from pbcrt import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents, WeightingScheme, fit
+from pbcrt import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents, fit
 from pbcrt.blocks import cholesky_solve, inverse_cell_terms, normal_equations, structure_taus
 from pbcrt.estimators import (EstimationError, EstimatorKind, FitOptions, FitResult,
                               UnsupportedWeightingError)
@@ -72,8 +72,7 @@ class BlockTerms:
 
 
 @lru_cache(maxsize=4096)
-def eme_block_terms(k: int, vc: VarianceComponents,
-                    weighting: WeightingScheme = WeightingScheme.UNWEIGHTED) -> BlockTerms:
+def eme_block_terms(k: int, vc: VarianceComponents, weighted: bool = False) -> BlockTerms:
     """Inverse-block terms of the exchangeable structure with equal cell sizes K.
 
     The inverse of sigma_w2*I + tau_alpha2*J over the 2K observations has a
@@ -89,14 +88,13 @@ def eme_block_terms(k: int, vc: VarianceComponents,
     f = -(1.0 / s) * t / (s + 2 * k * t)
     a = k * (d + (k - 1) * f)
     b = k * k * f
-    if weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE:
+    if weighted:
         d, f, a, b = d / k, f / k, a / k, b / k
     return BlockTerms(d=d, f=f, g=f, a=a, b=b)
 
 
 @lru_cache(maxsize=4096)
-def neme_block_terms(k: int, vc: VarianceComponents,
-                     weighting: WeightingScheme = WeightingScheme.UNWEIGHTED) -> BlockTerms:
+def neme_block_terms(k: int, vc: VarianceComponents, weighted: bool = False) -> BlockTerms:
     """Inverse-block terms of the nested-exchangeable structure, equal cell sizes K."""
     if k < 1:
         raise ValueError(f"cell size must be >= 1, got {k}")
@@ -112,7 +110,7 @@ def neme_block_terms(k: int, vc: VarianceComponents,
     g = -ta / denom
     a = k * (s + k * t) / denom
     b = k * k * g
-    if weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE:
+    if weighted:
         d, f, g, a, b = d / k, f / k, g / k, a / k, b / k
     return BlockTerms(d=d, f=f, g=g, a=a, b=b)
 
@@ -487,7 +485,6 @@ def _mixed_per_kind(cells, kind, options, rows):
         weight = cells.k0
     if options.vc is None:
         found = estimate_variance_components(cells, kind.structure,
-                                             return_converged=True,
                                              rows=np.reshape(rows, -1))
         tw, tb = np.array([_unit_ratios_per_kind(kind.structure, vc)
                            for vc, _ in found]).T

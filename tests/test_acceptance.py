@@ -17,7 +17,6 @@ from pbcrt import (
     PopulationMixture,
     SimScenario,
     VarianceComponents,
-    WeightingScheme,
     emew_bias,
     expand_truncated_poisson,
     fit,
@@ -93,9 +92,9 @@ def test_criterion_1_block_algebra_oracle(capsys):
                     errs.append(abs(terms.f - inv[0, 1]))
                 worst = max(worst, max(errs))
                 # weighted terms are the same entries divided by K
-                wt = (eme_block_terms(k, v, WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE)
+                wt = (eme_block_terms(k, v, weighted=True)
                       if structure is CorrelationStructure.EXCHANGEABLE else
-                      neme_block_terms(k, v, WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE))
+                      neme_block_terms(k, v, weighted=True))
                 worst = max(worst, abs(wt.d - inv[0, 0] / k),
                             abs(wt.g - inv[0, k] / k))
     elapsed = time.time() - t0

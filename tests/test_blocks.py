@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbcrt import (CorrelationStructure, ObservedTrial, PopulationMixture,
-                   SimScenario, VarianceComponents, WeightingScheme, generate_trial)
+                   SimScenario, VarianceComponents, generate_trial)
 from pbcrt.blocks import inverse_cell_terms, normal_equations, structure_taus
 from pbcrt.trial import CellStats
 from pbcrt.io import load_size_table
@@ -111,7 +111,7 @@ class TestClosedFormsAgainstDense:
         vc = VarianceComponents(1.3, 0.2, 0.05)
         for k in (1, 3, 7):
             u = neme_block_terms(k, vc)
-            w = neme_block_terms(k, vc, WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE)
+            w = neme_block_terms(k, vc, weighted=True)
             for name in ("d", "f", "g", "a", "b"):
                 assert getattr(w, name) == pytest.approx(getattr(u, name) / k)
 

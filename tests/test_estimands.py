@@ -12,7 +12,6 @@ from pbcrt import (
     PopulationMixture,
     UnsupportedWeightingError,
     VarianceComponents,
-    WeightScheme,
     emew_bias,
     estimand_weights,
     fit,
@@ -208,32 +207,32 @@ class TestPlims:
 
 class TestEstimandWeights:
     def test_zero_icc_all_ones(self):
-        w = estimand_weights(WeightScheme.EMEW, INFORMATIVE,
+        w = estimand_weights(EstimatorKind.EMEW, INFORMATIVE,
                              VarianceComponents(1.0))
-        assert w.lambdas == pytest.approx((1.0, 1.0))
+        assert w == pytest.approx((1.0, 1.0))
 
     def test_near_one_icc_balances(self):
-        w = estimand_weights(WeightScheme.EMEW, INFORMATIVE,
+        w = estimand_weights(EstimatorKind.EMEW, INFORMATIVE,
                              vc_from_rho(1.0 - 1e-9))
-        assert w.lambdas == pytest.approx((1.0, 1.0), abs=1e-6)
+        assert w == pytest.approx((1.0, 1.0), abs=1e-6)
 
     def test_normalization(self):
         p, _, _, _ = INFORMATIVE.arrays()
-        for scheme, cac in ((WeightScheme.EMEW, 1.0), (WeightScheme.NEMEW, 0.8)):
+        for kind, cac in ((EstimatorKind.EMEW, 1.0), (EstimatorKind.NEMEW, 0.8)):
             for rho in (0.01, 0.05, 0.3, 0.9):
-                w = estimand_weights(scheme, INFORMATIVE, vc_from_rho(rho, cac))
-                assert float(np.dot(p, w.lambdas)) == pytest.approx(1.0, abs=1e-14)
-                assert all(x > 0 for x in w.lambdas)
+                w = estimand_weights(kind, INFORMATIVE, vc_from_rho(rho, cac))
+                assert float(np.dot(p, w)) == pytest.approx(1.0, abs=1e-14)
+                assert all(x > 0 for x in w)
 
     def test_nested_spread_dominates_exchangeable_spread(self):
         grid = np.linspace(1e-4, 0.999, 2000)
         eme_spread = max(
             abs(np.subtract(*estimand_weights(
-                WeightScheme.EMEW, INFORMATIVE, vc_from_rho(r)).lambdas))
+                EstimatorKind.EMEW, INFORMATIVE, vc_from_rho(r))))
             for r in grid)
         neme_spread = max(
             abs(np.subtract(*estimand_weights(
-                WeightScheme.NEMEW, INFORMATIVE, vc_from_rho(r, 0.8)).lambdas))
+                EstimatorKind.NEMEW, INFORMATIVE, vc_from_rho(r, 0.8))))
             for r in grid)
         assert neme_spread > eme_spread
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pbcrt.estimators as estimators
 import pbcrt.reml as reml
 
 from pbcrt import (
@@ -18,10 +19,8 @@ from pbcrt import (
     TrialValidationError,
     UnsupportedWeightingError,
     VarianceComponents,
-    WeightingScheme,
     fit,
     generate_trial,
-    gls_point_estimate,
 )
 from pbcrt.estimators import fit_rows
 from pbcrt.inference import fit_kinds, fit_with_inference
@@ -188,7 +187,16 @@ class TestFixedEffectsAgainstDense:
 
 
 class TestGlsAgainstDense:
-    def _dense_gls(self, trial, structure, vc, weighting):
+    @staticmethod
+    def _gls_theta(trial, structure, vc, weighted=False):
+        """(mu, delta, phi1) of the (weighted) GLS normal equations."""
+        cells = trial.cells
+        theta = estimators._solve(cells, *estimators._unit_ratios(structure, vc),
+                                  estimators._cluster_weight(cells, weighted))
+        theta[0] += cells.origin
+        return theta
+
+    def _dense_gls(self, trial, structure, vc, weighted):
         rows = []
         winv_blocks = []
         y = []
@@ -199,7 +207,7 @@ class TestGlsAgainstDense:
             z1 = [1.0, float(seq), 1.0]
             rows.extend([z0] * k0 + [z1] * k1)
             binv = np.linalg.inv(dense_block(structure, k0, k1, vc))
-            if weighting is WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE:
+            if weighted:
                 binv = binv / k0
             winv_blocks.append(binv)
             mask = trial.cluster_ids == cid
@@ -219,9 +227,8 @@ class TestGlsAgainstDense:
     def test_unweighted_gls_matches_dense(self, structure):
         t = random_trial(105, n_clusters=6)
         vc = VarianceComponents(0.8, 0.15, 0.05)
-        theta = gls_point_estimate(t, structure, vc)
-        expect, var = self._dense_gls(t, structure, vc,
-                                      WeightingScheme.UNWEIGHTED)
+        theta = self._gls_theta(t, structure, vc)
+        expect, var = self._dense_gls(t, structure, vc, weighted=False)
         assert theta == pytest.approx(expect, abs=1e-9)
         kind = (EstimatorKind.EME if structure is CorrelationStructure.EXCHANGEABLE
                 else EstimatorKind.NEME)
@@ -234,10 +241,8 @@ class TestGlsAgainstDense:
         vc = VarianceComponents(0.8, 0.15, 0.05)
         for structure in (CorrelationStructure.EXCHANGEABLE,
                           CorrelationStructure.NESTED_EXCHANGEABLE):
-            theta = gls_point_estimate(
-                t, structure, vc, WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE)
-            expect, _ = self._dense_gls(
-                t, structure, vc, WeightingScheme.INVERSE_CLUSTER_PERIOD_SIZE)
+            theta = self._gls_theta(t, structure, vc, weighted=True)
+            expect, _ = self._dense_gls(t, structure, vc, weighted=True)
             assert theta == pytest.approx(expect, abs=1e-9)
 
     def test_weighted_unequal_sizes_rejected(self):
@@ -587,8 +592,9 @@ class TestFitResult:
         assert ok
         assert theta == pytest.approx(inv @ v, rel=1e-12)
         assert inv_dd == pytest.approx(inv[1, 1], rel=1e-12)
-        both = _solve_normal(np.column_stack((m[np.triu_indices(3)], np.ones(6))),
-                             np.column_stack((v, v)))
+        with np.errstate(all="ignore"):  # the caller silences the singular point
+            both = _solve_normal(np.column_stack((m[np.triu_indices(3)], np.ones(6))),
+                                 np.column_stack((v, v)))
         assert both[2].tolist() == [True, False]
         assert (both[0][:, 0] == theta).all() and both[1][0] == inv_dd
 

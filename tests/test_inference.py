@@ -18,13 +18,11 @@ from pbcrt import (
     FitOptions,
     ObservedTrial,
     VarianceComponents,
-    VarianceSource,
     confidence_interval,
     estimate_variance_components,
     fit,
     fit_with_inference,
     jackknife_variance,
-    model_based_variance,
     wald_test,
 )
 from pbcrt.estimators import fit_rows
@@ -93,9 +91,9 @@ class TestJackknife:
         t = four_cluster_trial()
         reml = est.estimate_variance_components
 
-        def one_refit_fails(trial, structure, return_converged=False, rows=None):
+        def one_refit_fails(trial, structure, rows):
             # Row 3 of the table's stack is the table without cluster 2.
-            found = reml(trial, structure, return_converged, rows)
+            found = reml(trial, structure, rows=rows)
             return [(vc, converged and row != 3)
                     for row, (vc, converged) in zip(rows, found)]
 
@@ -105,11 +103,6 @@ class TestJackknife:
         assert fit_with_inference(t, EstimatorKind.EME, jackknife=False).converged
         assert not fit_with_inference(t, EstimatorKind.EME).converged
         assert fit_with_inference(t, EstimatorKind.FE).converged
-
-    def test_model_based_variance_matches_fit(self):
-        t = four_cluster_trial()
-        assert model_based_variance(t, EstimatorKind.IEE) == pytest.approx(
-            fit(t, EstimatorKind.IEE).model_based_var)
 
 
 @settings(max_examples=25, deadline=None)
@@ -255,7 +248,6 @@ class TestConfidenceInterval:
         half = (ci.upper - ci.lower) / 2
         assert half == pytest.approx(2.306, abs=5e-4)
         assert ci.df == 8
-        assert ci.variance_source is VarianceSource.MODEL_BASED
 
     def test_centered_and_monotone_in_level(self):
         lo = confidence_interval(1.5, 0.04, 12, 0.90)

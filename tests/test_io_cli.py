@@ -12,13 +12,14 @@ from pbcrt import (
     TrialValidationError,
     VarianceComponents,
     emit_trial_csv,
+    estimand_weights,
     generate_trial,
     load_scenario_json,
     load_size_table,
     parse_trial_csv,
-    size_table_skeleton_trial,
 )
 from pbcrt.cli import main
+from pbcrt.estimands import neme_weight
 
 
 def small_trial():
@@ -112,7 +113,8 @@ class TestSizeTable:
         assert all(k0 >= 1 and k1 >= 1 for _, _, k0, k1 in rows)
 
     def test_skeleton_trial_sizes(self):
-        t = size_table_skeleton_trial()
+        t = ObservedTrial.from_cell_means(
+            (cid, seq, k0, k1, 0.0, 0.0) for cid, seq, k0, k1 in load_size_table())
         assert t.n_clusters == 28
         table = {cid: (k0, k1) for cid, _, k0, k1 in load_size_table()}
         c = t.cells
@@ -276,6 +278,35 @@ class TestCli:
         assert float(rows[0]["lambda_2"]) == 1.0
         out = capsys.readouterr().out
         assert "optimal rho 0.0155653" in out
+
+    def test_weights_nemew_rows_are_normalized_neme_weights(self, tmp_path):
+        out_csv = tmp_path / "w.csv"
+        rc = main(["weights", "--scheme", "nemew", "--cac", "0.8", "--k1", "20",
+                   "--k2", "100", "--p1", "0.3", "--step", "0.05",
+                   "--out", str(out_csv)])
+        assert rc == 0
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 21
+        for row in rows:
+            vc = VarianceComponents.from_iccs(1.0, float(row["rho"]), 0.8)
+            g = neme_weight(np.array([20.0, 100.0]), vc.rho_wp, vc.rho_bp)
+            lam = g / np.sum(np.array([0.3, 0.7]) * g)
+            assert (float(row["lambda_1"]), float(row["lambda_2"])) == tuple(lam)
+        mix = PopulationMixture.two_point(0.3, 20, 100, 0.0, 0.0)
+        with pytest.raises(ValueError, match="emew and nemew, not eme"):
+            estimand_weights(EstimatorKind.EME, mix, vc)
+
+    @pytest.mark.parametrize("cac", ["1.5", "nan", "-0.1"])
+    def test_weights_bad_cac_keeps_out_file(self, tmp_path, capsys, cac):
+        # --cac is checked with the other flags, before --out is opened.
+        out_csv = tmp_path / "w.csv"
+        out_csv.write_bytes(b"kept\n")
+        rc = main(["weights", "--scheme", "nemew", "--cac", cac, "--k1", "20",
+                   "--k2", "100", "--out", str(out_csv)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "" and out_csv.read_bytes() == b"kept\n"
+        assert err == f"error: --cac must lie in [0, 1], got {float(cac)!r}\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--step", "0"], "--step must lie in (0, 1]"),

@@ -69,7 +69,7 @@ class TestExchangeable:
         t = simulate(VarianceComponents.from_iccs(1.0, 0.1, 1.0), 1, n_clusters=10, k=5)
         for s in (CorrelationStructure.EXCHANGEABLE,
                   CorrelationStructure.NESTED_EXCHANGEABLE):
-            assert estimate_variance_components(t, s, return_converged=True)[1] is True
+            assert estimate_variance_components(t, s, rows=[0])[0][1] is True
         assert fit(t, EstimatorKind.EME).converged is True
 
     def test_interior_away_from_one(self):
@@ -108,8 +108,8 @@ class TestNestedExchangeable:
     def test_convergence_flag(self):
         vc = VarianceComponents(1.0, 0.05, 0.02)
         t = simulate(vc, 5, n_clusters=30, k=10)
-        est, converged = estimate_variance_components(
-            t, CorrelationStructure.NESTED_EXCHANGEABLE, return_converged=True)
+        [(est, converged)] = estimate_variance_components(
+            t, CorrelationStructure.NESTED_EXCHANGEABLE, rows=[0])
         assert converged
         assert est.sigma_w2 > 0
 

@@ -393,8 +393,7 @@ class TestStudy:
         import pbcrt.estimators as est
 
         def study(fails):
-            def reml(trial, structure, return_converged=False, rows=None):
-                assert return_converged
+            def reml(trial, structure, rows):
                 nested = structure is CorrelationStructure.NESTED_EXCHANGEABLE
                 return [(VC, not (nested and fails(trial.cells, row)))
                         for row in rows]

@@ -10,13 +10,19 @@ The nested search is Nelder-Mead in lockstep under `reml._drive`: each
 drive is timed whole, and each of its rounds' deviance calls on its own.
 The kernel is the deviance (`normal_equations`, `cholesky_solve` and the
 profiled likelihood), the bookkeeping is the rest of the drive (the
-search generators and `_drive` itself).  The exchangeable search is timed
+search generators and `_drive` itself).  A search asks in one round for
+the candidates of its iteration and of those it predicts to follow, so
+a round advances it by one or more iterations (SciPy's nit), and it uses
+the values of only some of the points it asks (SciPy's nfev, which
+counts its start and shrink points too); the rest is waste.  The exchangeable search is timed
 per stack, with its calls of the deviance and gradient kernels
 (`reml._deviance`, `reml._gradient`) counted in a separate pass, as are
 the calls that each search makes inside `reml._newton`.  Prints one JSON
 line with, per workload, the operations, the nested rounds per
-operation, points per round and microseconds per round, total, kernel
-and bookkeeping, from the fastest of --passes passes over fresh tables;
+operation, points per round, search iterations per round (summed over
+the searches of a drive), the share of the points asked that the
+searches used, and microseconds per round, total, kernel and
+bookkeeping, from the fastest of --passes passes over fresh tables;
 the exchangeable kernel calls and microseconds per stack, mean and
 worst; and, for each structure, the kernel calls inside `_newton`, in
 all and per stack, and the rows that end with tau_alpha2 or tau_gamma2
@@ -62,7 +68,7 @@ class Clock:
 
     def __init__(self):
         self.drive_s = self.kernel_s = 0.0
-        self.rounds = self.points = 0
+        self.rounds = self.points = self.iterations = self.used = 0
         self._drive = reml._drive
 
     def drive(self, rows, searches, deviance):
@@ -77,6 +83,8 @@ class Clock:
         t0 = time.perf_counter()
         found = self._drive(rows, searches, timed)
         self.drive_s += time.perf_counter() - t0
+        self.iterations += sum(nit for _, _, nit, _, _ in found)
+        self.used += sum(nfev for _, _, _, nfev, _ in found)
         return found
 
 
@@ -195,6 +203,8 @@ def main(argv=None) -> int:
             "ops": len(tables),
             "nested_rounds_per_op": round(best.rounds / len(tables), 1),
             "points_per_round": round(best.points / best.rounds, 1),
+            "iterations_per_round": round(best.iterations / best.rounds, 2),
+            "used_share": round(best.used / best.points, 3),
             "us_per_round": round(best.drive_s * us, 1),
             "kernel_us_per_round": round(best.kernel_s * us, 1),
             "bookkeeping_us_per_round": round((best.drive_s - best.kernel_s) * us, 1),

@@ -42,9 +42,10 @@ _MAX_ITER = 500  # optimizer iterations
 # rise within _ULPS ulps of the deviance's terms: |dev|, and (n - 3) log quad.
 _EPS = 2.0 ** -52
 _ULPS = 64
-# Newton: the relative difference step of the Hessian (at least _H**2),
-# the step lengths tried in log x, and the distance from 0 within which a
-# coordinate whose gradient points out of the box is 0.
+# Newton: the relative difference step of the Hessian (at least _H**2) and
+# the least share of its steps tried, the step lengths tried in log x, and
+# the distance from 0 within which a coordinate whose gradient points out
+# of the box is 0.
 _H = 1e-6
 _LADDER = (1.0, 0.25, 0.0625)
 _ACTIVE = 1e-10
@@ -66,13 +67,22 @@ def _nelder_mead(x0):
     fatol 1e-10 and maxiter _MAX_ITER, step for step in Python floats.
     Each iteration asks for its reflection, expansion and both
     contractions at once, and for its shrink points in a second request.
-    The simplex is nine floats, (f, x, y) of the best, next and worst
-    vertex, and a new vertex goes where `list.sort` would put it."""
+    An outcome is the accepted candidate and the rank of the new vertex.
+    When the last outcome has repeated n times, a request also asks for
+    the candidates of the next min(n, 8) - 1 iterations on the path where
+    it goes on repeating, only their reflection and expansion if it is one
+    of those.  Their values are used, with the same float expressions as
+    the iterations would compute, until an outcome differs or needs a
+    contraction that was not asked.  The simplex is nine floats, (f, x, y)
+    of the best, next and worst vertex, and a new vertex goes where
+    `list.sort` would put it."""
     a, b = x0
     pts = [(a, b), (1.05 * a if a != 0.0 else 0.00025, b),
            (a, 1.05 * b if b != 0.0 else 0.00025)]
     values = yield pts
-    nfev, nit = 3, 1
+    # the values asked and the index of the next iteration's, the last outcome
+    # (candidate lc, rank lk), the values it asks per iteration, its repeats
+    nfev, nit, got, j, lc, lk, w, run = 3, 1, [], 0, 0, 0, 2, 0
     while True:
         if pts:  # the start and each shrink sort all three vertices
             (f0, (a0, b0)), (f1, (a1, b1)), (fw, (aw, bw)) = sorted(
@@ -82,30 +92,50 @@ def _nelder_mead(x0):
                 and abs(aw - a0) <= 1e-8 and abs(bw - b0) <= 1e-8
                 and abs(f0 - f1) <= 1e-10 and abs(f0 - fw) <= 1e-10):
             break
-        c0, c1 = (a0 + a1) / 2, (b0 + b1) / 2
-        r, e = (2.0 * c0 - aw, 2.0 * c1 - bw), (3.0 * c0 - 2.0 * aw, 3.0 * c1 - 2.0 * bw)
-        oc, ic = (1.5 * c0 - 0.5 * aw, 1.5 * c1 - 0.5 * bw), (0.5 * c0 + 0.5 * aw,
-                                                              0.5 * c1 + 0.5 * bw)
-        fr, fe, foc, fic = yield [r, e, oc, ic]
+        fs = got[j:j + w]
+        if fs and (fs[0] < f1 or w > 2):  # a predicted iteration
+            cand, j = want[j:j + w], j + w
+        else:  # this iteration, and those predicted while the outcome repeats
+            c0, c1 = (a0 + a1) / 2, (b0 + b1) / 2
+            want = cand = [
+                (2.0 * c0 - aw, 2.0 * c1 - bw), (3.0 * c0 - 2.0 * aw, 3.0 * c1 - 2.0 * bw),
+                (1.5 * c0 - 0.5 * aw, 1.5 * c1 - 0.5 * bw), (0.5 * c0 + 0.5 * aw, 0.5 * c1 + 0.5 * bw)]
+            s, p = [a0, b0, a1, b1, aw, bw], cand
+            for _ in range(min(run, 8, _MAX_ITER - nit) - 1):
+                s[2 * lk:6] = [*p[lc], *s[2 * lk:4]]  # the accepted candidate at rank lk
+                c0, c1, xw, yw = (s[0] + s[2]) / 2, (s[1] + s[3]) / 2, s[4], s[5]
+                p = [(2.0 * c0 - xw, 2.0 * c1 - yw), (3.0 * c0 - 2.0 * xw, 3.0 * c1 - 2.0 * yw),
+                     (1.5 * c0 - 0.5 * xw, 1.5 * c1 - 0.5 * yw),
+                     (0.5 * c0 + 0.5 * xw, 0.5 * c1 + 0.5 * yw)][:w]
+                want = want + p
+            got = yield want
+            fs, j = got[:4], 4
+        fr = fs[0]
         nfev, nit, pts = nfev + 1, nit + 1, None
         if fr < f0:
             nfev += 1
-            fn, (an, bn) = (fe, e) if fe < fr else (fr, r)
+            c = 1 if fs[1] < fr else 0
         elif fr < f1:
-            fn, (an, bn) = fr, r
+            c = 0
         else:
             nfev += 1
-            fn, (an, bn) = (foc, oc) if fr < fw else (fic, ic)
-            if not ((fn <= fr) if fr < fw else (fn < fw)):
+            c = 2 if fr < fw else 3
+            if not ((fs[2] <= fr) if fr < fw else (fs[3] < fw)):
                 pts = [(a0, b0), (a0 + 0.5 * (a1 - a0), b0 + 0.5 * (b1 - b0)),
                        (a0 + 0.5 * (aw - a0), b0 + 0.5 * (bw - b0))]
-                values, nfev = [f0, *(yield pts[1:])], nfev + 2
+                values, nfev, got, run = [f0, *(yield pts[1:])], nfev + 2, [], 0
                 continue
         # list.sort of (best, next, new), whose first two are in order
-        f0, a0, b0, f1, a1, b1, fw, aw, bw = (
-            (f0, a0, b0, f1, a1, b1, fn, an, bn) if not fn < f1 else
-            (fn, an, bn, f0, a0, b0, f1, a1, b1) if fn < f0 else
-            (f0, a0, b0, fn, an, bn, f1, a1, b1))
+        fn, (an, bn) = fs[c], cand[c]
+        if not fn < f1:
+            k, fw, aw, bw = 2, fn, an, bn
+        elif fn < f0:
+            k, f0, a0, b0, f1, a1, b1, fw, aw, bw = 0, fn, an, bn, f0, a0, b0, f1, a1, b1
+        else:
+            k, f1, a1, b1, fw, aw, bw = 1, fn, an, bn, f1, a1, b1
+        if c != lc or k != lk:
+            got, lc, lk, w, run = [], c, k, 4 if c > 1 else 2, 0
+        run += 1
     return (a0, b0), f0, nit, nfev, nit < _MAX_ITER
 
 
@@ -220,8 +250,10 @@ def _newton(cells: CellStats, rows, x):
     the full step if below x or, with a positive definite Hessian, within
     rounding, else the longest step below x.  A row converges when its full
     step predicts a decrease below one ulp of y'Wy in the deviance, free of
-    the outcomes' scale, and takes that step on the model alone; it fails
-    when it takes no step, or at _MAX_ITER.
+    the outcomes' scale, and takes that step on the model alone.  A row
+    that takes no step tries again with all four steps cut by a factor of
+    64, until it takes one; it fails when they are cut below _H of
+    Newton's, or at _MAX_ITER.
     """
     def level(at, pts):  # the deviance, and one ulp of y'Wy carried into it
         at = np.repeat(at, pts.shape[1])
@@ -235,6 +267,7 @@ def _newton(cells: CellStats, rows, x):
     d, eye = x.shape[1], np.eye(x.shape[1])
     dev, ulp = (a[:, 0] for a in level(rows, x[:, None]))
     converged, todo = np.zeros(len(x), dtype=bool), np.arange(len(x))
+    reach = np.ones(len(x))  # the share of Newton's steps that a row tries
     for _ in range(_MAX_ITER):
         if not todo.size:
             break
@@ -261,22 +294,25 @@ def _newton(cells: CellStats, rows, x):
         shift[:, 1] *= least[:, 1] <= 0.0
         p = -np.linalg.solve(hs + shift[..., None, None] * eye, gs[..., None])[..., 0]
         step = (xt + p[:, 1]).clip(0.0, _HI)
+        done = -0.5 * ((gs[:, 0] * p[:, 0]).sum(axis=1) + np.where(
+            xt == 0.0, g * step, 0.0).sum(axis=1)) <= ulp[todo]
+        p *= reach[todo, None, None]
+        step = (xt + p[:, 1]).clip(0.0, _HI)
         ladder = np.array(_LADDER)[:, None]
         pts = np.concatenate((step[:, None], np.where(
             xt[:, None] == 0.0, ladder * step[:, None],
             xt[:, None] * np.exp(ladder * p[:, :1]))), axis=1).clip(0.0, _HI)
         new, new_ulp = level(rows[todo], pts)
-        done = -0.5 * ((gs[:, 0] * p[:, 0]).sum(axis=1) + np.where(
-            xt == 0.0, g * step, 0.0).sum(axis=1)) <= ulp[todo]
         rounding = _ULPS * (ulp[todo] + _EPS * np.abs(dev[todo]))
         ok = new < dev[todo, None]
         ok[:, 0] &= new[:, 0] < new[:, 1]
         ok[:, 1] |= (least[:, 0] > 0.0) & (done | (new[:, 1] <= dev[todo] + rounding))
         moved, pick = ok.any(axis=1), np.argmax(ok, axis=1)
         take, at = (np.flatnonzero(moved), pick[moved]), todo[moved]
-        x[at], dev[at], ulp[at] = pts[take], new[take], new_ulp[take]
+        x[at], dev[at], ulp[at], reach[at] = pts[take], new[take], new_ulp[take], 1.0
+        reach[todo[~moved]] *= _LADDER[1] * _LADDER[2]
         converged[todo[done]] = True
-        todo = todo[~done & moved]
+        todo = todo[~done & (moved | (reach[todo] > _H))]
     return x, converged
 
 

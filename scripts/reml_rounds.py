@@ -8,25 +8,28 @@ call per table and structure, as a benchmark operation does.
 
 The nested search is Nelder-Mead in lockstep under `reml._drive`: each
 drive is timed whole, and each of its rounds' deviance calls on its own.
-The kernel is the deviance (`normal_equations`, `cholesky_solve` and the
-profiled likelihood), the bookkeeping is the rest of the drive (the
-search generators and `_drive` itself).  A search asks in one round for
-the candidates of its iteration and of those it predicts to follow, so
-a round advances it by one or more iterations (SciPy's nit), and it uses
-the values of only some of the points it asks (SciPy's nfev, which
-counts its start and shrink points too); the rest is waste.  The exchangeable search is timed
-per stack, with its calls of the deviance and gradient kernels
-(`reml._deviance`, `reml._gradient`) counted in a separate pass, as are
-the calls that each search makes inside `reml._newton`.  Prints one JSON
-line with, per workload, the operations, the nested rounds per
-operation, points per round, search iterations per round (summed over
-the searches of a drive), the share of the points asked that the
-searches used, and microseconds per round, total, kernel and
-bookkeeping, from the fastest of --passes passes over fresh tables;
-the exchangeable kernel calls and microseconds per stack, mean and
-worst; and, for each structure, the kernel calls inside `_newton`, in
-all and per stack, and the rows that end with tau_alpha2 or tau_gamma2
-exactly 0.  The pbcrt under test is the one in this checkout's `src`.
+The kernel is `reml._kernel` in its value mode (the map's contraction,
+`cholesky_solve` and the profiled likelihood), the bookkeeping is the
+rest of the drive (the search generators and `_drive` itself).  A search
+asks in one round for the candidates of its iteration and of those it
+predicts to follow, so a round advances it by one or more iterations
+(SciPy's nit), and it uses the values of only some of the points it asks
+(SciPy's nfev, which counts its start and shrink points too); the rest
+is waste.  The exchangeable search is timed per stack.  In a separate pass the calls of `reml._kernel` are counted,
+with and without derivatives, anywhere in each search and inside
+`reml._newton`, whose iterations are its calls with derivatives (one
+per iteration), and the time inside `_newton` is taken per stack.
+Prints one JSON line with, per workload, the operations, the nested
+rounds per operation, points per round, search iterations per round
+(summed over the searches of a drive), the share of the points asked
+that the searches used, and microseconds per round, total, kernel and
+bookkeeping, from the fastest of --passes passes over fresh tables; the
+exchangeable kernel calls and microseconds per stack, mean and worst;
+and, for each structure, the kernel calls inside `_newton` (value and
+derivative, in all and per stack), the Newton iterations per stack, mean
+and worst, the microseconds inside `_newton` per stack (fastest pass),
+and the rows that end with tau_alpha2 or tau_gamma2 exactly 0.  The
+pbcrt under test is the one in this checkout's `src`.
 
   python scripts/reml_rounds.py --passes 5
 """
@@ -38,6 +41,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from operator import itemgetter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -122,39 +126,33 @@ def exchangeable_pass(tables) -> list:
     return spent
 
 
-def search_calls(tables, structure) -> list:
-    """Kernel calls per stack, as a Counter: of the deviance and of the
-    gradient ("_deviance", "_gradient"), whose own deviance call is not
-    counted, made inside `reml._newton` and anywhere in the search, and
-    the rows that end with tau_alpha2 or tau_gamma2 exactly 0."""
-    calls, depth, inside = Counter(), [0], [False]
-    kernels = {name: getattr(reml, name) for name in ("_deviance", "_gradient")}
-    newton = reml._newton
+def search_calls(tables, structure) -> tuple[list, float]:
+    """Per stack, a Counter of `reml._kernel` calls by mode: "value" (the
+    deviance alone), "residual" (dims 0: the checked residual variance) and
+    "derivative", anywhere in the search and, prefixed "newton_", inside
+    `reml._newton`, and of the rows that end with tau_alpha2 or tau_gamma2
+    exactly 0; and the seconds spent inside `_newton`, in all."""
+    calls, inside, spent = Counter(), [False], [0.0]
+    kernel, newton = reml._kernel, reml._newton
 
-    def counted(name, kernel):
-        def run(*args, **kwargs):
-            if not depth[0]:
-                calls[name] += 1
-                calls["newton" + name] += inside[0]
-            depth[0] += 1
-            try:
-                return kernel(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-        return run
+    def counted(cells, rows, tw, tb, dims=None):
+        mode = "value" if dims is None else "derivative" if dims else "residual"
+        calls[mode] += 1
+        calls["newton_" + mode] += inside[0]
+        return kernel(cells, rows, tw, tb, dims)
 
     def polish(*args, **kwargs):
         inside[0] = True
+        t0 = time.perf_counter()
         try:
             return newton(*args, **kwargs)
         finally:
+            spent[0] += time.perf_counter() - t0
             inside[0] = False
 
     per_stack = []
     try:
-        reml._newton = polish
-        for name, kernel in kernels.items():
-            setattr(reml, name, counted(name, kernel))
+        reml._newton, reml._kernel = polish, counted
         for cells, rows in fresh(tables):
             calls.clear()
             for vc, _ in pbcrt.estimate_variance_components(cells, structure, rows=rows):
@@ -162,19 +160,19 @@ def search_calls(tables, structure) -> list:
                 calls["zero_tau_gamma2"] += vc.tau_gamma2 == 0.0
             per_stack.append(calls.copy())
     finally:
-        reml._newton = newton
-        for name, kernel in kernels.items():
-            setattr(reml, name, kernel)
-    return per_stack
+        reml._newton, reml._kernel = newton, kernel
+    return per_stack, spent[0]
 
 
 def newton_calls(per_stack) -> dict:
-    """Calls of each kernel inside `reml._newton`, in all and per stack."""
+    """Kernel calls inside `reml._newton`, in all and per stack, and its
+    iterations per stack, mean and worst."""
     out = {}
-    for name in ("_deviance", "_gradient"):
-        total = sum(c["newton" + name] for c in per_stack)
-        out[name.lstrip("_")] = total
-        out[name.lstrip("_") + "_per_stack"] = round(total / len(per_stack), 1)
+    for mode in ("value", "derivative"):
+        total = sum(c["newton_" + mode] for c in per_stack)
+        out[mode] = total
+        out[mode + "_per_stack"] = round(total / len(per_stack), 1)
+    out["iterations_worst"] = max(c["newton_derivative"] for c in per_stack)
     return out
 
 
@@ -196,9 +194,11 @@ def main(argv=None) -> int:
         us = 1e6 / best.rounds
         stack_s = min((exchangeable_pass(tables) for _ in range(args.passes)),
                       key=sum)
-        calls = search_calls(tables, CorrelationStructure.EXCHANGEABLE)
-        kernel = [c["_deviance"] + c["_gradient"] for c in calls]
-        nested = search_calls(tables, CorrelationStructure.NESTED_EXCHANGEABLE)
+        calls, exch_s = min((search_calls(tables, CorrelationStructure.EXCHANGEABLE)
+                             for _ in range(args.passes)), key=itemgetter(1))
+        nested, nested_s = min((search_calls(tables, CorrelationStructure.NESTED_EXCHANGEABLE)
+                                for _ in range(args.passes)), key=itemgetter(1))
+        kernel = [c["value"] + c["residual"] + c["derivative"] for c in calls]
         out[name] = {
             "ops": len(tables),
             "nested_rounds_per_op": round(best.rounds / len(tables), 1),
@@ -214,6 +214,8 @@ def main(argv=None) -> int:
             "exchangeable_us_worst": round(1e6 * max(stack_s), 1),
             "exchangeable_newton_calls": newton_calls(calls),
             "nested_newton_calls": newton_calls(nested),
+            "exchangeable_newton_us_per_stack": round(1e6 * exch_s / len(tables), 1),
+            "nested_newton_us_per_stack": round(1e6 * nested_s / len(tables), 1),
             "exchangeable_zero_rows": zero_rows(calls),
             "nested_zero_rows": zero_rows(nested),
         }

@@ -10,12 +10,11 @@ the determinant of the 2x2 cell system.  `gls_map` holds those linear
 coefficients for one cell table, basis by basis, so `normal_equations`
 assembles the 3x3 GLS system shared by REML and every fit, for any list of
 (ratios, row of the table's keep-masked jackknife stack) points, as one
-contraction of the clusters' weights keep / D with the map.
-`cholesky_solve` factors those systems from their upper triangles.
+contraction of the clusters' weights keep / D with the map (`assemble`).
+`cholesky_solve` factors those systems from their upper triangles, and
+`back_substitute` solves them and inverts the factor.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -26,7 +25,9 @@ __all__ = [
     "inverse_cell_terms",
     "gls_map",
     "normal_equations",
+    "assemble",
     "cholesky_solve",
+    "back_substitute",
 ]
 
 
@@ -40,8 +41,8 @@ def structure_taus(structure: CorrelationStructure, vc: VarianceComponents) -> t
 
 
 def inverse_cell_terms(k, kk, sigma_w2: float, tau_within: float, tau_between: float):
-    """Determinant of the 2x2 cell system and block log-determinant for
-    arbitrary cell sizes, from k = k0 + k1 and kk = k0 k1.
+    """Determinant D of the 2x2 cell system for arbitrary cell sizes, from
+    k = k0 + k1 and kk = k0 k1.
 
     With U the (k0+k1) x 2 cell-indicator matrix and
     M = [[tw, tb], [tb, tw]], the block is R = s*I + U M U' with
@@ -58,11 +59,10 @@ def inverse_cell_terms(k, kk, sigma_w2: float, tau_within: float, tau_between: f
 
     D is a sum of nonnegative terms whenever tw >= tb >= 0, as every
     structure here gives.  Vectorized over clusters and, with tw and tb of
-    shape (..., 1), over points: returns (D, log det R).
+    shape (..., 1), over points.
     """
     s, tw, tb = sigma_w2, tau_within, tau_between
-    det = k * (tw if s == 1.0 else s * tw) + s * s + kk * ((tw - tb) * (tw + tb))
-    return det, np.log(det) if s == 1.0 else (k - 2.0) * math.log(s) + np.log(det)
+    return k * (tw if s == 1.0 else s * tw) + s * s + kk * ((tw - tb) * (tw + tb))
 
 
 def gls_map(cells: CellStats) -> np.ndarray:
@@ -99,32 +99,32 @@ def gls_map(cells: CellStats) -> np.ndarray:
 
 def normal_equations(cells: CellStats, tau_within, tau_between, weight=None,
                      rows=0):
-    """GLS normal equations of the (mu, delta, phi1) design at unit residual scale.
-
-    The block of each cluster is I + U M U' with M = [[tw, tb], [tb, tw]]
-    in residual-variance units.  The ratios and each point's row of
-    `CellStats.keep` may be arrays of points.  Each cluster's weight is
-    its keep-mask entry over D, divided also by `weight` (one value per
-    cluster) when given; one `einsum` contracts the weights with the map,
-    without BLAS, so no point's sums depend on the other points, and the
-    nine sums are y_1 + tw y_tw + tb y_tb over the map's three bases.
-    Returns (M, v, y'W y, sum of block log-determinants) with the points'
-    shape trailing, M as its upper triangle (M00, M01, M02, M11, M12, M22)
-    and v of shape (3, ...), where W is the weighted inverse covariance;
-    the log-determinants ignore the weight.
-    """
+    """GLS normal equations of the (mu, delta, phi1) design at unit residual
+    scale, `assemble`d at the clusters' D: the block of each cluster is
+    I + U M U' with M = [[tw, tb], [tb, tw]] in residual-variance units.  The
+    ratios and each point's row of `CellStats.keep` may be arrays of points."""
     tw, tb = tau_within, tau_between
-    d, logdet = inverse_cell_terms(*cells.block_sizes, 1.0, *(
+    det = inverse_cell_terms(*cells.block_sizes, 1.0, *(
         (tw[..., None], tb[..., None]) if isinstance(tw, np.ndarray) else (tw, tb)))
-    keep = cells.keep(rows)
-    w, within = keep / d, cells.within
+    return assemble(cells, det, tw, tb, cells.keep(rows), weight)
+
+
+def assemble(cells: CellStats, det, tw, tb, keep, weight=None):
+    """The normal equations at ratios (tw, tb) from the clusters' D and
+    keep-mask rows.  Each cluster's weight is keep / D, divided also by
+    `weight` (one value per cluster) when given; one `einsum` contracts the
+    weights with the map, without BLAS, so no point's sums depend on the
+    other points, and the nine sums are y_1 + tw y_tw + tb y_tb over its
+    three bases.  Returns (M, v, y'W y) with the points' shape trailing, M
+    as its upper triangle (M00, M01, M02, M11, M12, M22) and v of shape
+    (3, ...), where W is the weighted inverse covariance."""
+    w, within = keep / det, cells.within
     if weight is not None:
         w, within = w / weight, within / weight
     y = np.einsum("...i,kri->kr...", w, cells.gls_map)
     x = y[0] + tw * y[1] + tb * y[2]
     return ((x[0], x[1], x[2], x[3], x[3], x[4]), x[5:8],
-            x[8] + np.einsum("...i,i->...", keep, within),
-            np.einsum("...i,...i->...", keep, logdet))
+            x[8] + np.einsum("...i,i->...", keep, within))
 
 
 def cholesky_solve(m, v: np.ndarray):
@@ -146,3 +146,17 @@ def cholesky_solve(m, v: np.ndarray):
     z1 = (v[1] - l10 * z0) / l11
     z2 = (v[2] - l20 * z0 - l21 * z1) / l22
     return (l00, l10, l11, l20, l21, l22), (z0, z1, z2)
+
+
+def back_substitute(factor, z):
+    """M^-1 v and the inverse of M's Cholesky factor L, from
+    `cholesky_solve`'s factor and z = L^-1 v: theta = L'^-1 z and N = L^-1
+    of shape (3, 3, ...), lower triangular, so that M^-1 = N'N."""
+    l00, l10, l11, l20, l21, l22 = factor
+    t2 = z[2] / l22
+    t1 = (z[1] - l21 * t2) / l11
+    t0 = (z[0] - l10 * t1 - l20 * t2) / l00
+    n00, n11, n22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    n10, n21, zero = -(l10 * n00) / l11, -(l21 * n11) / l22, 0.0 * n00
+    return np.array((t0, t1, t2)), np.array(((n00, zero, zero), (n10, n11, zero), (
+        -(l20 * n00 + l21 * n10) / l22, n21, n22)))

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import cholesky_solve, normal_equations, structure_taus
+from .blocks import back_substitute, cholesky_solve, normal_equations, structure_taus
 from .reml import estimate_variance_components
 from .trial import (
     CellStats,
@@ -152,22 +152,16 @@ def fit_rows(cells: CellStats, kinds, options: FitOptions, rows) -> dict:
 
 
 def _solve_normal(m, v: np.ndarray):
-    """M^-1 v, the (delta, delta) entry of M^-1, |L^-1 e_delta|^2 for the
-    Cholesky factor L of M, given by its upper triangle, and where M is
-    positive definite (elsewhere the other two are not finite, and numpy
-    warns unless the caller silences it)."""
-    (l00, l10, l11, l20, l21, l22), (z0, z1, z2) = cholesky_solve(m, v)
-    t2 = z2 / l22
-    t1 = (z1 - l21 * t2) / l11
-    t0 = (z0 - l10 * t1 - l20 * t2) / l00
-    e1 = 1.0 / l11
-    e2 = -(l21 * e1) / l22
-    return np.array((t0, t1, t2)), e1 * e1 + e2 * e2, l22 > 0.0
+    """M^-1 v, the (delta, delta) entry of M^-1, and where M, given by its upper
+    triangle, is positive definite (elsewhere the others are not finite)."""
+    factor, z = cholesky_solve(m, v)
+    theta, n = back_substitute(factor, z)
+    return theta, n[1, 1] * n[1, 1] + n[2, 1] * n[2, 1], factor[5] > 0.0
 
 
 def _solve(cells: CellStats, tw=0.0, tb=0.0, weight=None) -> np.ndarray:
     """(mu, delta, phi1) of one point's normal equations on the full table."""
-    m, v, _, _ = normal_equations(cells, tw, tb, weight)
+    m, v, _ = normal_equations(cells, tw, tb, weight)
     with np.errstate(all="ignore"):
         theta, _, ok = _solve_normal(m, v)
     if not ok:
@@ -189,7 +183,7 @@ def _solve_gls(cells: CellStats, rows: np.ndarray, groups) -> dict:
             table = cells.means if g == 2 else cells
             _, tw, tb, _, _ = zip(*group)
             eqs.append(normal_equations(table, np.array(tw), np.array(tb),
-                                        cells.k0 if g == 1 else None, rows)[:3])
+                                        cells.k0 if g == 1 else None, rows))
             dof += [table.row_obs[rows] - 3] * len(group)
             points += group
     m, v, yy = (eqs[0] if len(eqs) == 1 else

@@ -58,33 +58,37 @@ for _n in range(1, 30):
                         for _m in range(1, _n)) / _n - 0.5 / math.factorial(2 * _n + 1))
 
 
-def _t_tail(t: float, df: int) -> float:
-    """Two-sided P(|T| > t) of Student's t, t >= 0: I_x(a, 1/2) with a = df/2 and
-    x = 1/(1 + u), u = t^2/df, and 1 - x formed apart for tiny and huge t.  It is
-    the sum of the positive terms x^a (1 - x)^(1/2) / (a B(a, 1/2)) at a, a + 1, ...
-    Where x > 1/2 it steps to a >= 10 and adds the rest by BGRAT's expansion for
-    large a and small b (DiDonato & Morris 1992); no 1 - I is taken."""
+def _t_tail(t, df: int) -> np.ndarray:
+    """Two-sided P(|T| > t) of Student's t, t >= 0, elementwise (a 0-d array for a
+    float): I_x(a, 1/2) with a = df/2 and x = 1/(1 + u), u = t^2/df, and 1 - x formed
+    apart for tiny and huge t.  It is the sum of the positive terms x^a (1 - x)^(1/2)
+    / (a B(a, 1/2)) at a, a + 1, ...  Where x > 1/2 it steps to a >= 10 and adds the
+    rest by BGRAT's expansion for large a and small b (DiDonato & Morris 1992)."""
+    t = np.asarray(t, dtype=np.float64)
     a, u = df / 2.0, t * t / df
-    if not u > 0.0:
-        return 1.0 if u == 0.0 else u
-    x, lx = 1.0 / (1.0 + u), math.log1p(u)
-    p, term = 0.0, (math.sqrt(1.0 - x if u > 1.0 else u * x) * math.exp(-a * lx)
-                    * _inv_beta(df) / a)
-    while a < 10.0 or u >= 1.0 and term > 1e-17 * p:
-        p, term, a = p + term, term * x * (a + 0.5) / (a + 1.0), a + 1.0
-    if u >= 1.0:
-        return p
-    T, k = a - 0.25, _inv_beta(int(2.0 * a))
-    v = T * lx  # BGRAT's u; s is its prefix times J_n, w times (ln x / 2)^2n
-    s, w = (math.sqrt(math.pi / T) * k * math.erfc(math.sqrt(v)),
-            math.sqrt(v / T) * math.exp(-v) * k)
-    for n in range(30):
-        p += _BGRAT_P[n] * s
-        if abs(_BGRAT_P[n] * s) <= 1e-17 * p:
-            return p
-        s = ((2 * n + 0.5) * (2 * n + 1.5) * s + (v + 2 * n + 1.5) * w) / (4.0 * T * T)
-        w *= lx * lx / 4.0
-    return p
+    with np.errstate(all="ignore"):
+        x, lx, big = 1.0 / (1.0 + u), np.log1p(u), u >= 1.0
+        p, term = 0.0 * u, (np.sqrt(np.where(u > 1.0, 1.0 - x, u * x)) * np.exp(-a * lx)
+                            * _inv_beta(df) / a)
+        while a < 10.0:
+            p, term, a = p + term, term * x * (a + 0.5) / (a + 1.0), a + 1.0
+        T, k, live = a - 0.25, _inv_beta(int(2.0 * a)), ~big & (u > 0.0)
+        # where x <= 1/2 terms fall at least twofold, so from one below 1e-17 p on none moves p
+        term = np.where(big, term, 0.0)
+        while (term > 1e-17 * p).any():
+            p, term, a = p + term, term * x * (a + 0.5) / (a + 1.0), a + 1.0
+        v = T * lx  # BGRAT's u; s is its prefix times J_n, w times (ln x / 2)^2n
+        s = math.sqrt(math.pi / T) * k * np.array(
+            [math.erfc(z) for z in np.sqrt(v).ravel().tolist()]).reshape(v.shape)
+        w = np.sqrt(v / T) * np.exp(-v) * k
+        for n in range(30):
+            if not live.any():
+                break
+            p = np.where(live, p + _BGRAT_P[n] * s, p)
+            live &= np.abs(_BGRAT_P[n] * s) > 1e-17 * p
+            s = ((2 * n + 0.5) * (2 * n + 1.5) * s + (v + 2 * n + 1.5) * w) / (4.0 * T * T)
+            w *= lx * lx / 4.0
+        return np.where(u > 0.0, p, np.where(u == 0.0, 1.0, u))
 
 
 # A study asks for the same quantile once per estimator and variance source.
@@ -97,7 +101,7 @@ def _t_quantile(q: float, df: int) -> float:
         return math.inf
     for _ in range(100):  # about 60 at most, for df = 1 and q = 1 - 2^-53
         f = math.exp(-(df + 1) / 2.0 * math.log1p(t * t / df)) * _inv_beta(df)
-        step = (_t_tail(t, df) - p) * math.sqrt(df) / (2.0 * f)
+        step = (float(_t_tail(t, df)) - p) * math.sqrt(df) / (2.0 * f)
         t += step
         if step <= 1e-15 * t:
             break
@@ -143,7 +147,7 @@ def wald_test(delta_hat: float, variance: float, n_clusters: int) -> float:
         raise ValueError("variance must be nonnegative")
     df = _df(n_clusters)
     t = d / np.sqrt(np.where(v == 0.0, 1.0, v))
-    p = np.where(v == 0.0, d == 0.0, np.vectorize(_t_tail, otypes=[float])(t, df))
+    p = np.where(v == 0.0, d == 0.0, _t_tail(t, df))
     return float(p) if p.ndim == 0 else p
 
 

@@ -1,13 +1,14 @@
 """REML estimation of variance components for the unweighted mixed models.
 
-The restricted likelihood is profiled over the residual variance.  Each
-search runs all requested rows of a table's jackknife stack at once: the
-exchangeable ratio by projected Newton in the box of the variance ratios
-(`_newton`); the nested ICC and cluster auto-correlation by SciPy's
-Nelder-Mead, ported step for step and run in lockstep under `_drive`, then
-by `_newton` in the box from converged optima.  A component on the
-boundary is an exact zero.  Results are memoised per table, structure and
-row.
+The restricted likelihood is profiled over the residual variance (as in
+lme4; Bates et al. 2015), and `_kernel` gives it, its exact gradient and
+its Hessian from one assembly.  Each search runs all requested rows of a
+table's jackknife stack at once: the exchangeable ratio by projected
+Newton in the box of the variance ratios (`_newton`); the nested ICC and
+cluster auto-correlation by SciPy's Nelder-Mead, ported step for step and
+run in lockstep under `_drive`, then by `_newton` in the box from
+converged optima.  A component on the boundary is an exact zero.  Results
+are memoised per table, structure and row.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .blocks import cholesky_solve, inverse_cell_terms, normal_equations
+from .blocks import assemble, back_substitute, cholesky_solve, inverse_cell_terms
 from .trial import (CellStats, CorrelationStructure, EstimationError,
                     ObservedTrial, VarianceComponents)
 
@@ -42,10 +43,9 @@ _MAX_ITER = 500  # optimizer iterations
 # rise within _ULPS ulps of the deviance's terms: |dev|, and (n - 3) log quad.
 _EPS = 2.0 ** -52
 _ULPS = 64
-# Newton: the relative difference step of the Hessian (at least _H**2) and
-# the least share of its steps tried, the step lengths tried in log x, and
-# the distance from 0 within which a coordinate whose gradient points out
-# of the box is 0.
+# Newton: the least share of its steps tried, the step lengths tried in
+# log x, and the distance from 0 within which a coordinate whose gradient
+# points out of the box is 0.
 _H = 1e-6
 _LADDER = (1.0, 0.25, 0.0625)
 _ACTIVE = 1e-10
@@ -166,71 +166,66 @@ def _drive(rows: np.ndarray, searches: list, deviance) -> list:
     return results
 
 
-def _deviance(cells: CellStats, rows, tw0, tb0, parts: bool = False):
-    """Profiled -2 restricted log-likelihood over variance ratios.
-
-    Ratios are in residual-variance units: the covariance block is
-    sigma_w2 * (I + U M0 U') with M0 = [[tw0, tb0], [tb0, tw0]].  A
-    profiled quadratic that is not positive gives inf; so does a normal
-    matrix that is not positive definite, which makes it NaN or -inf.
-    With `parts`, also M, v, y'Wy, the quadratic y'Wy - v'M^-1 v and
-    whether M is positive definite.
+def _kernel(cells: CellStats, rows, tw, tb, dims=None):
+    """The profiled -2 restricted log-likelihood sum keep log D + log det M
+    + (n - 3) log quad at ratios (tw, tb) in residual-variance units, with
+    quad = y'Wy - v'M^-1 v, and one ulp of y'Wy carried into it.  It is inf
+    where quad is not positive, or M not positive definite.  With `dims`
+    (0, 1 or 2) such points, and quadratics not above rounding, are refused,
+    and it also returns quad / (n - 3) and the exact gradient and Hessian in
+    the first `dims` of x = (ta, tg), tw = ta + tg and tb = ta.  With D e = u
+    = (1, tw, tb), D_a = k + 2 kk tg, D_g = k + 2 kk tw, D_ag = D_gg = 2 kk and
+    D_aa = 0: e_j = (u_j - D_j e) / D, e_jl = -(D_l e_j + D_j e_l + D_jl e) / D.
+    The terms linear in the sums (sum keep D_j / D + tr(M^-1 M_j) + (n - 3)
+    q_j / quad) are each cluster's weights on the map times e_j or e_jl; the
+    Hessian adds -tr(M^-1 M_j M^-1 M_l) - (n - 3) (2 r_j'M^-1 r_l + q_j q_l /
+    quad) / quad, with theta = M^-1 v, r_j = v_j - M_j theta and q_j = yy_j -
+    2 theta'v_j + theta'M_j theta.
     """
-    m, v, yy, logdet = normal_equations(cells, tw0, tb0, rows=rows)
+    (k, kk), keep = cells.block_sizes, cells.keep(rows)
+    det = inverse_cell_terms(k, kk, 1.0, tw[:, None], tb[:, None])
+    m, v, yy = assemble(cells, det, tw, tb, keep)
+    dof = cells.row_obs[rows] - _N_PARAMS
     with np.errstate(all="ignore"):
-        (l00, _, l11, _, _, l22), (z0, z1, z2) = cholesky_solve(m, v)
-        quad = yy - (z0 * z0 + z1 * z1 + z2 * z2)
-        dev = np.where(quad > 0.0, logdet + 2.0 * np.log(l00 * l11 * l22)
-                       + (cells.row_obs[rows] - _N_PARAMS) * np.log(quad), np.inf)
-        return (dev, m, v, yy, quad, l22 > 0.0) if parts else dev
-
-
-def _profiled(cells: CellStats, rows, tw0, tb0):
-    """(M, v, y'Wy - v'M^-1 v) at each point, raising where M is singular
-    or the quadratic is not above its rounding error."""
-    _, m, v, yy, quad, pd = _deviance(cells, rows, tw0, tb0, parts=True)
-    if not pd.all():
-        raise EstimationError("singular normal equations")
+        factor, z = cholesky_solve(m, v)
+        quad = yy - (z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
+        dev = np.where(quad > 0.0, np.einsum("...i,...i->...", keep, np.log(det)) + 2.0 * np.log(
+            factor[0] * factor[2] * factor[5]) + dof * np.log(quad), np.inf)
+        ulp = dof * _EPS * yy / quad
+    if dims is None:
+        return dev, ulp
     bad = ~((_ULPS * _EPS * yy < quad) & (quad < math.inf))
     if bad.any():
-        raise EstimationError(
-            f"profiled residual sum of squares is {float(quad[bad][0])!r}: "
-            "the outcomes leave no residual variation to estimate "
-            "components from")
-    return m, v, quad
-
-
-def _sigma2(cells: CellStats, rows, tw0, tb0) -> np.ndarray:
-    """Profiled residual variance at the given ratios, one per point."""
-    return _profiled(cells, rows, tw0, tb0)[2] / (cells.row_obs[rows] - _N_PARAMS)
-
-
-def _gradient(cells: CellStats, rows, tw0, tb0) -> np.ndarray:
-    """Gradient of `_deviance` in (tw0, tb0), one row of two per point.
-
-    With theta = M^-1 v, d log det M = tr(M^-1 dM) and the profiled
-    quadratic changes by d(y'Wy) - 2 theta'dv + theta'dM theta, so the
-    deviance changes by the nine sums' derivatives times fixed weights
-    from A = M^-1 + (n - 3) / quad theta theta', plus the log-determinants'
-    sum of a_t = dD/dt / D.  The map times those weights gives each
-    cluster's coefficients g_k on the basis e = (1, tw0, tb0) / D, and
-    de/dt = u_t / D - a_t e with u_t the unit vector of ratio t.
-    """
-    (a, b, c, d, f, g), v, quad = _profiled(cells, rows, tw0, tb0)
-    m_inv = np.linalg.inv(np.stack((a, b, c, b, d, f, c, f, g), -1).reshape(-1, 3, 3))
-    theta = (m_inv * v.T[:, None, :]).sum(axis=-1)
-    s = (cells.row_obs[rows] - _N_PARAMS) / quad
-    t = m_inv + s[:, None, None] * theta[:, :, None] * theta[:, None, :]
-    weights = np.column_stack((t[:, 0, 0], 2.0 * t[:, 0, 1], 2.0 * t[:, 0, 2],
-                               t[:, 1, 1] + 2.0 * t[:, 1, 2], t[:, 2, 2],
-                               -2.0 * s[:, None] * theta, s))
-    tw, tb = tw0[:, None], tb0[:, None]
-    (k, kk), keep = cells.block_sizes, cells.keep(rows)
-    det, _ = inverse_cell_terms(k, kk, 1.0, tw, tb)
-    at = np.stack((k + (2.0 * tw) * kk, (-2.0 * tb) * kk)) / det
-    gk = np.einsum("pr,kri->kpi", weights, cells.gls_map)
-    return (keep * (at + (gk[1:] - at * (gk[0] + tw * gk[1] + tb * gk[2])) / det)
-            ).sum(axis=-1).T
+        if not (factor[5] > 0.0).all():
+            raise EstimationError("singular normal equations")
+        raise EstimationError(f"profiled residual sum of squares is {float(quad[bad][0])!r}: the "
+                              "outcomes leave no residual variation to estimate components from")
+    if not dims:
+        return dev, ulp, quad / dof
+    theta, n = back_substitute(factor, z)
+    s = dof / quad
+    w = np.einsum("bap,bcp->acp", n, n) + s * theta[:, None] * theta
+    weights = np.array((w[0, 0], 2.0 * w[0, 1], 2.0 * w[0, 2], w[1, 1] + 2.0 * w[1, 2],
+                        w[2, 2], *(-2.0 * s * theta), s))
+    dd = k + (2.0 * np.array((tw - tb, tw))[:dims, :, None]) * kk
+    d2 = np.array(((0.0, 2.0), (2.0, 2.0)))[:dims, :dims, None, None] * kk
+    e = np.array((np.ones_like(tw), tw, tb))[:, :, None] / det
+    ej = (np.array(((0.0, 1.0, 1.0), (0.0, 1.0, 0.0)))[:dims, :, None, None]
+          - dd[:, None] * e) / det
+    sj = np.einsum("jbpi,bri->jrp", keep * ej, cells.gls_map)
+    mj = sj[:, (0, 1, 2, 1, 3, 3, 2, 3, 4)].reshape(dims, 3, 3, -1)
+    r = sj[:, 5:8] - np.einsum("jabp,bp->jap", mj, theta)
+    q = (sj[:, 8] - np.einsum("jap,ap->jp", sj[:, 5:8] + r, theta)) / quad
+    nr, nmn = (np.einsum("abp,jbp->jap", n, r) * np.sqrt(s),
+               np.einsum("abp,jbcp,dcp->jadp", n, mj, n))
+    gk = np.einsum("rp,kri->kpi", weights, cells.gls_map)
+    ge, gej, a = (gk * e).sum(axis=0), np.einsum("bpi,jbpi->jpi", gk, ej), dd / det
+    gejl = d2 * (1.0 - ge) / det - a[None] * gej[:, None] - a[:, None] * gej[None]
+    hess = (np.einsum("jlpi,pi->jlp", gejl - a[:, None] * a[None], keep)
+            - np.einsum("jabp,labp->jlp", nmn, nmn)
+            - 2.0 * np.einsum("jap,lap->jlp", nr, nr) - dof * q[:, None] * q[None])
+    return (dev, ulp, quad / dof, np.einsum("jpi,pi->pj", a + gej, keep),
+            hess.transpose(2, 0, 1))
 
 
 def _newton(cells: CellStats, rows, x):
@@ -238,61 +233,47 @@ def _newton(cells: CellStats, rows, x):
     into x: one point per row in the box 0 <= x <= _HI, (ta,) for the
     ratios tw = tb = ta, or (ta, tg) for tw = ta + tg and tb = ta.
 
-    An iteration makes one `_gradient` call, at x and x + h_i e_i for a
-    forward-difference Hessian, and one `_deviance` call at four projected
-    steps: Newton's in x, which lands on 0 exactly, and the _LADDER of
-    Newton's in log x, which moves a coordinate at 0 by the same share of
-    the step in x.  The latter's Hessian is shifted up to a least
-    eigenvalue of the gradient's norm, so that they move at most 1; the
-    former's only if not positive definite.  A coordinate at a bound, or
-    within _ACTIVE of 0, with the gradient pointing out is set to the bound
-    and stays.  The step in x is taken if below the full step and x, else
-    the full step if below x or, with a positive definite Hessian, within
-    rounding, else the longest step below x.  A row converges when its full
-    step predicts a decrease below one ulp of y'Wy in the deviance, free of
-    the outcomes' scale, and takes that step on the model alone.  A row
-    that takes no step tries again with all four steps cut by a factor of
-    64, until it takes one; it fails when they are cut below _H of
-    Newton's, or at _MAX_ITER.
+    An iteration makes one `_kernel` call at x for the deviance, gradient
+    and exact Hessian, and one at four projected steps: Newton's in x,
+    which lands on 0 exactly, and the _LADDER of Newton's in log x, which
+    moves a coordinate at 0 by the same share of the step in x.  The latter's
+    Hessian is shifted up to a least eigenvalue of the gradient's norm, so
+    that they move at most 1; the former's only if not positive definite.
+    A coordinate at a bound, or within _ACTIVE of 0, with the gradient
+    pointing out is set to the bound and stays.  The step in x is taken if
+    below the full step and x, else the full step if below x or, with a
+    positive definite Hessian, within rounding, else the longest step
+    below x.  A row converges when its full step predicts a decrease below
+    one ulp of y'Wy in the deviance, free of the outcomes' scale, and
+    takes that step on the model alone.  A row that takes no step tries
+    again with all four steps cut by a factor of 64, until it takes one;
+    it fails when they are cut below _H of Newton's, or at _MAX_ITER.
     """
-    def level(at, pts):  # the deviance, and one ulp of y'Wy carried into it
-        at = np.repeat(at, pts.shape[1])
-        flat = pts.reshape(-1, d)
-        dev, _, _, yy, quad, _ = _deviance(cells, at, flat.sum(axis=1), flat[:, 0],
-                                           parts=True)
-        with np.errstate(divide="ignore", invalid="ignore"):  # where dev is inf
-            ulp = (cells.row_obs[at] - _N_PARAMS) * _EPS * yy / quad
-        return dev.reshape(pts.shape[:2]), ulp.reshape(pts.shape[:2])
-
-    d, eye = x.shape[1], np.eye(x.shape[1])
-    dev, ulp = (a[:, 0] for a in level(rows, x[:, None]))
+    d, eye, dev, ulp = x.shape[1], np.eye(x.shape[1]), np.empty(len(x)), np.empty(len(x))
     converged, todo = np.zeros(len(x), dtype=bool), np.arange(len(x))
     reach = np.ones(len(x))  # the share of Newton's steps that a row tries
     for _ in range(_MAX_ITER):
         if not todo.size:
             break
         xt = x[todo]
-        h = _H * np.maximum(xt, _H)
-        probes = xt[:, None] + h[:, None] * np.vstack((np.zeros(d), eye))
-        g = _gradient(cells, np.repeat(rows[todo], d + 1), probes.sum(axis=2).ravel(),
-                      probes[..., 0].ravel())
-        # by the chain rule, in x
-        g = np.column_stack((g.sum(axis=1), g[:, 0]))[:, :d].reshape(-1, d + 1, d)
-        g, hx = g[:, 0], (g[:, 1:] - g[:, :1]) / h[:, :, None]
+        dev[todo], ulp[todo], _, g, hx = _kernel(cells, rows[todo], xt.sum(axis=1), xt[:, 0], d)
         held = ((xt <= _ACTIVE) & (g > 0.0)) | ((xt >= _HI) & (g < 0.0))
         x[todo] = xt = np.where(held & (xt <= _ACTIVE), 0.0, xt)
         g = np.where(held, 0.0, g)
-        hx = 0.5 * (hx + np.swapaxes(hx, 1, 2))
         # in log x, where a coordinate at 0 has no step, and in x
         gs = np.stack((xt * g, g), axis=1)
         hs = np.stack((xt[:, :, None] * hx * xt[:, None, :] + gs[:, 0, :, None] * eye,
                        hx), axis=1)
         free = ~np.stack((held | (xt == 0.0), held), axis=1)
         hs = np.where(free[..., None] & free[..., None, :], hs, eye)
-        least = np.linalg.eigvalsh(hs)[..., 0]
+        # the least eigenvalue and the shifted solve of each 1x1 or 2x2 system
+        a, b, c = hs[..., 0, 0], (hs[..., 0, 1] if d == 2 else 0.0), hs[..., -1, -1]
+        least = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
         shift = np.maximum(np.sqrt((gs * gs).sum(axis=2)) - least, 0.0)
         shift[:, 1] *= least[:, 1] <= 0.0
-        p = -np.linalg.solve(hs + shift[..., None, None] * eye, gs[..., None])[..., 0]
+        a, c = a + shift, c + shift
+        p = -np.stack((c * gs[..., 0] - b * gs[..., -1], a * gs[..., -1] - b * gs[..., 0]),
+                      axis=2)[..., :d] / (a * c - b * b)[..., None]
         step = (xt + p[:, 1]).clip(0.0, _HI)
         done = -0.5 * ((gs[:, 0] * p[:, 0]).sum(axis=1) + np.where(
             xt == 0.0, g * step, 0.0).sum(axis=1)) <= ulp[todo]
@@ -302,7 +283,8 @@ def _newton(cells: CellStats, rows, x):
         pts = np.concatenate((step[:, None], np.where(
             xt[:, None] == 0.0, ladder * step[:, None],
             xt[:, None] * np.exp(ladder * p[:, :1]))), axis=1).clip(0.0, _HI)
-        new, new_ulp = level(rows[todo], pts)
+        new, new_ulp = (y.reshape(pts.shape[:2]) for y in _kernel(cells, np.repeat(
+            rows[todo], pts.shape[1]), pts.sum(axis=2).ravel(), pts[..., 0].ravel()))
         rounding = _ULPS * (ulp[todo] + _EPS * np.abs(dev[todo]))
         ok = new < dev[todo, None]
         ok[:, 0] &= new[:, 0] < new[:, 1]
@@ -322,13 +304,18 @@ def estimate_variance_components(trial: ObservedTrial | CellStats,
 
     Returns a VarianceComponents, or with `rows` one (VarianceComponents,
     converged) pair per row of the table's jackknife stack
-    (`CellStats.keep`).  Estimates are clamped to [0, inf) with the ICC
-    kept strictly below 1; non-convergence returns the best values found
-    with converged=False.  Rows not yet memoised run in one search.
+    (`CellStats.keep`), each an integer in 0..I (a ValueError names any
+    other).  Estimates are clamped to [0, inf) with the ICC kept strictly
+    below 1; non-convergence returns the best values found with
+    converged=False.  Rows not yet memoised run in one search.
     """
     cells = trial.cells
     memo = cells.reml_memo.setdefault(structure, {})
-    want = [0] if rows is None else [int(r) for r in rows]
+    want, n = [0] if rows is None else list(rows), cells.n_clusters
+    for r in want:
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= n:
+            raise ValueError(f"row {r!r} is not an integer in 0..{n}")
+    want = [int(r) for r in want]
     todo = [r for r in dict.fromkeys(want) if r not in memo]
     if todo:
         memo.update(zip(todo, _reml(cells, structure, np.array(todo))))
@@ -340,10 +327,8 @@ def estimate_variance_components(trial: ObservedTrial | CellStats,
 def _reml(cells: CellStats, structure: CorrelationStructure,
           rows: np.ndarray) -> list[tuple[VarianceComponents, bool]]:
     if structure is CorrelationStructure.INDEPENDENCE:
-        return [(VarianceComponents(s), True)
-                for s in _sigma2(cells, rows, 0.0, 0.0).tolist()]
-
-    if structure is CorrelationStructure.EXCHANGEABLE:
+        x, success = np.zeros((len(rows), 2)), np.ones(len(rows), dtype=bool)
+    elif structure is CorrelationStructure.EXCHANGEABLE:
         x, success = _newton(cells, rows, np.full((len(rows), 1), 0.05 / 0.95))
         x = np.column_stack((x, np.zeros(len(rows))))
     else:
@@ -358,11 +343,11 @@ def _reml(cells: CellStats, structure: CorrelationStructure,
         def deviance(at, x):  # x = (logit rho, logit cac)
             x = np.minimum(np.maximum(x, low), high)
             q = np.exp(x[:, 0])
-            return _deviance(cells, at, q, _expit(x[:, 1]) * q)
+            return _kernel(cells, at, q, _expit(x[:, 1]) * q)[0]
 
         # outcomes without residual variation are refused before the search
-        _profiled(cells, rows, np.full(len(rows), 0.05 / 0.95),
-                  np.full(len(rows), 0.025 / 0.95))
+        _kernel(cells, rows, np.full(len(rows), 0.05 / 0.95),
+                np.full(len(rows), 0.025 / 0.95), 0)
         found = _drive(rows, [_nelder_mead((_logit(0.05), _logit(0.5)))
                               for _ in rows], deviance)
         x = np.minimum(np.maximum(np.array([f[0] for f in found]), low), high)
@@ -371,6 +356,6 @@ def _reml(cells: CellStats, structure: CorrelationStructure,
         q, c = np.exp(x[:, 0]), _expit(x[:, 1])
         x = np.column_stack((c * q, (1.0 - c) * q))
         x[success] = _newton(cells, rows[success], x[success])[0]
-    sigma2 = _sigma2(cells, rows, x.sum(axis=1), x[:, 0])
+    sigma2 = _kernel(cells, rows, x.sum(axis=1), x[:, 0], 0)[2]
     return [(VarianceComponents(s, tau_alpha2=s * ta, tau_gamma2=s * tg), ok)
             for s, ta, tg, ok in zip(sigma2.tolist(), *x.T.tolist(), success.tolist())]

@@ -10,8 +10,7 @@
   the oracles of the one-product assembly `blocks.normal_equations`.
 - `profiled_deviance`: the REML deviance and its gradient in numpy from
   `blocks.normal_equations` and the map's products with the derivatives
-  of e, the oracle of the vectorised `reml._deviance` and
-  `reml._gradient`.
+  of e, the oracle of the vectorised `reml._kernel`.
 - `reml_round`: one lockstep round of REML deviances computed as before
   the per-round kernel was trimmed, which the kernel must match bit for
   bit.
@@ -234,10 +233,10 @@ def profiled_deviance(cells: CellStats, tau_within: float, tau_between: float):
     and de/dtb = (0, 0, 1)/D - a_b e; the map times each gives dM, dv and
     d(y'Wy), and d log det M = tr(M^-1 dM).
     """
-    m, v, yy, logdet = normal_equations(cells, tau_within, tau_between)
+    m, v, yy = normal_equations(cells, tau_within, tau_between)
     m = symmetric(m)
     k0, k1 = cells.k0, cells.k1
-    d, _ = inverse_cell_terms(k0 + k1, k0 * k1, 1.0, tau_within, tau_between)
+    d = inverse_cell_terms(k0 + k1, k0 * k1, 1.0, tau_within, tau_between)
     e = np.array([1.0, tau_within, tau_between])[:, None] / d
     a_w = (k0 + k1) * e[0] + 2.0 * k0 * k1 * e[1]
     a_b = -2.0 * k0 * k1 * e[2]
@@ -253,7 +252,7 @@ def profiled_deviance(cells: CellStats, tau_within: float, tau_between: float):
         dm = x[[0, 1, 2, 1, 3, 3, 2, 3, 4]].reshape(3, 3)
         grad.append(a.sum() + np.sum(m_inv * dm) + dof * (
             x[8] - 2.0 * theta @ x[5:8] + theta @ dm @ theta) / quad)
-    return (logdet + np.linalg.slogdet(m)[1] + dof * math.log(quad),
+    return (np.log(d).sum() + np.linalg.slogdet(m)[1] + dof * math.log(quad),
             np.array(grad))
 
 
@@ -443,7 +442,7 @@ def _solve_normal_per_kind(m, v):
 
 
 def _gls_per_kind(cells, rows, tw=0.0, tb=0.0, weight=None):
-    m, v, yy, _ = normal_equations(cells, tw, tb, weight, rows)
+    m, v, yy = normal_equations(cells, tw, tb, weight, rows)
     theta, inv_dd = _solve_normal_per_kind(m, v)
     return (theta[1], inv_dd, np.maximum(yy - (theta * v).sum(axis=0), 0.0)
             / (cells.row_obs[rows] - 3))

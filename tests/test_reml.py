@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,23 @@ class TestNestedExchangeable:
         with pytest.raises(TrialValidationError):
             ObservedTrial.from_cell_means(cells)
 
+    def test_rows_that_are_not_rows_are_refused(self):
+        # Only integers 0..I name a row of the jackknife stack: -1, 1.5,
+        # True, a float 2.0 and I + 1 are refused by name and memoise
+        # nothing, rather than truncated to a row or failing on an index.
+        cells = benchmark_cells(0)
+        for row in (-1, 1.5, True, np.float64(2.0), 11):
+            with pytest.raises(ValueError, match=re.escape(f"row {row!r} is not an integer")):
+                estimate_variance_components(
+                    cells, CorrelationStructure.EXCHANGEABLE, rows=[0, row])
+        assert CorrelationStructure.EXCHANGEABLE not in cells.reml_memo or not \
+            cells.reml_memo[CorrelationStructure.EXCHANGEABLE]
+        found = estimate_variance_components(
+            cells, CorrelationStructure.EXCHANGEABLE, rows=np.arange(11))
+        assert [vc for vc, _ in found][-1] == estimate_variance_components(
+            cells, CorrelationStructure.EXCHANGEABLE, rows=[10])[0][0]
+        assert sorted(cells.reml_memo[CorrelationStructure.EXCHANGEABLE]) == list(range(11))
+
     def test_full_table_fit_builds_no_keep_mask(self):
         # A full-table search takes the all-ones path at I=400 instead of
         # gathering row 0 of the (401, 400) keep-mask; `masked` runs its
@@ -228,8 +246,8 @@ class TestNestedExchangeable:
 
 def deviance(cells, tw0, tb0, row=0):
     """The vectorised deviance kernel at one point of one table row."""
-    return float(reml._deviance(cells, np.array([row]), np.array([tw0]),
-                                np.array([tb0]))[0])
+    return float(reml._kernel(cells, np.array([row]), np.array([tw0]),
+                              np.array([tb0]))[0][0])
 
 
 def run(search, func):
@@ -479,9 +497,11 @@ def exchangeable_searches(ops):
 
 
 def gradient(cells, tw0, tb0, row=0):
-    """The vectorised gradient kernel at one point of one table row."""
-    return reml._gradient(cells, np.array([row]), np.array([tw0]),
-                          np.array([tb0]))[0]
+    """The kernel's gradient at one point of one table row, in (tw0, tb0)
+    by the chain rule from its box coordinates ta = tb0 and tg = tw0 - tb0."""
+    g_a, g_g = reml._kernel(cells, np.array([row]), np.array([tw0]),
+                            np.array([tb0]), 2)[3][0]
+    return np.array([g_g, g_a - g_g])
 
 
 def benchmark_cells(j):
@@ -549,8 +569,8 @@ class TestProfiledLikelihood:
         t = simulate(vc, 9, n_clusters=6, k=4)
         tw0 = (vc.tau_alpha2 + vc.tau_gamma2) / vc.sigma_w2
         tb0 = vc.tau_alpha2 / vc.sigma_w2
-        s2 = float(reml._sigma2(t.cells, np.array([0]), np.array([tw0]),
-                                np.array([tb0]))[0])
+        s2 = float(reml._kernel(t.cells, np.array([0]), np.array([tw0]),
+                                np.array([tb0]), 0)[2][0])
 
         # Dense restricted likelihood at (s2, s2*tw0, s2*tb0)
         vc_hat = VarianceComponents(s2, s2 * tb0, s2 * (tw0 - tb0))
@@ -589,9 +609,9 @@ class TestProfiledLikelihood:
         cells = ObservedTrial(t.cluster_ids, t.periods, t.sequences,
                               0.0 * t.outcomes + 3.7).cells
         assert not cells.mean0.any() and not cells.within.any()
-        for f in (reml._gradient, reml._sigma2):
+        for dims in (2, 0):
             with pytest.raises(EstimationError, match="residual"):
-                f(cells, np.array([0]), np.array([0.2]), np.array([0.1]))
+                reml._kernel(cells, np.array([0]), np.array([0.2]), np.array([0.1]), dims)
 
     def test_not_positive_definite_points_are_infinite(self):
         # One call with a row whose design is singular (its one treated
@@ -602,16 +622,16 @@ class TestProfiledLikelihood:
         t = ObservedTrial.from_records(
             [(c, p, s, y) for c, s, k in (("t", 1, 3), ("c1", 0, 4), ("c2", 0, 2))
              for p in (0, 1) for y in rng.standard_normal(k)])
-        got = reml._deviance(t.cells, np.array([0, 1, 2, 1]),
-                             np.array([0.2, 0.2, 0.5, 3.0]),
-                             np.array([0.1, 0.0, 0.5, 1.0]))
+        got = reml._kernel(t.cells, np.array([0, 1, 2, 1]),
+                           np.array([0.2, 0.2, 0.5, 3.0]),
+                           np.array([0.1, 0.0, 0.5, 1.0]))[0]
         assert np.isinf(got[[1, 3]]).all()
         assert got[0] == deviance(t.cells, 0.2, 0.1)
         assert got[2] == deviance(t.cells, 0.5, 0.5, row=2)
         flat = ObservedTrial(t.cluster_ids, t.periods, t.sequences,
                              0.0 * t.outcomes + 3.7).cells
-        assert np.isinf(reml._deviance(flat, np.arange(4), np.full(4, 0.2),
-                                       np.full(4, 0.1))).all()
+        assert np.isinf(reml._kernel(flat, np.arange(4), np.full(4, 0.2),
+                                     np.full(4, 0.1))[0]).all()
 
     def test_kernel_matches_normal_equations(self):
         # The Python-float kernel against the numpy evaluation on
@@ -643,3 +663,86 @@ class TestProfiledLikelihood:
                         (deviance(c, tw0, tb0 + h)
                          - deviance(c, tw0, tb0 - h)) / (2 * h)]
                 assert got == pytest.approx(want, rel=1e-5, abs=1e-4)
+
+
+def unequal_cells(index):
+    """Input `index` of the unequal-period analysis benchmark, drawn as the
+    benchmark draws it (before its CSV round trip): nested-exchangeable
+    outcomes on the bundled size table."""
+    rng = np.random.default_rng([20260823, index])
+    sd_a, sd_g = math.sqrt(0.053), math.sqrt(0.013)
+    records = []
+    for cid, seq, k0, k1 in pbcrt.io.load_size_table():
+        alpha, (g0, g1) = sd_a * rng.standard_normal(), sd_g * rng.standard_normal(2)
+        records += [(cid, 0, seq, y) for y in 1.0 + alpha + g0 + rng.standard_normal(k0)]
+        records += [(cid, 1, seq, y) for y in
+                    1.2 + 0.35 * seq + alpha + g1 + rng.standard_normal(k1)]
+    return ObservedTrial.from_records(records).cells
+
+
+def random_cells(seed):
+    """A table of 4 to 40 clusters at random rho, cac and outcome scale."""
+    rng = np.random.default_rng(seed)
+    vc = VarianceComponents.from_iccs(10.0 ** rng.uniform(-3, 5), rng.uniform(0, 0.99),
+                                      rng.uniform(0, 1))
+    sc = SimScenario(n_clusters=2 * int(rng.integers(2, 21)), vc=vc, reps=1,
+                     mixture=PopulationMixture.two_point(
+                         0.5, int(rng.integers(2, 20)), int(rng.integers(2, 40)), 0.2, 0.5),
+                     master_seed=seed)
+    return generate_cells(sc, 0)
+
+
+class TestKernel:
+    """`reml._kernel`'s value mode against the kernel as it was before its
+    derivatives joined it, and its exact Hessian against central differences
+    of its own gradient, on the reference inputs of both REML benchmarks and
+    on random tables."""
+
+    TABLES = ([("i10", j) for j in range(48)] + [("i28", j) for j in range(8)]
+              + [("random", s) for s in range(12)])
+
+    @staticmethod
+    def cells(source, j):
+        return {"i10": benchmark_cells, "i28": unequal_cells, "random": random_cells}[source](j)
+
+    @staticmethod
+    def points(cells, d, seed):
+        """Every row at a random point, on the face ta = 0, and on tg = 0."""
+        rows = np.arange(cells.n_clusters + 1)
+        x = np.random.default_rng(seed).uniform(0.0, 0.5, (3, rows.size, d)) ** 2
+        x[1, :, 0] = 0.0
+        x[2, :, -1] = 0.0
+        return rows, x
+
+    @pytest.mark.parametrize("source,j", TABLES)
+    def test_value_mode_equals_the_untrimmed_kernel(self, source, j):
+        from oracles import _round_deviance
+
+        cells = self.cells(source, j)
+        for d in (1, 2):
+            rows, points = self.points(cells, d, j)
+            for x in points:
+                tw, tb = x.sum(axis=1), x[:, 0]
+                dev = reml._kernel(cells, rows, tw, tb)[0]
+                assert np.array_equal(dev, _round_deviance(cells, rows, tw, tb))
+                assert np.array_equal(reml._kernel(cells, rows, tw, tb, d)[0], dev)
+
+    @pytest.mark.parametrize("source,j", TABLES)
+    def test_hessian_is_the_gradient_s_derivative(self, source, j):
+        cells = self.cells(source, j)
+        for d in (1, 2):
+            rows, points = self.points(cells, d, 100 + j)
+            for x in points:
+                hess = reml._kernel(cells, rows, x.sum(axis=1), x[:, 0], d)[4]
+                scale = np.abs(hess).max(axis=(1, 2))
+                assert (np.abs(hess - np.swapaxes(hess, 1, 2)).max(axis=(1, 2))
+                        <= 1e-12 * scale).all()
+                h, diff = 1e-5 * (x + 1e-2), np.empty_like(hess)
+                for i in range(d):
+                    up, down = x.copy(), x.copy()
+                    up[:, i] += h[:, i]
+                    down[:, i] -= h[:, i]
+                    g_up, g_down = (reml._kernel(cells, rows, y.sum(axis=1), y[:, 0], d)[3]
+                                    for y in (up, down))
+                    diff[:, :, i] = (g_up - g_down) / (up[:, i] - down[:, i])[:, None]
+                assert (np.abs(hess - diff).max(axis=(1, 2)) <= 1e-6 * scale).all()

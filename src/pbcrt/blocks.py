@@ -3,12 +3,12 @@
 Outcomes in one cluster stack as (period-0 cell, period-1 cell).  The
 exchangeable structure puts a common covariance tau_alpha2 on every pair;
 the nested-exchangeable structure adds tau_gamma2 for pairs in the same
-period.  Because entries only depend on cell membership, each block is a
-rank-2 update of sigma_w2 * I, and every quadratic form the estimators
-need is linear in three per-cluster numbers, e = (s, tw, tb) / D with D
-the determinant of the 2x2 cell system.  `gls_map` holds those linear
-coefficients for one cell table, basis by basis, so `normal_equations`
-assembles the 3x3 GLS system shared by REML and every fit, for any list of
+period.  Every fit works in units of sigma_w2 (`unit_ratios`), where
+each block is a rank-2 update of I and every quadratic form it needs is
+linear in three per-cluster numbers, e = (1, tw, tb) / D with D the
+determinant of the 2x2 cell system.  `gls_map` holds those coefficients
+for one cell table, basis by basis, so `normal_equations` assembles the
+3x3 GLS system shared by REML and every fit, for one or an array of
 (ratios, row of the table's keep-masked jackknife stack) points, as one
 contraction of the clusters' weights keep / D with the map (`assemble`).
 `cholesky_solve` factors those systems from their upper triangles, and
@@ -21,7 +21,7 @@ import numpy as np
 from .trial import CellStats, CorrelationStructure, VarianceComponents
 
 __all__ = [
-    "structure_taus",
+    "unit_ratios",
     "inverse_cell_terms",
     "gls_map",
     "normal_equations",
@@ -31,38 +31,39 @@ __all__ = [
 ]
 
 
-def structure_taus(structure: CorrelationStructure, vc: VarianceComponents) -> tuple[float, float]:
-    """(within-period, between-period) covariance contributions of the random effects."""
+def unit_ratios(structure: CorrelationStructure, vc: VarianceComponents) -> tuple[float, float]:
+    """The ratios (tw, tb) of the unit-scale block: the (within-period,
+    between-period) covariances of the random effects over sigma_w2."""
     if structure is CorrelationStructure.INDEPENDENCE:
         return 0.0, 0.0
+    s, ta = vc.sigma_w2, vc.tau_alpha2
     if structure is CorrelationStructure.EXCHANGEABLE:
-        return vc.tau_alpha2, vc.tau_alpha2
-    return vc.tau_alpha2 + vc.tau_gamma2, vc.tau_alpha2
+        return ta / s, ta / s
+    return (ta + vc.tau_gamma2) / s, ta / s
 
 
-def inverse_cell_terms(k, kk, sigma_w2: float, tau_within: float, tau_between: float):
-    """Determinant D of the 2x2 cell system for arbitrary cell sizes, from
-    k = k0 + k1 and kk = k0 k1.
+def inverse_cell_terms(k, kk, tau_within, tau_between):
+    """Determinant D of the 2x2 cell system at unit residual scale for
+    arbitrary cell sizes, from k = k0 + k1 and kk = k0 k1.
 
     With U the (k0+k1) x 2 cell-indicator matrix and
-    M = [[tw, tb], [tb, tw]], the block is R = s*I + U M U' with
+    M = [[tw, tb], [tb, tw]], the block is R = I + U M U' with
 
-        D = det(s*I + diag(k0, k1) M)
-          = s (s + k tw) + kk (tw - tb)(tw + tb),
-        R^{-1} = (1/s) (I - U C U'),   C = M (s*I + diag(k0, k1) M)^{-1},
-        log det R = (k - 2) log s + log D.
+        D = det(I + diag(k0, k1) M) = 1 + k tw + kk (tw - tb)(tw + tb),
+        R^{-1} = I - U C U',   C = M (I + diag(k0, k1) M)^{-1},
+        log det R = log D.
 
-    Every entry of C is linear in e = (s, tw, tb) / D:
+    Every entry of C is linear in e = (1, tw, tb) / D:
 
-        k0 c00 = 1 - s (e_s + k1 e_tw),   k1 c11 = 1 - s (e_s + k0 e_tw),
-        c01 = s e_tb.
+        k0 c00 = 1 - e_1 - k1 e_tw,   k1 c11 = 1 - e_1 - k0 e_tw,   c01 = e_tb.
 
     D is a sum of nonnegative terms whenever tw >= tb >= 0, as every
     structure here gives.  Vectorized over clusters and, with tw and tb of
-    shape (..., 1), over points.
+    shape (..., 1), over points.  (At residual variance s, D is s^2 times
+    D at (tw, tb) / s, and R is s times R at those ratios.)
     """
-    s, tw, tb = sigma_w2, tau_within, tau_between
-    return k * (tw if s == 1.0 else s * tw) + s * s + kk * ((tw - tb) * (tw + tb))
+    tw, tb = tau_within, tau_between
+    return k * tw + 1.0 + kk * ((tw - tb) * (tw + tb))
 
 
 def gls_map(cells: CellStats) -> np.ndarray:
@@ -103,9 +104,8 @@ def normal_equations(cells: CellStats, tau_within, tau_between, weight=None,
     scale, `assemble`d at the clusters' D: the block of each cluster is
     I + U M U' with M = [[tw, tb], [tb, tw]] in residual-variance units.  The
     ratios and each point's row of `CellStats.keep` may be arrays of points."""
-    tw, tb = tau_within, tau_between
-    det = inverse_cell_terms(*cells.block_sizes, 1.0, *(
-        (tw[..., None], tb[..., None]) if isinstance(tw, np.ndarray) else (tw, tb)))
+    tw, tb = np.asarray(tau_within), np.asarray(tau_between)
+    det = inverse_cell_terms(*cells.block_sizes, tw[..., None], tb[..., None])
     return assemble(cells, det, tw, tb, cells.keep(rows), weight)
 
 

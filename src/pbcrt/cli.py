@@ -78,26 +78,26 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1), got {args.level!r}")
-    trial = parse_trial_csv(args.trial)
-    _df(trial.n_clusters)  # t inference needs I >= 3, checked before any fit
+    cells = parse_trial_csv(args.trial).cells
+    _df(cells.n_clusters)  # t inference needs I >= 3, checked before any fit
     kind = EstimatorKind(args.estimator)
-    result = fit_with_inference(trial, kind,
+    result = fit_with_inference(cells, kind,
                                 jackknife=args.variance != "model")
     if not result.converged:
         print("warning: REML did not converge in the fit or a jackknife "
               "refit", file=sys.stderr)
     out = {"estimator": kind.value, "delta_hat": result.delta_hat,
-           "n_clusters": trial.n_clusters, "level": args.level,
+           "n_clusters": cells.n_clusters, "level": args.level,
            "converged": result.converged}
-    print(f"estimator {kind.value}  clusters {trial.n_clusters}")
+    print(f"estimator {kind.value}  clusters {cells.n_clusters}")
     print(f"delta_hat {_fmt(result.delta_hat)}")
     variances = {"model": result.model_based_var,
                  "jackknife": result.jackknife_var}
     for name in variances if args.variance == "both" else [args.variance]:
         var = variances[name]
-        ci = confidence_interval(result.delta_hat, var, trial.n_clusters,
+        ci = confidence_interval(result.delta_hat, var, cells.n_clusters,
                                  args.level)
-        p = wald_test(result.delta_hat, var, trial.n_clusters)
+        p = wald_test(result.delta_hat, var, cells.n_clusters)
         out[name] = {"variance": var, "se": float(np.sqrt(var)),
                      "ci_lower": ci.lower, "ci_upper": ci.upper, "p_value": p}
         print(f"{name}: se {_fmt(np.sqrt(var))}  "

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .estimators import (EstimatorKind, UnsupportedWeightingError,
-                         _cluster_weight, _solve, _unit_ratios)
+from .blocks import unit_ratios
+from .estimators import EstimatorKind, _fitted_on, _solve
 from .trial import CellStats, VarianceComponents
 
 __all__ = [
@@ -80,9 +81,14 @@ class PopulationMixture:
     def __len__(self) -> int:
         return len(self.subpops)
 
-    @property
-    def equal_period_sizes(self) -> bool:
-        return all(s.k0 == s.k1 for s in self.subpops)
+    @cached_property
+    def table(self) -> CellStats:
+        """The population table: the subpopulations in the control arm, then
+        in the treated arm, one cluster each, with cell means 0 and arm x delta."""
+        _, k0, k1, d = (np.tile(a, 2) for a in self.arrays())
+        arm = np.repeat((0.0, 1.0), len(self))
+        return CellStats(np.arange(arm.size), arm, k0, k1, np.zeros_like(d),
+                         arm * d, np.zeros_like(d), 0.0)
 
     def arrays(self):
         p = np.array([s.prob for s in self.subpops])
@@ -121,43 +127,32 @@ def neme_weight(k, rho_wp: float, rho_bp: float):
     return num / (num * num - (k * rho_bp) ** 2)
 
 
-def _require_equal_periods(mix: PopulationMixture, kind: EstimatorKind):
-    if not mix.equal_period_sizes:
-        raise UnsupportedWeightingError(
-            f"{kind.value} limits assume equal cluster-period sizes within a cluster")
-
-
 def plim(kind: EstimatorKind, mix: PopulationMixture,
          vc: VarianceComponents | None = None) -> float:
     """Large-I limit of one estimator: its fit on the mixture's population
-    table, one cluster per (subpopulation, arm) weighted by its probability,
-    with cell means 0 and arm x delta.  Mixed kinds need variance components,
-    and the weighted ones refuse unequal period sizes as their fits do."""
-    p, k0, k1, d = (np.tile(a, 2) for a in mix.arrays())
-    arm = np.repeat((0.0, 1.0), len(mix))
-    table = CellStats(np.arange(arm.size), arm, k0, k1, np.zeros_like(d),
-                      arm * d, np.zeros_like(d), 0.0)
-    if kind.weighted and not kind.mixed:
-        table = table.means
-    if kind in (EstimatorKind.FE, EstimatorKind.FEW):
-        h = arm * p * table.k0 * table.k1 / (table.k0 + table.k1)
-        return float(h @ table.mean1 / h.sum())
+    table, each cluster weighted by its probability.  Mixed kinds need
+    variance components, and the weighted ones refuse unequal period sizes
+    as their fits do."""
     if kind.mixed and vc is None:
         raise ValueError(f"{kind.value} limit needs variance components")
-    ratios = _unit_ratios(kind.structure, vc) if kind.mixed else (0.0, 0.0)
-    size = _cluster_weight(table, kind.weighted) if kind.mixed else None
+    table, size = _fitted_on(mix.table, kind)
+    p = np.tile(mix.arrays()[0], 2)
+    if kind in (EstimatorKind.FE, EstimatorKind.FEW):
+        h = table.sequence * p * table.k0 * table.k1 / (table.k0 + table.k1)
+        return float(h @ table.mean1 / h.sum())
     with np.errstate(over="ignore"):  # a subnormal probability weighs 0
         weight = (1.0 if size is None else size) / p
-    return float(_solve(table, *ratios, weight)[1])
+    return float(_solve(table, *unit_ratios(kind.structure, vc), weight)[1])
 
 
 def estimand_weights(kind: EstimatorKind, mix: PopulationMixture,
                      vc: VarianceComponents) -> tuple[float, ...]:
     """The multipliers lambda_u, with E[lambda] = 1, by which the weighted
-    mixed estimator `kind` (emew or nemew) tilts the cATE, per subpopulation."""
+    mixed estimator `kind` (emew or nemew) tilts the cATE, per subpopulation.
+    Unequal period sizes are refused as the fits refuse them."""
     if kind not in (EstimatorKind.EMEW, EstimatorKind.NEMEW):
         raise ValueError(f"estimand weights are those of emew and nemew, not {kind.value}")
-    _require_equal_periods(mix, kind)
+    _fitted_on(mix.table, kind)
     p, k0, _, _ = mix.arrays()
     g = (eme_weight(k0, vc.rho) if kind is EstimatorKind.EMEW
          else neme_weight(k0, vc.rho_wp, vc.rho_bp))
@@ -191,7 +186,7 @@ def emew_bias(mix: PopulationMixture, vc: VarianceComponents) -> float:
     """
     if len(mix) != 2:
         raise ValueError("bias formula applies to two-subpopulation mixtures")
-    _require_equal_periods(mix, EstimatorKind.EMEW)
+    _fitted_on(mix.table, EstimatorKind.EMEW)
     (s1, s2) = mix.subpops
     g1 = float(eme_weight(s1.k0, vc.rho))
     g2 = float(eme_weight(s2.k0, vc.rho))

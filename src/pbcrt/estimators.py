@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import back_substitute, cholesky_solve, normal_equations, structure_taus
+from .blocks import back_substitute, cholesky_solve, normal_equations, unit_ratios
 from .reml import estimate_variance_components
 from .trial import (
     CellStats,
@@ -123,21 +123,23 @@ def fit_rows(cells: CellStats, kinds, options: FitOptions, rows) -> dict:
     order or the `EstimationError` that stopped it.  No kind's or row's
     result depends on the others, so `fit` is the one-kind, one-row case.
     fe and few are closed forms; the other kinds are GLS points of
-    `_solve_gls`."""
+    `_solve_gls`, grouped by the table and divisor they fit on."""
     rows = np.array(rows, ndmin=1)
-    found, groups = {}, ([], [], [])
+    found, groups = {}, {}
     for kind in kinds:
         try:
+            table, divisor = _fitted_on(cells, kind)
             if kind in (EstimatorKind.FE, EstimatorKind.FEW):
-                found[kind] = (*(a.tolist() for a in _fixed_effects(
-                    cells.means if kind.weighted else cells, rows)), None, None)
+                found[kind] = (*(a.tolist() for a in _fixed_effects(table, rows)),
+                               None, None)
             else:
-                group = 2 if kind is EstimatorKind.IEEW else int(kind.weighted)
-                groups[group].append((kind, *_ratios(cells, kind, options, rows)))
+                point = kind, *_ratios(cells, kind, options, rows)
+                key = id(table), id(divisor)  # neither is hashable
+                groups.setdefault(key, (table, divisor, []))[2].append(point)
         except EstimationError as exc:
             found[kind] = exc
-    if any(groups):
-        found.update(_solve_gls(cells, rows, groups))
+    if groups:
+        found.update(_solve_gls(rows, groups.values()))
     n_clusters = (cells.n_clusters - (rows > 0)).tolist()
     for kind, fits in found.items():
         if not isinstance(fits, EstimationError):
@@ -149,6 +151,21 @@ def fit_rows(cells: CellStats, kinds, options: FitOptions, rows) -> dict:
             found[kind] = [FitResult(kind, *f) for f in zip(
                 delta, n_clusters, var, vcs, converged or [True] * rows.size)]
     return {kind: found[kind] for kind in kinds}
+
+
+def _fitted_on(cells: CellStats, kind: EstimatorKind):
+    """The table a kind fits on and the divisor of each cluster's terms: the
+    table, undivided, but ieew and few fit its cell means, and emew and nemew
+    divide by the cell size K, which needs equal period sizes."""
+    if not kind.weighted:
+        return cells, None
+    if not kind.mixed:
+        return cells.means, None
+    if not cells.equal_period_sizes:
+        raise UnsupportedWeightingError(
+            "inverse cluster-period size weights with a correlated "
+            "structure require equal period sizes within every cluster")
+    return cells, cells.k0
 
 
 def _solve_normal(m, v: np.ndarray):
@@ -169,23 +186,18 @@ def _solve(cells: CellStats, tw=0.0, tb=0.0, weight=None) -> np.ndarray:
     return theta
 
 
-def _solve_gls(cells: CellStats, rows: np.ndarray, groups) -> dict:
+def _solve_gls(rows: np.ndarray, groups) -> dict:
     """Per GLS kind, lists of delta_hat, the model variance and the residual
     mean square (y'W y - theta'v) / (n - 3) on each row, its components and
-    whether they converged, or its error.  The groups are points of one
-    `normal_equations` call each, all solved at once: iee, eme and neme on
-    the table, emew and nemew divided by the cell size, ieew on the cell
-    means.  (A valid trial has two clusters with both cells filled, so
-    n - 3 >= 1.)"""
+    whether they converged, or its error.  Each group (table, divisor,
+    points) is one `normal_equations` call, and all are solved at once.  (A
+    valid trial has two clusters with both cells filled, so n - 3 >= 1.)"""
     eqs, dof, points = [], [], []
-    for g, group in enumerate(groups):
-        if group:
-            table = cells.means if g == 2 else cells
-            _, tw, tb, _, _ = zip(*group)
-            eqs.append(normal_equations(table, np.array(tw), np.array(tb),
-                                        cells.k0 if g == 1 else None, rows))
-            dof += [table.row_obs[rows] - 3] * len(group)
-            points += group
+    for table, divisor, group in groups:
+        _, tw, tb, _, _ = zip(*group)
+        eqs.append(normal_equations(table, np.array(tw), np.array(tb), divisor, rows))
+        dof += [table.row_obs[rows] - 3] * len(group)
+        points += group
     m, v, yy = (eqs[0] if len(eqs) == 1 else
                 (np.concatenate(a, axis=-2) for a in zip(*eqs)))
     with np.errstate(all="ignore"):
@@ -235,30 +247,13 @@ def _fixed_effects(cells: CellStats, rows: np.ndarray):
 # ---------------------------------------------------------------------------
 # GLS fits with block covariance
 
-def _cluster_weight(cells: CellStats, weighted: bool):
-    """Divisor of each cluster's GLS terms: none, or its cell size K."""
-    if not weighted:
-        return None
-    if not cells.equal_period_sizes:
-        raise UnsupportedWeightingError(
-            "inverse cluster-period size weights with a correlated "
-            "structure require equal period sizes within every cluster")
-    return cells.k0
-
-
-def _unit_ratios(structure: CorrelationStructure, vc: VarianceComponents):
-    """The structure's covariance contributions in residual-variance units."""
-    return tuple(tau / vc.sigma_w2 for tau in structure_taus(structure, vc))
-
-
 def _ratios(cells: CellStats, kind: EstimatorKind, options: FitOptions,
             rows: np.ndarray):
     """A GLS kind's unit ratios tw and tb, components and REML convergence,
     each a sequence over the rows (components None for an independence fit)."""
     if not kind.mixed:
         return [0.0] * rows.size, [0.0] * rows.size, None, None
-    _cluster_weight(cells, kind.weighted)
     found = ([(options.vc, True)] * rows.size if options.vc is not None else
              estimate_variance_components(cells, kind.structure, rows=rows))
     vcs, converged = (list(a) for a in zip(*found))
-    return (*zip(*(_unit_ratios(kind.structure, vc) for vc in vcs)), vcs, converged)
+    return (*zip(*(unit_ratios(kind.structure, vc) for vc in vcs)), vcs, converged)

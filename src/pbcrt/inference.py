@@ -95,15 +95,18 @@ def _t_tail(t, df: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _t_quantile(q: float, df: int) -> float:
     """The q quantile of Student's t, 1/2 <= q <= 1, by Newton steps on `_t_tail`
-    from t = 0, which rise monotonically to the root as the tail is convex."""
-    p, t = 2.0 * (1.0 - q), 0.0
+    from the normal quantile, which rise to the root as the tail is convex, until
+    the next step, about step^2 (df + 1) t / (2 (df + t^2)), is below 1e-16 t."""
+    p = 2.0 * (1.0 - q)
     if p == 0.0:
         return math.inf
+    from statistics import NormalDist  # here, as it loads 5 more modules
+    t = NormalDist().inv_cdf(q)
     for _ in range(100):  # about 60 at most, for df = 1 and q = 1 - 2^-53
         f = math.exp(-(df + 1) / 2.0 * math.log1p(t * t / df)) * _inv_beta(df)
         step = (float(_t_tail(t, df)) - p) * math.sqrt(df) / (2.0 * f)
         t += step
-        if step <= 1e-15 * t:
+        if step * step * (df + 1) <= 2e-16 * (df + t * t):
             break
     return t
 

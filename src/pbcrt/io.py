@@ -24,10 +24,12 @@ def parse_trial_csv(path) -> ObservedTrial:
     """Read a long-form trial file; every row is one individual outcome.
 
     The header must name the columns cluster_id, period, sequence and
-    outcome; other columns are ignored, and so are blank lines.  The
-    columns are converted whole; a file that fails is read again row by
-    row, so that an error of one row carries its line number.
+    outcome; other columns are ignored, and so are blank lines.  Each row
+    is converted and checked as it is read, so that an error of one row
+    carries its line number; fields missing from a short row are None, as
+    `csv.DictReader` reads them.
     """
+    columns = cids, pers, seqs, ys = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -37,35 +39,32 @@ def parse_trial_csv(path) -> ObservedTrial:
         if missing:
             raise TrialValidationError(
                 f"{path}: missing column(s) {', '.join(missing)}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise TrialValidationError(f"{path}: no data rows")
-    column = {name: i for i, name in enumerate(header)}
-    cid, per, seq, y = (column[c] for c in _COLUMNS)
-    try:
-        pers, seqs = (np.array([int(r[i]) for r in rows]) for i in (per, seq))
-        return ObservedTrial(np.array([r[cid] for r in rows]), pers, seqs,
-                             np.array([float(r[y]) for r in rows]))
-    except (IndexError, OverflowError, TypeError, ValueError) as exc:
-        _raise_bad_row(path)
-        raise TrialValidationError(f"{path}: {exc}") from exc
-
-
-def _raise_bad_row(path) -> None:
-    """Raise the error of the file's first bad data row, with its line."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        column = {name: i for i, name in enumerate(header)}
+        cid, per, seq, out = (column[c] for c in _COLUMNS)
         for row in reader:
-            where = f"{path}:{reader.line_num}"
+            if len(row) < len(header):
+                if not row:
+                    continue
+                row += [None] * (len(header) - len(row))
             try:
-                values = (int(row["period"]), int(row["sequence"]),
-                          float(row["outcome"]))
+                p, s, y = int(row[per]), int(row[seq]), float(row[out])
             except (TypeError, ValueError) as exc:
-                raise TrialValidationError(f"{where}: {exc}") from exc
-            for name, value in zip(("period", "sequence"), values):
-                if value not in (0, 1):
-                    raise TrialValidationError(
-                        f"{where}: {name} must be 0 or 1, got {value}")
+                raise TrialValidationError(f"{path}:{reader.line_num}: {exc}") from exc
+            if p not in (0, 1) or s not in (0, 1) or row[cid] is None:
+                raise TrialValidationError(f"{path}:{reader.line_num}: " + (
+                    f"period must be 0 or 1, got {p}" if p not in (0, 1) else
+                    f"sequence must be 0 or 1, got {s}" if s not in (0, 1) else
+                    "no cluster_id"))
+            cids.append(row[cid])
+            pers.append(p)
+            seqs.append(s)
+            ys.append(y)
+    if not ys:
+        raise TrialValidationError(f"{path}: no data rows")
+    try:
+        return ObservedTrial(*map(np.array, columns))
+    except TrialValidationError as exc:
+        raise TrialValidationError(f"{path}: {exc}") from exc
 
 
 def emit_trial_csv(trial: ObservedTrial, path) -> None:

@@ -183,7 +183,7 @@ def _kernel(cells: CellStats, rows, tw, tb, dims=None):
     2 theta'v_j + theta'M_j theta.
     """
     (k, kk), keep = cells.block_sizes, cells.keep(rows)
-    det = inverse_cell_terms(k, kk, 1.0, tw[:, None], tb[:, None])
+    det = inverse_cell_terms(k, kk, tw[:, None], tb[:, None])
     m, v, yy = assemble(cells, det, tw, tb, keep)
     dof = cells.row_obs[rows] - _N_PARAMS
     with np.errstate(all="ignore"):

@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _ALL_KINDS = tuple(EstimatorKind)
+# Records one replicate may expect, 2 n_clusters K for its largest size mean
+# K: at 33 (cells) to 60 (records) bytes per record, at most 0.6 GB.
+_MAX_RECORDS = 10**7
 
 
 class StudyError(RuntimeError):
@@ -99,10 +102,12 @@ class SimScenario:
             raise ValueError("reps must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
-        if not self.mixture.equal_period_sizes:
+        if not self.mixture.table.equal_period_sizes:
             raise ValueError("size means must be equal across periods")
-        if any(s.k0 < 1 for s in self.mixture.subpops):
-            raise ValueError("Poisson size means must be >= 1")
+        records = 2 * self.n_clusters * max(s.k0 for s in self.mixture.subpops)
+        if records > _MAX_RECORDS:
+            raise ValueError(f"mixture: {self.n_clusters} clusters at its largest size mean "
+                             f"expect {records} records a replicate, over {_MAX_RECORDS}")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
 

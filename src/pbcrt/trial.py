@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -320,43 +320,3 @@ class ObservedTrial:
     def cluster_ids(self) -> np.ndarray:
         """Each record's cluster label, gathered on first use."""
         return self.cells.ids[self._code]
-
-    @property
-    def n_clusters(self) -> int:
-        return self.cells.n_clusters
-
-    @property
-    def n_obs(self) -> int:
-        return int(self.outcomes.size)
-
-    @property
-    def equal_period_sizes(self) -> bool:
-        return self.cells.equal_period_sizes
-
-    @classmethod
-    def from_records(cls, records: Iterable[tuple]) -> "ObservedTrial":
-        """Build from an iterable of (cluster_id, period, sequence, outcome)."""
-        rows = list(records)
-        if not rows:
-            raise TrialValidationError("no records")
-        cids, pers, seqs, ys = zip(*rows)
-        return cls(cids, pers, seqs, ys)
-
-    @classmethod
-    def from_cell_means(cls, cells: Iterable[tuple]) -> "ObservedTrial":
-        """Build from (cluster_id, sequence, k0, k1, mean0, mean1) cell summaries.
-
-        Every individual in a cell is assigned the cell mean; useful for
-        noiseless fixtures and size-table skeletons.
-        """
-        rows = list(cells)
-        if not rows:
-            raise TrialValidationError("no records")
-        cids, seqs, k0, k1, m0, m1 = zip(*rows)
-        size = np.column_stack((k0, k1)).ravel()
-        if (size < 0).any():
-            raise TrialValidationError("cell sizes must be nonnegative")
-        cell = np.repeat(np.arange(size.size), size)
-        return cls(np.fromiter(cids, dtype=object)[cell // 2], cell % 2,
-                   np.asarray(seqs)[cell // 2],
-                   np.column_stack((m0, m1)).ravel()[cell])

@@ -14,6 +14,9 @@
 - `reml_round`: one lockstep round of REML deviances computed as before
   the per-round kernel was trimmed, which the kernel must match bit for
   bit.
+- `from_records` and `from_cell_means`: trials built from record tuples
+  or from cell summaries, every record of a cell at its mean, for
+  noiseless fixtures and size-table skeletons.
 - `generate_trial_records`: trial generation one cluster at a time with
   per-record Python lists, the stream `simulate.generate_trial` must
   reproduce bit for bit.
@@ -38,11 +41,13 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
-from pbcrt import CellStats, CorrelationStructure, ObservedTrial, VarianceComponents, fit
-from pbcrt.blocks import cholesky_solve, inverse_cell_terms, normal_equations, structure_taus
+from pbcrt import (CellStats, CorrelationStructure, ObservedTrial, TrialValidationError,
+                   VarianceComponents, fit)
+from pbcrt.blocks import cholesky_solve, inverse_cell_terms, normal_equations
 from pbcrt.estimators import (EstimationError, EstimatorKind, FitOptions, FitResult,
                               UnsupportedWeightingError)
 from pbcrt.estimands import true_cate, true_pate
@@ -51,6 +56,31 @@ from pbcrt.reml import estimate_variance_components
 from pbcrt.simulate import (EstimatorSummary, SimReport, SimScenario, StudyError,
                             _rel_bias_pct, _subpop_assignment, _truncated_poisson,
                             generate_cells)
+
+
+def from_records(records: Iterable[tuple]) -> ObservedTrial:
+    """A trial from an iterable of (cluster_id, period, sequence, outcome)."""
+    rows = list(records)
+    if not rows:
+        raise TrialValidationError("no records")
+    cids, pers, seqs, ys = zip(*rows)
+    return ObservedTrial(cids, pers, seqs, ys)
+
+
+def from_cell_means(cells: Iterable[tuple]) -> ObservedTrial:
+    """A trial from (cluster_id, sequence, k0, k1, mean0, mean1) cell
+    summaries, every individual in a cell at the cell mean."""
+    rows = list(cells)
+    if not rows:
+        raise TrialValidationError("no records")
+    cids, seqs, k0, k1, m0, m1 = zip(*rows)
+    size = np.column_stack((k0, k1)).ravel()
+    if (size < 0).any():
+        raise TrialValidationError("cell sizes must be nonnegative")
+    cell = np.repeat(np.arange(size.size), size)
+    return ObservedTrial(np.fromiter(cids, dtype=object)[cell // 2], cell % 2,
+                         np.asarray(seqs)[cell // 2],
+                         np.column_stack((m0, m1)).ravel()[cell])
 
 
 @dataclass(frozen=True)
@@ -112,6 +142,16 @@ def neme_block_terms(k: int, vc: VarianceComponents, weighted: bool = False) -> 
     if weighted:
         d, f, g, a, b = d / k, f / k, g / k, a / k, b / k
     return BlockTerms(d=d, f=f, g=g, a=a, b=b)
+
+
+def structure_taus(structure: CorrelationStructure, vc: VarianceComponents) -> tuple[float, float]:
+    """(within-period, between-period) covariance contributions of the random
+    effects, in the units of the data."""
+    if structure is CorrelationStructure.INDEPENDENCE:
+        return 0.0, 0.0
+    if structure is CorrelationStructure.EXCHANGEABLE:
+        return vc.tau_alpha2, vc.tau_alpha2
+    return vc.tau_alpha2 + vc.tau_gamma2, vc.tau_alpha2
 
 
 def dense_block(structure: CorrelationStructure, k0: int, k1: int,
@@ -236,7 +276,7 @@ def profiled_deviance(cells: CellStats, tau_within: float, tau_between: float):
     m, v, yy = normal_equations(cells, tau_within, tau_between)
     m = symmetric(m)
     k0, k1 = cells.k0, cells.k1
-    d = inverse_cell_terms(k0 + k1, k0 * k1, 1.0, tau_within, tau_between)
+    d = inverse_cell_terms(k0 + k1, k0 * k1, tau_within, tau_between)
     e = np.array([1.0, tau_within, tau_between])[:, None] / d
     a_w = (k0 + k1) * e[0] + 2.0 * k0 * k1 * e[1]
     a_b = -2.0 * k0 * k1 * e[2]

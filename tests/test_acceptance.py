@@ -134,7 +134,7 @@ def test_criterion_2_estimator_collapses(capsys):
             fit(t, EstimatorKind.EME, FitOptions(vc=vc_zero)).delta_hat - d_iee,
             fit(t, EstimatorKind.EMEW, FitOptions(vc=vc_zero)).delta_hat - d_ieew,
         ]
-        if t.equal_period_sizes and len(set(t.cells.k0)) == 1:
+        if t.cells.equal_period_sizes and len(set(t.cells.k0)) == 1:
             # constant sizes: weighting is irrelevant
             diffs += [
                 d_ieew - d_iee,

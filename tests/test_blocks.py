@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from pbcrt import (CorrelationStructure, ObservedTrial, PopulationMixture,
                    SimScenario, VarianceComponents, generate_trial)
-from pbcrt.blocks import inverse_cell_terms, normal_equations, structure_taus
+from pbcrt.blocks import inverse_cell_terms, normal_equations
 from pbcrt.trial import CellStats
 from pbcrt.io import load_size_table
 
 from oracles import (block_logdet, dense_block, eme_block_terms, neme_block_terms,
                      normal_equations_elementwise, normal_equations_exact,
-                     symmetric)
+                     structure_taus, symmetric)
 
 STRUCTS = [CorrelationStructure.EXCHANGEABLE,
            CorrelationStructure.NESTED_EXCHANGEABLE]
@@ -28,9 +28,10 @@ def random_vc(rng):
 
 def cell_terms(k0, k1, s, tw, tb):
     """(c00, c01, c11, logdet) of R^-1 = (1/s)(I - U C U'), from the basis
-    e = (s, tw, tb) / D of the D that `inverse_cell_terms` returns."""
+    e = (s, tw, tb) / D of the determinant at residual variance s, D =
+    s^2 D_1(tw / s, tb / s) with D_1 the unit-scale `inverse_cell_terms`."""
     k0, k1 = (np.asarray(k, dtype=np.float64) for k in (k0, k1))
-    d = inverse_cell_terms(k0 + k1, k0 * k1, s, tw, tb)
+    d = s * s * inverse_cell_terms(k0 + k1, k0 * k1, tw / s, tb / s)
     logdet = (k0 + k1 - 2.0) * math.log(s) + np.log(d)
     e_s, e_w, e_b = (c / np.atleast_1d(d) for c in (s, tw, tb))
     return ((1.0 - s * (e_s + k1 * e_w)) / k0, s * e_b,
@@ -287,7 +288,7 @@ class TestAssemblyAccuracy:
         cells = jiah_size_cells(33, 1.0)
         for ratio in self.RATIOS:
             for cac in (0.0, 0.5, 1.0):
-                got = np.log(inverse_cell_terms(*cells.block_sizes, 1.0, ratio,
+                got = np.log(inverse_cell_terms(*cells.block_sizes, ratio,
                                                 cac * ratio)).sum()
                 want = normal_equations_elementwise(cells, ratio, cac * ratio)[3]
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -313,7 +314,7 @@ class TestAssemblyAccuracy:
         tb = tw * np.array([0.0, 0.5, 1.0] * 3)
         m, v, yy = normal_equations(cells, tw, tb, weight, rows)
         logdet = (cells.keep(rows) * np.log(inverse_cell_terms(
-            *cells.block_sizes, 1.0, tw[:, None], tb[:, None]))).sum(axis=1)
+            *cells.block_sizes, tw[:, None], tb[:, None]))).sum(axis=1)
         with np.errstate(all="ignore"):
             (*_, l22), z = cholesky_solve(m, v)
         quad = yy - (z[0] ** 2 + z[1] ** 2 + z[2] ** 2)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from pbcrt import (
     EstimatorKind,
     FitOptions,
-    ObservedTrial,
     PopulationMixture,
     UnsupportedWeightingError,
     VarianceComponents,
     emew_bias,
     estimand_weights,
     fit,
+    fit_with_inference,
     optimal_icc,
     optimal_sampling_prob,
     plim,
@@ -23,12 +23,45 @@ from pbcrt import (
 )
 from pbcrt.estimands import eme_weight, neme_weight
 
+from oracles import from_cell_means
+
 INFORMATIVE = PopulationMixture.two_point(0.5, 20, 100, 0.2, 0.5)
 VC = VarianceComponents(1.0, 0.053, 0.013)
 
 
 def vc_from_rho(rho, cac=1.0):
     return VarianceComponents.from_iccs(1.0, rho, cac)
+
+
+UNEQUAL = PopulationMixture.two_point(0.5, (20, 40), (100, 60), 0.2, 0.5)
+REFUSAL = ("inverse cluster-period size weights with a correlated structure "
+           "require equal period sizes within every cluster")
+
+
+@pytest.mark.parametrize("kind", [EstimatorKind.EMEW, EstimatorKind.NEMEW,
+                                  EstimatorKind.EME, EstimatorKind.NEME,
+                                  EstimatorKind.IEEW, EstimatorKind.FEW])
+def test_unequal_periods_refused_by_one_check(kind):
+    # The weighted mixed kinds refuse unequal period sizes with one error
+    # and one message, in their fits and in every closed form of the
+    # mixture; the other kinds that fit the table or its means do not.
+    trial = from_cell_means(
+        (f"c{i}-{arm}-{j}", arm, s.k0, s.k1, 0.0, arm * s.delta + 0.1 * j)
+        for i, s in enumerate(UNEQUAL.subpops) for arm in (0, 1) for j in range(2))
+    options = FitOptions(vc=VC)
+    calls = [lambda: fit(trial, kind, options).delta_hat,
+             lambda: fit_with_inference(trial, kind, options).jackknife_var,
+             lambda: plim(kind, UNEQUAL, VC)]
+    if not (kind.weighted and kind.mixed):
+        assert all(math.isfinite(call()) for call in calls)
+        return
+    calls.append(lambda: estimand_weights(kind, UNEQUAL, VC))
+    if kind is EstimatorKind.EMEW:
+        calls.append(lambda: emew_bias(UNEQUAL, VC))
+    for call in calls:
+        with pytest.raises(UnsupportedWeightingError) as info:
+            call()
+        assert str(info.value) == REFUSAL
 
 
 class TestMixture:
@@ -66,7 +99,7 @@ class TestMixture:
 
     def test_period_size_pairs(self):
         mix = PopulationMixture([(0.4, (10, 30), 0.2), (0.6, 5, 0.1)])
-        assert not mix.equal_period_sizes
+        assert not mix.table.equal_period_sizes
         assert mix.subpops[0].k0 == 10 and mix.subpops[0].k1 == 30
 
 
@@ -172,7 +205,7 @@ class TestPlims:
         # components is the limit, up to rounding.
         total = sum(n for n, _, _ in rows)
         mix = PopulationMixture([(n / total, k, d) for n, k, d in rows])
-        trial = ObservedTrial.from_cell_means(
+        trial = from_cell_means(
             (f"c{i}-{arm}-{j}", arm, s.k0, s.k1, 0.0, arm * s.delta)
             for i, s in enumerate(mix.subpops) for arm in (0, 1)
             for j in range(rows[i][0]))
@@ -180,7 +213,7 @@ class TestPlims:
             try:
                 want = plim(kind, mix, VC)
             except UnsupportedWeightingError:
-                assert not mix.equal_period_sizes and kind.weighted and kind.mixed
+                assert not mix.table.equal_period_sizes and kind.weighted and kind.mixed
                 with pytest.raises(UnsupportedWeightingError):
                     fit(trial, kind, FitOptions(vc=VC))
                 continue

@@ -22,11 +22,13 @@ from pbcrt import (
     fit,
     generate_trial,
 )
+from pbcrt.blocks import unit_ratios
 from pbcrt.estimators import fit_rows
 from pbcrt.inference import fit_kinds, fit_with_inference
 from pbcrt.io import load_size_table
 
-from oracles import dense_block, fit_rows_per_kind, fit_with_inference_per_kind
+from oracles import (dense_block, fit_rows_per_kind, fit_with_inference_per_kind,
+                     from_cell_means, from_records)
 
 MU, PHI = 1.0, 0.2
 
@@ -39,7 +41,7 @@ def noiseless_informative_trial():
         ("c20", 0, 20, 20, MU, MU + PHI),
         ("c100", 0, 100, 100, MU, MU + PHI),
     ]
-    return ObservedTrial.from_cell_means(cells)
+    return from_cell_means(cells)
 
 
 def random_trial(seed, n_clusters=8, sizes=(3, 9), deltas=(0.4, 1.0),
@@ -56,7 +58,7 @@ def random_trial(seed, n_clusters=8, sizes=(3, 9), deltas=(0.4, 1.0),
     # within-cluster size imbalance.
     first = t.cells.ids[0]
     idx = np.nonzero((t.cluster_ids == first) & (t.periods == 1))[0]
-    keep = np.ones(t.n_obs, dtype=bool)
+    keep = np.ones(t.cells.n_obs, dtype=bool)
     keep[idx[0]] = False
     return ObservedTrial(t.cluster_ids[keep], t.periods[keep],
                          t.sequences[keep], t.outcomes[keep])
@@ -108,7 +110,7 @@ class TestFixedEffects:
     def test_fe_noiseless_did(self):
         cells = [("t1", 1, 4, 4, 2.0, 5.0), ("t2", 1, 4, 4, 3.0, 6.0),
                  ("c1", 0, 4, 4, 1.0, 3.0), ("c2", 0, 4, 4, 0.0, 2.0)]
-        t = ObservedTrial.from_cell_means(cells)
+        t = from_cell_means(cells)
         r = fit(t, EstimatorKind.FE)
         # (5 - 2) - (3 - 1)
         assert r.delta_hat == pytest.approx(1.0, abs=1e-12)
@@ -127,7 +129,7 @@ class TestFixedEffects:
 
     def test_fe_handles_unequal_period_sizes(self):
         t = random_trial(104, unequal_periods=True)
-        assert not t.equal_period_sizes
+        assert not t.cells.equal_period_sizes
         r = fit(t, EstimatorKind.FE)
         assert np.isfinite(r.delta_hat)
         assert r.model_based_var > 0
@@ -142,7 +144,7 @@ def jiah_trial(seed):
         records += [(cid, 0, seq, MU + alpha + y) for y in rng.standard_normal(k0)]
         records += [(cid, 1, seq, MU + PHI + 0.35 * seq + alpha + y)
                     for y in rng.standard_normal(k1)]
-    return ObservedTrial.from_records(records)
+    return from_records(records)
 
 
 def dense_fixed_effects(trial, weighted):
@@ -191,8 +193,8 @@ class TestGlsAgainstDense:
     def _gls_theta(trial, structure, vc, weighted=False):
         """(mu, delta, phi1) of the (weighted) GLS normal equations."""
         cells = trial.cells
-        theta = estimators._solve(cells, *estimators._unit_ratios(structure, vc),
-                                  estimators._cluster_weight(cells, weighted))
+        theta = estimators._solve(cells, *unit_ratios(structure, vc),
+                                  cells.k0 if weighted else None)
         theta[0] += cells.origin
         return theta
 
@@ -247,7 +249,7 @@ class TestGlsAgainstDense:
 
     def test_weighted_unequal_sizes_rejected(self):
         t = random_trial(107, unequal_periods=True)
-        assert not t.equal_period_sizes
+        assert not t.cells.equal_period_sizes
         for kind in (EstimatorKind.EMEW, EstimatorKind.NEMEW):
             with pytest.raises(UnsupportedWeightingError):
                 fit(t, kind, FitOptions(vc=VarianceComponents(1.0, 0.1)))
@@ -390,8 +392,8 @@ class TestInvariances:
     def test_cluster_order_property(self):
         # Listing the clusters in another order changes nothing.
         def prop(t, data):
-            perm = data.draw(st.permutations(range(t.n_clusters)))
-            rank = dict(zip(t.cells.ids[perm], range(t.n_clusters)))
+            perm = data.draw(st.permutations(range(t.cells.n_clusters)))
+            rank = dict(zip(t.cells.ids[perm], range(t.cells.n_clusters)))
             order = np.argsort([rank[c] for c in t.cluster_ids], kind="stable")
             permuted = ObservedTrial(t.cluster_ids[order], t.periods[order],
                                      t.sequences[order], t.outcomes[order])
@@ -413,7 +415,7 @@ class TestInvariances:
     def test_record_order_irrelevant(self):
         t = random_trial(112)
         rng = np.random.default_rng(0)
-        perm = rng.permutation(t.n_obs)
+        perm = rng.permutation(t.cells.n_obs)
         t2 = ObservedTrial(t.cluster_ids[perm], t.periods[perm],
                            t.sequences[perm], t.outcomes[perm])
         for kind in (EstimatorKind.IEE, EstimatorKind.FE, EstimatorKind.NEME):
@@ -445,7 +447,7 @@ class TestInvariances:
         moves, nonconverged = [], []
         for seed in range(100, 160):
             t = random_trial(seed)
-            perm = np.random.default_rng(seed).permutation(t.n_obs)
+            perm = np.random.default_rng(seed).permutation(t.cells.n_obs)
             t2 = ObservedTrial(t.cluster_ids[perm], t.periods[perm],
                                t.sequences[perm], t.outcomes[perm])
             for kind in (EstimatorKind.EME, EstimatorKind.NEME):
@@ -496,7 +498,7 @@ class TestDegenerateOutcomes:
             n = 2 * int(rng.integers(2, 6))
             k = rng.integers(1, 5, n).tolist()
             mu, delta, phi1 = rng.standard_normal(3).tolist()
-            t = ObservedTrial.from_cell_means(
+            t = from_cell_means(
                 (f"c{i}", i % 2, k[i], k[i], mu, mu + phi1 + i % 2 * delta)
                 for i in range(n))
             for kind in EstimatorKind:

@@ -31,7 +31,7 @@ from pbcrt.io import load_size_table
 from pbcrt.simulate import SimScenario, generate_trial
 from pbcrt.estimands import PopulationMixture
 
-from oracles import deletion_tables, refit_replicates
+from oracles import deletion_tables, from_cell_means, from_records, refit_replicates
 
 
 def four_cluster_trial():
@@ -41,7 +41,7 @@ def four_cluster_trial():
         ("c1", 0, 2, 2, 1.2, 1.6),
         ("c2", 0, 2, 2, 0.8, 1.1),
     ]
-    return ObservedTrial.from_cell_means(cells)
+    return from_cell_means(cells)
 
 
 class TestJackknife:
@@ -63,13 +63,13 @@ class TestJackknife:
             (3 / 4) * np.sum((expect - center) ** 2), abs=1e-12)
 
     def test_needs_three_clusters(self):
-        t = ObservedTrial.from_cell_means([
+        t = from_cell_means([
             ("a", 1, 2, 2, 1.0, 2.0), ("b", 0, 2, 2, 1.0, 1.5)])
         with pytest.raises(EstimationError, match="3 clusters"):
             jackknife_variance(t, EstimatorKind.IEEW)
 
     def test_single_arm_after_drop_names_cluster(self):
-        t = ObservedTrial.from_cell_means([
+        t = from_cell_means([
             ("only_treated", 1, 2, 2, 1.0, 2.0),
             ("c1", 0, 2, 2, 1.0, 1.5),
             ("c2", 0, 2, 2, 0.9, 1.4)])
@@ -120,13 +120,13 @@ def test_jackknife_equals_brute_force_refits(seed, n_clusters, equal_sizes):
         records += [(f"c{i}", 1, i % 2, alpha + 0.3 * (i % 2) + y)
                     for y in rng.standard_normal(k1)]
     records = [records[j] for j in rng.permutation(len(records))]
-    t = ObservedTrial.from_records(records)
+    t = from_records(records)
     opts = FitOptions(vc=VarianceComponents(1.0, 0.1, 0.05))
     for kind in EstimatorKind:
-        if kind.weighted and kind.mixed and not t.equal_period_sizes:
+        if kind.weighted and kind.mixed and not t.cells.equal_period_sizes:
             continue
         _, reps = jackknife_variance(t, kind, opts)
-        brute = [fit(ObservedTrial.from_records(
+        brute = [fit(from_records(
                      [r for r in records if r[0] != cid]), kind, opts).delta_hat
                  for cid in t.cells.ids]
         assert reps == pytest.approx(brute, abs=1e-10), kind
@@ -167,7 +167,7 @@ def fresh(cells):
 
 def kinds_for(trial):
     return [k for k in EstimatorKind
-            if trial.equal_period_sizes or not (k.weighted and k.mixed)]
+            if trial.cells.equal_period_sizes or not (k.weighted and k.mixed)]
 
 
 class TestBatchedRows:
@@ -179,7 +179,7 @@ class TestBatchedRows:
         # with all I + 1 rows or alone, so `fit` is row 0 of
         # `fit_with_inference` and `jackknife_variance` its jackknife.
         trial = TRIALS[name]()
-        cells, rows = trial.cells, range(trial.n_clusters + 1)
+        cells, rows = trial.cells, range(trial.cells.n_clusters + 1)
         alone = fresh(cells)
         for structure in (CorrelationStructure.EXCHANGEABLE,
                           CorrelationStructure.NESTED_EXCHANGEABLE):
@@ -219,7 +219,7 @@ class TestBatchedRows:
     def test_refused_deletions_keep_their_messages(self):
         # A deletion that leaves one arm, a nested REML deletion with one
         # record per cell, and a saturated fixed-effects table.
-        t = ObservedTrial.from_cell_means([
+        t = from_cell_means([
             ("only_treated", 1, 2, 2, 1.0, 2.0), ("c1", 0, 2, 2, 1.0, 1.5),
             ("c2", 0, 2, 2, 0.9, 1.4)])
         with pytest.raises(EstimationError,
@@ -230,11 +230,11 @@ class TestBatchedRows:
         records = [(c, p, s, y) for c, s, _, _, m0, m1 in rows
                    for p, y in ((0, m0), (1, m1))]
         records += [("c0", 0, 0, 0.3), ("c0", 1, 0, -0.4)]
-        t = ObservedTrial.from_records(records)
+        t = from_records(records)
         assert fit(t, EstimatorKind.NEME).vc_hat is not None
         with pytest.raises(EstimationError, match="nested REML needs a cell"):
             fit_with_inference(t, EstimatorKind.NEME)
-        t = ObservedTrial.from_cell_means([("a", 0, 1, 1, 1.0, 2.0),
+        t = from_cell_means([("a", 0, 1, 1, 1.0, 2.0),
                                            ("b", 1, 1, 1, 0.5, 3.0)])
         for kind in (EstimatorKind.FE, EstimatorKind.FEW):
             with pytest.raises(EstimationError, match="saturated design"):

@@ -6,7 +6,6 @@ import pytest
 
 from pbcrt import (
     EstimatorKind,
-    ObservedTrial,
     PopulationMixture,
     SimScenario,
     TrialValidationError,
@@ -21,9 +20,14 @@ from pbcrt import (
 from pbcrt.cli import main
 from pbcrt.estimands import neme_weight
 
+from oracles import from_cell_means
+
+
+HEADER = "cluster_id,period,sequence,outcome\n"
+
 
 def small_trial():
-    return ObservedTrial.from_cell_means([
+    return from_cell_means([
         ("a", 1, 1, 1, 1.0, 2.5), ("b", 0, 1, 1, 0.5, 1.0)])
 
 
@@ -41,7 +45,7 @@ class TestTrialCsv:
         path = tmp_path / "t.csv"
         emit_trial_csv(t, path)
         t2 = parse_trial_csv(path)
-        assert t2.n_clusters == t.n_clusters
+        assert t2.cells.n_clusters == t.cells.n_clusters
         assert np.allclose(t2.outcomes, t.outcomes)
         a, b = t.cells, t2.cells
         for name in ("ids", "sequence", "k0", "k1"):
@@ -52,7 +56,7 @@ class TestTrialCsv:
         path = tmp_path / "m.csv"
         emit_trial_csv(small_trial(), path)
         t = parse_trial_csv(path)
-        assert t.n_obs == 4
+        assert t.cells.n_obs == 4
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -66,6 +70,27 @@ class TestTrialCsv:
                         "a,0,0,1.0\na,1,0,1.0\nb,7,1,2.0\nb,1,1,2.0\n")
         with pytest.raises(TrialValidationError, match=":4:"):
             parse_trial_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        (HEADER + "a,0,0,1.0\na,1,0,1.0\nb,0,2,2.0\nb,1,1,2.0\n",
+         ":4: sequence must be 0 or 1, got 2"),
+        (HEADER + "a,0,0,1.0\na,1,0,1.0\nb,0,x,2.0\n",
+         ":4: invalid literal for int() with base 10: 'x'"),
+        (HEADER + "a,0,0,1.0\n\n\nb,0,1,x\n",
+         ":5: could not convert string to float: 'x'"),
+        (HEADER + "a,0,0,1.0\n\na,1,0,1.0\nb,2,1,2.0\n",
+         ":5: period must be 0 or 1, got 2"),
+        ("outcome,period,sequence,cluster_id\n1.0,0,0,a\n\n2.0,1,0\n",
+         ":4: no cluster_id"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, text, message):
+        # The first bad row's error carries its own line of the file,
+        # blank lines counted.
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(TrialValidationError) as info:
+            parse_trial_csv(path)
+        assert str(info.value) == f"{path}{message}"
 
     def test_non_numeric_outcome(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -113,14 +138,14 @@ class TestSizeTable:
         assert all(k0 >= 1 and k1 >= 1 for _, _, k0, k1 in rows)
 
     def test_skeleton_trial_sizes(self):
-        t = ObservedTrial.from_cell_means(
+        t = from_cell_means(
             (cid, seq, k0, k1, 0.0, 0.0) for cid, seq, k0, k1 in load_size_table())
-        assert t.n_clusters == 28
+        assert t.cells.n_clusters == 28
         table = {cid: (k0, k1) for cid, _, k0, k1 in load_size_table()}
         c = t.cells
         for cid, k0, k1 in zip(c.ids, c.k0, c.k1):
             assert (k0, k1) == table[cid]
-        assert not t.equal_period_sizes
+        assert not t.cells.equal_period_sizes
 
 
 class TestScenarioJson:
@@ -176,7 +201,7 @@ class TestScenarioJson:
         path.write_text(json.dumps(doc))
         sc = load_scenario_json(path)
         assert sc.master_seed == 10**20 and sc.to_dict()["master_seed"] == 10**20
-        assert generate_trial(sc, 0).n_obs > 0
+        assert generate_trial(sc, 0).cells.n_obs > 0
 
     def test_unknown_keys_rejected(self, tmp_path):
         # A misspelt key is an error naming every unknown key, at the top
@@ -446,7 +471,7 @@ class TestCli:
 
     def test_fit_estimation_error_exit_code(self, tmp_path, capsys):
         # Weighted mixed fit on unequal cell sizes cannot be computed.
-        t = ObservedTrial.from_cell_means([
+        t = from_cell_means([
             ("a", 1, 2, 3, 1.0, 2.0), ("b", 0, 2, 2, 1.0, 1.5),
             ("c", 1, 2, 2, 1.0, 2.1), ("d", 0, 3, 2, 0.9, 1.4)])
         path = tmp_path / "t.csv"
@@ -502,6 +527,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"error: {cfg}: bad scenario config: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("size, records", [(1e20, 8 * 10**20), (1e9, 8 * 10**9)])
+    def test_simulate_huge_sizes_refused(self, tmp_path, capsys, size, records):
+        # Size means that no replicate could hold are one `error:` line
+        # naming the mixture, not a TypeError or MemoryError traceback.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_clusters": 4, "mixture": [[1.0, size, 0.3]],
+                                   "vc": {"sigma_w2": 1.0}, "reps": 1,
+                                   "estimators": ["iee"]}))
+        rc = main(["simulate", str(cfg), "--csv", str(tmp_path / "s.csv"),
+                   "--json", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: bad scenario config: mixture: 4 clusters at its "
+            f"largest size mean expect {records} records a replicate, over "
+            "10000000\n")
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("drop, vc, message", [

@@ -21,6 +21,8 @@ from pbcrt import (
     generate_trial,
 )
 
+from oracles import from_cell_means, from_records
+
 
 def simulate(vc, seed, n_clusters=30, k=20):
     mix = PopulationMixture([(1.0, k, 0.5)])
@@ -118,7 +120,7 @@ class TestNestedExchangeable:
         # Only sigma_w2 + tau_gamma2 is identified when no cell holds two
         # records, so the nested fit refuses instead of splitting it.
         rng = np.random.default_rng(12)
-        t = ObservedTrial.from_cell_means(
+        t = from_cell_means(
             (f"c{i}", i % 2, 1, 1, *rng.standard_normal(2)) for i in range(12))
         with pytest.raises(EstimationError, match="two records"):
             estimate_variance_components(
@@ -209,7 +211,7 @@ class TestNestedExchangeable:
         cells = [("a", 0, 2, 2, 1.0, 2.0)]
         from pbcrt import ObservedTrial, TrialValidationError
         with pytest.raises(TrialValidationError):
-            ObservedTrial.from_cell_means(cells)
+            from_cell_means(cells)
 
     def test_rows_that_are_not_rows_are_refused(self):
         # Only integers 0..I name a row of the jackknife stack: -1, 1.5,
@@ -596,7 +598,7 @@ class TestProfiledLikelihood:
         _, ld_m = np.linalg.slogdet(m)
         dense_val = ld_w + ld_m + float(resid @ winv @ resid)
 
-        n = t.n_obs
+        n = t.cells.n_obs
         prof_val = deviance(t.cells, tw0, tb0)
         # value() is expressed in ratio units: translate to the dense scale.
         expect = prof_val + (n - 3) + (n - 3) * np.log(1.0 / (n - 3))
@@ -619,7 +621,7 @@ class TestProfiledLikelihood:
         # leaves the other points as they are alone; a table without
         # residual variation gives inf at every point.
         rng = np.random.default_rng(3)
-        t = ObservedTrial.from_records(
+        t = from_records(
             [(c, p, s, y) for c, s, k in (("t", 1, 3), ("c1", 0, 4), ("c2", 0, 2))
              for p in (0, 1) for y in rng.standard_normal(k)])
         got = reml._kernel(t.cells, np.array([0, 1, 2, 1]),
@@ -677,7 +679,7 @@ def unequal_cells(index):
         records += [(cid, 0, seq, y) for y in 1.0 + alpha + g0 + rng.standard_normal(k0)]
         records += [(cid, 1, seq, y) for y in
                     1.2 + 0.35 * seq + alpha + g1 + rng.standard_normal(k1)]
-    return ObservedTrial.from_records(records).cells
+    return from_records(records).cells
 
 
 def random_cells(seed):

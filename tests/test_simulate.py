@@ -60,6 +60,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             scenario(ci_level=1.5)
 
+    def test_expected_records_bounded(self):
+        # 2 x n_clusters x the largest size mean may reach _MAX_RECORDS
+        # (10**7), and no further; nothing is drawn here.
+        big = PopulationMixture([(0.5, 5, 0.2), (0.5, 500_000, 0.3)])
+        assert scenario(mixture=big).n_clusters == 10
+        bigger = PopulationMixture([(0.5, 5, 0.2), (0.5, 500_001, 0.3)])
+        with pytest.raises(ValueError, match="^mixture: 10 clusters .* 10000020 records"):
+            scenario(mixture=bigger)
+
 
 class TestGeneration:
     def test_deterministic(self):
@@ -73,14 +82,14 @@ class TestGeneration:
         sc = scenario()
         a = generate_trial(sc, 0)
         b = generate_trial(sc, 1)
-        assert not np.array_equal(a.outcomes[: min(a.n_obs, b.n_obs)],
-                                  b.outcomes[: min(a.n_obs, b.n_obs)])
+        assert not np.array_equal(a.outcomes[: min(a.outcomes.size, b.outcomes.size)],
+                                  b.outcomes[: min(a.outcomes.size, b.outcomes.size)])
 
     def test_seed_changes_stream(self):
         a = generate_trial(scenario(master_seed=1), 0)
         b = generate_trial(scenario(master_seed=2), 0)
-        assert not np.array_equal(a.outcomes[: min(a.n_obs, b.n_obs)],
-                                  b.outcomes[: min(a.n_obs, b.n_obs)])
+        assert not np.array_equal(a.outcomes[: min(a.outcomes.size, b.outcomes.size)],
+                                  b.outcomes[: min(a.outcomes.size, b.outcomes.size)])
 
     def test_exact_half_treated(self):
         sc = scenario(n_clusters=16)
@@ -90,7 +99,7 @@ class TestGeneration:
 
     def test_equal_period_sizes_within_cluster(self):
         t = generate_trial(scenario(), 0)
-        assert t.equal_period_sizes
+        assert t.cells.equal_period_sizes
 
     def test_noiseless_dgp_values(self):
         vc0 = VarianceComponents(1e-10)

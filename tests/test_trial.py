@@ -13,11 +13,11 @@ from pbcrt import (
 )
 from pbcrt.trial import _cluster_codes
 
-from oracles import cell_table, drop_cluster, str_codes
+from oracles import cell_table, drop_cluster, from_cell_means, from_records, str_codes
 
 
 def make_trial(records):
-    return ObservedTrial.from_records(records)
+    return from_records(records)
 
 
 BASIC = [
@@ -29,7 +29,7 @@ BASIC = [
 class TestValidation:
     def test_empty(self):
         with pytest.raises(TrialValidationError):
-            ObservedTrial.from_records([])
+            from_records([])
 
     def test_bad_period(self):
         with pytest.raises(TrialValidationError, match="period"):
@@ -67,8 +67,8 @@ class TestValidation:
 class TestIndexing:
     def test_cluster_stats(self):
         t = make_trial(BASIC)
-        assert t.n_clusters == 2
-        assert t.n_obs == 5
+        assert t.cells.n_clusters == 2
+        assert t.cells.n_obs == 5
         c = t.cells
         assert list(c.ids) == ["a", "b"]
         assert list(c.sequence) == [0, 1]
@@ -87,17 +87,17 @@ class TestIndexing:
         assert list(t.cells.ids) == ["z", "a"]
 
     def test_equal_period_sizes_flag(self):
-        assert not make_trial(BASIC).equal_period_sizes
+        assert not make_trial(BASIC).cells.equal_period_sizes
         t = make_trial([("a", 0, 0, 1.0), ("a", 1, 0, 2.0),
                         ("b", 0, 1, 3.0), ("b", 1, 1, 4.0)])
-        assert t.equal_period_sizes
+        assert t.cells.equal_period_sizes
 
     def test_drop_cluster(self):
         rows = BASIC + [("c", 0, 0, 5.0), ("c", 1, 0, 6.0)]
         t = make_trial(rows)
         sub = drop_cluster(t, "a")
         assert list(sub.cells.ids) == ["b", "c"]
-        assert sub.n_obs == 5
+        assert sub.cells.n_obs == 5
         with pytest.raises(KeyError):
             drop_cluster(t, "nope")
 
@@ -110,7 +110,7 @@ class TestIndexing:
             c.gls_map[0, 0, 0] = 9.0
 
     def test_from_cell_means(self):
-        t = ObservedTrial.from_cell_means([
+        t = from_cell_means([
             ("a", 0, 2, 3, 1.5, 2.5), ("b", 1, 1, 1, 0.0, 4.0)])
         c = t.cells
         assert (c.k0[0], c.k1[0]) == (2, 3)
@@ -124,14 +124,14 @@ class TestIndexing:
                    for cid, seq, k0, k1, m0, m1 in cells
                    for j, k, m in ((0, k0, m0), (1, k1, m1))
                    for _ in range(k)]
-        got = ObservedTrial.from_cell_means(cells)
-        want = ObservedTrial.from_records(records)
+        got = from_cell_means(cells)
+        want = from_records(records)
         assert got.cells == want.cells
         for col in ("cluster_ids", "periods", "sequences", "outcomes"):
             a, b = getattr(got, col), getattr(want, col)
             assert a.dtype == b.dtype and np.array_equal(a, b), col
         with pytest.raises(TrialValidationError, match="nonnegative"):
-            ObservedTrial.from_cell_means([("a", 0, -1, 2, 0.0, 0.0)])
+            from_cell_means([("a", 0, -1, 2, 0.0, 0.0)])
 
     def test_labels_coded_by_str(self):
         # 1 and 1.0 are equal but print differently: two clusters.  1 and
@@ -185,7 +185,7 @@ class TestIndexing:
         for cid, j, s, y in recs:
             naive.setdefault(cid, ([], []))[j].append(y)
         try:
-            t = ObservedTrial.from_records(recs)
+            t = from_records(recs)
         except TrialValidationError:
             return
         c = t.cells
@@ -220,7 +220,7 @@ class TestDropCluster:
                 assert "arm" in str(exc) or "too close together" in str(exc)
                 continue
             assert sub.cells == cell_table(kept, sub.cells.origin)
-            want = ObservedTrial.from_records(kept)
+            want = from_records(kept)
             assert np.array_equal(sub.cluster_ids, want.cluster_ids)
             assert np.array_equal(sub.outcomes, want.outcomes)
             if depth > 1:
@@ -238,7 +238,7 @@ class TestDropCluster:
                 for i, k in enumerate(sizes) for j in (0, 1) for _ in range(k[j])]
         rnd.shuffle(recs)
         try:
-            t = ObservedTrial.from_records(recs)
+            t = from_records(recs)
         except TrialValidationError as exc:
             # The draws can be subnormal about their mean (say three zeros
             # and 2.6e-264), which the trial refuses as drop_cluster does.
@@ -255,7 +255,7 @@ class TestDropCluster:
         recs = [("c0", 0, 0, 0.0), ("c0", 1, 0, 0.0), ("c1", 0, 1, 0.0),
                 ("c1", 1, 1, 2.67582702478153e-256), ("c2", 0, 0, 0.0),
                 ("c2", 1, 0, 1.0)]
-        t = ObservedTrial.from_records(recs)
+        t = from_records(recs)
         with pytest.raises(TrialValidationError, match="arm"):
             drop_cluster(t, "c1")
         with pytest.raises(TrialValidationError, match="too close together"):
